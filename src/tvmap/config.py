@@ -19,7 +19,7 @@ item number, making results independent of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .qmri import PAPER_INVERSION_TIMES
@@ -30,7 +30,6 @@ TASKS = ("denoise", "mri", "ct", "qmri")
 SEED_PHANTOM = 1
 SEED_NOISE = 2
 SEED_MASKS = 3
-SEED_COUNTS = 4
 
 
 def parse_sections(text: str) -> dict[str, dict[str, str]]:
@@ -69,7 +68,6 @@ class ExperimentConfig:
     seed: int
     outdir: str = "runs/out"
     # phantom
-    kind: str = ""
     nx: int = 32
     ny: int = 32
     nt: int = 8
@@ -107,47 +105,32 @@ class ExperimentConfig:
     convs_per_stage: int = 2
     # qmri
     times: tuple = PAPER_INVERSION_TIMES
-    t1_lo: float = 0.05
-    t1_hi: float = 6.0
 
     _SECTIONS = {
         "run": ("task", "seed", "outdir"),
-        "phantom": ("kind", "nx", "ny", "nt", "disks", "train_count", "val_count",
-                    "test_count"),
+        "phantom": ("nx", "ny", "nt", "disks", "train_count", "val_count", "test_count"),
         "noise": ("sigma",),
         "operator": ("accel", "coils", "center_fraction", "cg_iters", "angles",
                      "bins", "side", "mu", "n0"),
         "solver": ("t_solve", "mode", "lam"),
         "train": ("t_train", "t_test", "lr", "weight_decay", "epochs", "batch",
                   "validate_every", "stages", "filters", "convs_per_stage"),
-        "qmri": ("times", "t1_lo", "t1_hi"),
+        "qmri": ("times",),
     }
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if not self.kind:
-            self.kind = {
-                "denoise": "moving-disks",
-                "mri": "moving-disks",
-                "ct": "ellipse-ct",
-                "qmri": "qmri-regions",
-            }[self.task]
         if self.task in ("ct",) and self.nt != 1:
             self.nt = 1
         if self.mode not in ("xyt", "xy_t", "x_y_t"):
             raise ValueError(f"unknown sharing mode {self.mode!r}")
 
     @classmethod
-    def _field_types(cls):
-        return {f.name: f.type for f in fields(cls)}
-
-    @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         sections = parse_sections(text)
         sections.pop("manifest", None)
         values = {}
-        known = {k: sec for sec, keys in cls._SECTIONS.items() for k in keys}
         for sec_name, pairs in sections.items():
             if sec_name not in cls._SECTIONS:
                 raise ValueError(f"unknown section [{sec_name}]")
@@ -174,7 +157,7 @@ class ExperimentConfig:
         }
         float_keys = {
             "sigma", "accel", "center_fraction", "side", "mu", "n0", "lam",
-            "lr", "weight_decay", "t1_lo", "t1_hi",
+            "lr", "weight_decay",
         }
         try:
             if key in int_keys:

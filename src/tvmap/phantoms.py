@@ -86,31 +86,6 @@ def add_gaussian(x: np.ndarray, sigma: float, seed: int, complex_noise: bool = F
     return x + sigma * rng.standard_normal(x.shape)
 
 
-def crop_patch(problem, patch_shape: tuple[int, int, int], seed):
-    """Dataset transform: restrict an identity-operator problem to a random
-    space-time patch (pointwise forward models commute with cropping)."""
-    from .operators import IdentityOp, identity_op
-    from .solvers import Problem
-
-    if not isinstance(problem.A, IdentityOp):
-        raise ValueError("patch cropping needs a pointwise forward model")
-    nt, nx, ny = problem.z.shape
-    pt, px, py = patch_shape
-    if pt > nt or px > nx or py > ny:
-        raise ValueError(f"patch {patch_shape} exceeds image {problem.z.shape}")
-    rng = np.random.default_rng(seed)
-    t0 = int(rng.integers(nt - pt + 1))
-    x0 = int(rng.integers(nx - px + 1))
-    y0 = int(rng.integers(ny - py + 1))
-    sl = (slice(t0, t0 + pt), slice(x0, x0 + px), slice(y0, y0 + py))
-    return Problem(
-        A=identity_op(patch_shape),
-        z=problem.z[sl].copy(),
-        x_true=None if problem.x_true is None else problem.x_true[sl].copy(),
-        x0=None if problem.x0 is None else problem.x0[sl].copy(),
-    )
-
-
 def ct_poisson_log(A, x_true: np.ndarray, kl: KlParams, seed: int) -> np.ndarray:
     """Log-transformed Poisson counts: sample N ~ Pois(n0 exp(-Ax mu)),
     clamp empty bins to 0.1 counts, return -log(N / n0) / mu."""

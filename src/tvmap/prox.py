@@ -4,7 +4,7 @@
 onto [-lam, lam], applied to real and imaginary parts separately for complex
 inputs), ``l2_conjugate_prox`` the dual step of the squared-L2 fidelity, and
 the ``kl_*`` functions evaluate the log-transformed Poisson fidelity, its
-image-space gradient and a Lipschitz bound for it.
+sinogram-space gradient factor and a Lipschitz bound for it.
 """
 
 from __future__ import annotations
@@ -95,16 +95,12 @@ def kl_value(ax: np.ndarray, z: np.ndarray, params: KlParams, diag: ClampDiag | 
     return float(np.sum(val))
 
 
-def kl_grad_image(x: np.ndarray, A, z: np.ndarray, params: KlParams, diag: ClampDiag | None = None) -> np.ndarray:
-    """Image-space gradient mu n0 A^T (exp(-z mu) - exp(-A x mu))."""
+def kl_grad_sino(ax: np.ndarray, exp_mz: np.ndarray, params: KlParams, diag: ClampDiag | None = None) -> np.ndarray:
+    """Sinogram-space gradient factor mu n0 (exp(-z mu) - exp(-ax mu)); the
+    data term ``exp_mz = exp_clamped(-z * mu)`` is fixed for a solve, so the
+    caller computes it once.  The image-space gradient is its adjoint."""
     mu, n0 = params.mu, params.n0
-    return mu * n0 * A.adjoint(exp_clamped(-z * mu, diag) - exp_clamped(-A.forward(x) * mu, diag))
-
-
-def kl_grad_sino(ax: np.ndarray, z: np.ndarray, params: KlParams, diag: ClampDiag | None = None) -> np.ndarray:
-    """Sinogram-space gradient factor mu n0 (exp(-z mu) - exp(-ax mu))."""
-    mu, n0 = params.mu, params.n0
-    return mu * n0 * (exp_clamped(-z * mu, diag) - exp_clamped(-ax * mu, diag))
+    return mu * n0 * (exp_mz - exp_clamped(-ax * mu, diag))
 
 
 def kl_lipschitz(A, params: KlParams) -> float:

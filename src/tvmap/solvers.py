@@ -1,10 +1,12 @@
 """Primal-dual solvers with fixed weight fields, plus reference solves and
 scalar grid-search baselines.
 
-Both solvers run an exact, fixed number of iterations and are bit-for-bit
-deterministic.  The per-iteration arithmetic here is mirrored operation for
-operation by the taped training path in :mod:`tvmap.training`; keep the two
-in sync (a test pins them to bit equality).
+Each solver's iteration is written once, as the ``step`` of :class:`_Pdhg`
+and :class:`_Pd3o`; the fixed-``T`` solvers and :func:`reference_solve` only
+drive it.  Both solvers are bit-for-bit deterministic.  The per-iteration
+arithmetic is mirrored operation for operation by the taped training path in
+:mod:`tvmap.training`; keep the two in sync (a test pins them to bit
+equality).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .prox import (
     ClampDiag,
     KlParams,
     box_clip,
+    exp_clamped,
     kl_grad_sino,
     kl_lipschitz,
     kl_value,
@@ -41,6 +44,9 @@ from .tensors import (
 # Safety factor applied to estimated operator norms before step sizing, so the
 # step-size inequalities hold for the true norm and not just the estimate.
 NORM_CUSHION = 1.0 + 1e-3
+
+# reference_solve tests its stopping rule after every CHECK_EVERY iterations.
+CHECK_EVERY = 50
 
 
 @dataclass
@@ -112,10 +118,10 @@ def stacked_norm_bound(A: LinearOperator) -> float:
     return cached
 
 
-def pdhg_step_params(A: LinearOperator, theta: float = 1.0) -> StepParams:
+def pdhg_step_params(A: LinearOperator) -> StepParams:
     """sigma = tau = 1/L with L the stacked-operator norm bound."""
     L = stacked_norm_bound(A)
-    return StepParams(sigma=1.0 / L, tau=1.0 / L, theta=theta)
+    return StepParams(sigma=1.0 / L, tau=1.0 / L)
 
 
 def _as_field(lam, shape) -> np.ndarray:
@@ -129,6 +135,124 @@ def _as_field(lam, shape) -> np.ndarray:
     return lam
 
 
+class _Pdhg:
+    """The PDHG iteration for 0.5|Ax - z|^2 + |lam grad x|_1; each
+    :meth:`step` runs one: dual L2 step, dual clip step, primal descent step,
+    extrapolation with ``theta``.  Starts from p = 0, q = 0, xbar = x0 unless
+    warm-start duals are passed.  ``image`` is the current iterate, ``prev``
+    the one before the last step.
+    """
+
+    def __init__(self, A, z, lam, x0, step=None, p0=None, q0=None):
+        self.lam = _as_field(lam, x0.shape)
+        if step is None:
+            step = pdhg_step_params(A)
+        L = stacked_norm_bound(A)
+        if step.sigma * step.tau * L * L > 1.0 + 1e-9:
+            raise ValueError("step sizes violate sigma * tau * L^2 <= 1")
+        self.A, self.z, self.params = A, z, step
+        self.image = self.prev = x0.copy()
+        self.xbar = x0.copy()
+        self.p = np.zeros_like(z) if p0 is None else p0.copy()
+        self.q = np.zeros_like(grad(x0)) if q0 is None else q0.copy()
+        self.diag = ClampDiag()  # stays empty: no exponentials here
+
+    def step(self) -> None:
+        A, x, xbar = self.A, self.image, self.xbar
+        sigma, tau, theta = self.params.sigma, self.params.tau, self.params.theta
+        self.p = l2_conjugate_prox(self.p, A.forward(xbar), self.z, sigma)
+        self.q = box_clip(self.q + sigma * grad(xbar), self.lam)
+        x_new = x - tau * A.adjoint(self.p) - tau * grad_adjoint(self.q)
+        self.xbar = x_new + theta * (x_new - x)
+        self.prev, self.image = x, x_new
+
+    def measure(self) -> tuple[float, float]:
+        """Objective and data residual |Ax - z| at the current iterate."""
+        r = self.A.forward(self.image) - self.z
+        obj = 0.5 * float(np.sum(np.abs(r) ** 2)) + weighted_tv(self.image, self.lam)
+        return obj, float(np.linalg.norm(r.ravel()))
+
+
+class _Pd3o:
+    """The PD3O iteration for the KL fidelity plus weighted TV plus a
+    nonnegativity constraint; each :meth:`step` runs one.  Starts from
+    p = xbar0, q = 0.  ``kl = None`` (with explicit ``steps``) disables the
+    smooth term: the gradient step vanishes, which reduces one iteration to a
+    PDHG iteration with the nonnegativity prox.  ``image`` is the prox output p, ``prev`` the one
+    before the last step.
+    """
+
+    p = None  # no data dual: the fidelity enters through its gradient
+
+    def __init__(self, A, z, lam, kl, xbar0, steps=None):
+        self.lam = _as_field(lam, xbar0.shape)
+        grad_norm = grad_norm_exact(xbar0.shape)
+        sigma, tau = pd3o_step_params(A, kl, grad_norm) if steps is None else steps
+        if sigma * tau * grad_norm**2 > 1.0 + 1e-9:
+            raise ValueError("step sizes violate sigma * tau * |grad|^2 <= 1")
+        self.A, self.z, self.kl, self.sigma, self.tau = A, z, kl, sigma, tau
+        self.diag = ClampDiag()
+        self.exp_mz = None if kl is None else exp_clamped(-z * kl.mu, self.diag)
+        self.image = self.prev = xbar0.copy()
+        self.xbar = xbar0.copy()
+        self.q = np.zeros_like(grad(xbar0))
+        self.gh = self._grad_h(self.image)
+        self.done = 0
+
+    def _grad_h(self, p: np.ndarray) -> np.ndarray:
+        if self.kl is None:
+            return np.zeros_like(p)
+        return self.A.adjoint(kl_grad_sino(self.A.forward(p), self.exp_mz, self.kl, self.diag))
+
+    def step(self) -> None:
+        p, gh, tau = self.image, self.gh, self.tau
+        self.q = box_clip(self.q + self.sigma * grad(self.xbar), self.lam)
+        p_new = nonneg_prox(p - tau * gh - tau * grad_adjoint(self.q))
+        gh_new = self._grad_h(p_new)
+        self.xbar = 2.0 * p_new - p + tau * gh - tau * gh_new
+        self.done += 1
+        if not np.isfinite(p_new).all():
+            raise NumericalError(f"non-finite iterate at iteration {self.done}", iteration=self.done)
+        self.prev, self.image, self.gh = p, p_new, gh_new
+
+    def measure(self) -> tuple[float, float]:
+        """Objective and data residual |Ax - z| at the current iterate."""
+        ax = self.A.forward(self.image)
+        obj = weighted_tv(self.image, self.lam)
+        if self.kl is not None:
+            obj += kl_value(ax, self.z, self.kl, self.diag)
+        return obj, float(np.linalg.norm((ax - self.z).ravel()))
+
+
+def _step_norm(it) -> float:
+    return float(np.linalg.norm((it.image - it.prev).ravel()))
+
+
+def _report(it, iterations: int, t_start: float, **fields) -> SolveReport:
+    return SolveReport(
+        image=it.image, iterations=iterations, dual_p=it.p, dual_q=it.q, clamp=it.diag,
+        wall_time=time.perf_counter() - t_start, **fields,
+    )
+
+
+def _run(it, T: int, record: bool, snapshots: dict | None = None) -> SolveReport:
+    """Exactly ``T`` steps of ``it``; ``record`` keeps the objective, step
+    norm and data residual after each, ``snapshots`` the (image, xbar, q)."""
+    t_start = time.perf_counter()
+    objective, step_norm, data_residual = [], [], []
+    for k in range(T):
+        it.step()
+        if record:
+            obj, resid = it.measure()
+            objective.append(obj)
+            step_norm.append(_step_norm(it))
+            data_residual.append(resid)
+        if snapshots is not None:
+            snapshots[k] = (it.image.copy(), it.xbar.copy(), it.q.copy())
+    return _report(it, T, t_start, objective=objective, step_norm=step_norm,
+                   data_residual=data_residual)
+
+
 def pdhg_solve(
     A: LinearOperator,
     z: np.ndarray,
@@ -137,56 +261,14 @@ def pdhg_solve(
     T: int,
     step: StepParams | None = None,
     record: bool = False,
-    nonneg: bool = False,
     p0: np.ndarray | None = None,
     q0: np.ndarray | None = None,
-    _snapshots: dict | None = None,
 ) -> SolveReport:
-    """Exactly ``T`` primal-dual iterations for 0.5|Ax - z|^2 + |lam grad x|_1.
-
-    Per iteration: dual L2 step, dual clip step, primal descent step,
-    extrapolation with ``theta``.  Starts from p = 0, q = 0, xbar = x0 unless
-    warm-start duals are passed.  ``nonneg`` swaps the identity primal prox
-    for a projection onto x >= 0.
-    """
+    """Exactly ``T`` PDHG iterations (:class:`_Pdhg`) for
+    0.5|Ax - z|^2 + |lam grad x|_1."""
     if T < 0:
         raise ValueError("iteration count must be >= 0")
-    lam = _as_field(lam, x0.shape)
-    if step is None:
-        step = pdhg_step_params(A)
-    L = stacked_norm_bound(A)
-    if step.sigma * step.tau * L * L > 1.0 + 1e-9:
-        raise ValueError("step sizes violate sigma * tau * L^2 <= 1")
-    sigma, tau, theta = step.sigma, step.tau, step.theta
-    t_start = time.perf_counter()
-    x = x0.copy()
-    xbar = x0.copy()
-    p = np.zeros_like(z) if p0 is None else p0.copy()
-    q = np.zeros_like(grad(x0)) if q0 is None else q0.copy()
-    report = SolveReport(image=x, iterations=T)
-    for k in range(T):
-        ax = A.forward(xbar)
-        p = l2_conjugate_prox(p, ax, z, sigma)
-        q = box_clip(q + sigma * grad(xbar), lam)
-        x_new = x - tau * A.adjoint(p) - tau * grad_adjoint(q)
-        if nonneg:
-            x_new = nonneg_prox(x_new)
-        xbar = x_new + theta * (x_new - x)
-        if record:
-            axn = A.forward(x_new)
-            report.objective.append(
-                0.5 * float(np.sum(np.abs(axn - z) ** 2)) + weighted_tv(x_new, lam)
-            )
-            report.step_norm.append(float(np.linalg.norm((x_new - x).ravel())))
-            report.data_residual.append(float(np.linalg.norm((axn - z).ravel())))
-        if _snapshots is not None:
-            _snapshots[k] = (x_new.copy(), xbar.copy(), p.copy(), q.copy())
-        x = x_new
-    report.image = x
-    report.dual_p = p
-    report.dual_q = q
-    report.wall_time = time.perf_counter() - t_start
-    return report
+    return _run(_Pdhg(A, z, lam, x0, step, p0, q0), T, record)
 
 
 def pd3o_step_params(A: LinearOperator, kl: KlParams, grad_norm: float) -> tuple[float, float]:
@@ -208,72 +290,20 @@ def pd3o_solve_ct(
     record: bool = False,
     _snapshots: dict | None = None,
 ) -> SolveReport:
-    """Exactly ``T`` three-operator-splitting iterations for the KL fidelity
+    """Exactly ``T`` PD3O iterations (:class:`_Pd3o`) for the KL fidelity
     plus weighted TV plus a nonnegativity constraint.
 
-    Starts from p = xbar0, q = 0.  ``kl = None`` disables the smooth term
-    (the gradient step vanishes), which reduces one iteration to a PDHG
-    iteration with the nonnegativity prox; that path exists as a test hook.
     Returns the prox output p_T, which is nonnegative by construction.
+    ``_snapshots`` is a test hook that receives (p, xbar, q) per iteration.
     """
     if T < 0:
         raise ValueError("iteration count must be >= 0")
-    lam = _as_field(lam, xbar0.shape)
-    grad_norm = grad_norm_exact(xbar0.shape)
-    if steps is None:
-        if kl is None:
-            tau = 1.0 / grad_norm
-            sigma = 1.0 / (tau * grad_norm**2)
-        else:
-            sigma, tau = pd3o_step_params(A, kl, grad_norm)
-    else:
-        sigma, tau = steps
-    if sigma * tau * grad_norm**2 > 1.0 + 1e-9:
-        raise ValueError("step sizes violate sigma * tau * |grad|^2 <= 1")
-    diag = ClampDiag()
-
-    def grad_h(pv: np.ndarray) -> np.ndarray:
-        if kl is None:
-            return np.zeros_like(pv)
-        return A.adjoint(kl_grad_sino(A.forward(pv), z, kl, diag))
-
-    t_start = time.perf_counter()
-    p = xbar0.copy()
-    xbar = xbar0.copy()
-    q = np.zeros_like(grad(xbar0))
-    gh = grad_h(p)
-    report = SolveReport(image=p, iterations=T, clamp=diag)
-    for k in range(T):
-        q = box_clip(q + sigma * grad(xbar), lam)
-        p_new = nonneg_prox(p - tau * gh - tau * grad_adjoint(q))
-        gh_new = grad_h(p_new)
-        xbar = 2.0 * p_new - p + tau * gh - tau * gh_new
-        if not np.isfinite(p_new).all():
-            raise NumericalError(f"non-finite iterate at iteration {k + 1}", iteration=k + 1)
-        if record:
-            obj = weighted_tv(p_new, lam)
-            if kl is not None:
-                obj += kl_value(A.forward(p_new), z, kl, diag)
-            report.objective.append(obj)
-            report.step_norm.append(float(np.linalg.norm((p_new - p).ravel())))
-            report.data_residual.append(
-                float(np.linalg.norm((A.forward(p_new) - z).ravel()))
-            )
-        if _snapshots is not None:
-            _snapshots[k] = (p_new.copy(), xbar.copy(), q.copy())
-        p = p_new
-        gh = gh_new
-    report.image = p
-    report.dual_q = q
-    report.wall_time = time.perf_counter() - t_start
-    return report
+    return _run(_Pd3o(A, z, lam, kl, xbar0, steps), T, record, _snapshots)
 
 
-def solve_problem(
-    problem: Problem, lam, T: int, record: bool = False, x0: np.ndarray | None = None
-) -> SolveReport:
+def solve_problem(problem: Problem, lam, T: int, record: bool = False) -> SolveReport:
     """Run the solver matching the problem's fidelity (PDHG or PD3O)."""
-    start = x0 if x0 is not None else problem.init_image()
+    start = problem.init_image()
     if problem.kl is not None:
         return pd3o_solve_ct(problem.A, problem.z, lam, problem.kl, start, T, record=record)
     return pdhg_solve(problem.A, problem.z, lam, start, T, record=record)
@@ -285,77 +315,32 @@ def reference_solve(
     tol: float = 1e-10,
     T_max: int = 20000,
     x0: np.ndarray | None = None,
-    check_every: int = 50,
     step: StepParams | None = None,
 ) -> SolveReport:
-    """Run the matching solver until the relative step norm drops below
-    ``tol`` (or ``T_max`` is reached); a converged-enough stand-in for the
-    exact minimizer.  ``report.reached_tol`` records the final step ratio and
-    ``report.converged`` whether the tolerance was met.
+    """Run the iteration :func:`solve_problem` picks until the relative step
+    norm, checked every ``CHECK_EVERY`` iterations, drops below ``tol`` (or
+    ``T_max`` is reached); a converged-enough stand-in for the exact
+    minimizer.  ``step`` applies to PDHG only.  ``report.reached_tol`` records
+    the final step ratio and ``report.converged`` whether the tolerance was
+    met.
     """
-    start = (x0 if x0 is not None else problem.init_image()).copy()
-    lam_field = _as_field(lam, start.shape)
-    eps = 1e-30
-    done = 0
-    x = start
-    last_ratio = np.inf
+    start = x0 if x0 is not None else problem.init_image()
     if problem.kl is not None:
-        p = start.copy()
-        xbar = start.copy()
-        q = np.zeros_like(grad(start))
-        grad_norm = grad_norm_exact(start.shape)
-        sigma, tau = pd3o_step_params(problem.A, problem.kl, grad_norm)
-        diag = ClampDiag()
-        gh = problem.A.adjoint(kl_grad_sino(problem.A.forward(p), problem.z, problem.kl, diag))
-        while done < T_max:
-            block = min(check_every, T_max - done)
-            for _ in range(block):
-                q = box_clip(q + sigma * grad(xbar), lam_field)
-                p_new = nonneg_prox(p - tau * gh - tau * grad_adjoint(q))
-                gh_new = problem.A.adjoint(
-                    kl_grad_sino(problem.A.forward(p_new), problem.z, problem.kl, diag)
-                )
-                xbar = 2.0 * p_new - p + tau * gh - tau * gh_new
-                p_prev, p = p, p_new
-                gh = gh_new
-            done += block
-            last_ratio = float(
-                np.linalg.norm((p - p_prev).ravel())
-                / max(np.linalg.norm(p.ravel()), eps)
-            )
-            if last_ratio <= tol:
-                break
-        report = SolveReport(image=p, iterations=done, clamp=diag)
-        report.dual_q = q
+        it = _Pd3o(problem.A, problem.z, lam, problem.kl, start)
     else:
-        if step is None:
-            step = pdhg_step_params(problem.A)
-        sigma, tau, theta = step.sigma, step.tau, step.theta
-        xbar = start.copy()
-        p = np.zeros_like(problem.z)
-        q = np.zeros_like(grad(start))
-        while done < T_max:
-            block = min(check_every, T_max - done)
-            for _ in range(block):
-                ax = problem.A.forward(xbar)
-                p = l2_conjugate_prox(p, ax, problem.z, sigma)
-                q = box_clip(q + sigma * grad(xbar), lam_field)
-                x_new = x - tau * problem.A.adjoint(p) - tau * grad_adjoint(q)
-                xbar = x_new + theta * (x_new - x)
-                x_prev, x = x, x_new
-            done += block
-            last_ratio = float(
-                np.linalg.norm((x - x_prev).ravel())
-                / max(np.linalg.norm(x.ravel()), eps)
-            )
-            if last_ratio <= tol:
-                break
-        report = SolveReport(image=x, iterations=done)
-        report.dual_p = p
-        report.dual_q = q
-    report.reached_tol = last_ratio
-    report.converged = last_ratio <= tol
-    return report
+        it = _Pdhg(problem.A, problem.z, lam, start, step)
+    t_start = time.perf_counter()
+    done = 0
+    ratio = np.inf
+    while done < T_max:
+        block = min(CHECK_EVERY, T_max - done)
+        for _ in range(block):
+            it.step()
+        done += block
+        ratio = _step_norm(it) / max(float(np.linalg.norm(it.image.ravel())), 1e-30)
+        if ratio <= tol:
+            break
+    return _report(it, done, t_start, reached_tol=ratio, converged=ratio <= tol)
 
 
 def _lam_for_candidate(cand, mode: SharingMode, shape) -> np.ndarray:

@@ -143,6 +143,17 @@ def test_mri_pipeline_cli(tmp_path):
     assert len(mean_lines) == 2
 
 
+@pytest.mark.parametrize("task", ["mri", "qmri"])
+def test_default_size_config_runs(tmp_path, task):
+    # README defaults: 32x32x8, 4 coils, R = 4 (qmri: the paper's 10 times)
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"[run]\ntask = {task}\nseed = 3\noutdir = {tmp_path / 'run'}\n")
+    assert main(["gen", "--config", str(path)]) == 0
+    assert main(["solve", "--config", str(path)]) == 0
+    rec = read_tensor(tmp_path / "run" / "solve" / "recon_000.tnsr")
+    assert rec.shape[1:] == (32, 32) and np.isfinite(rec).all()
+
+
 def test_qmri_gen_and_fit_cli(tmp_path):
     cfg, path = tiny_config(
         tmp_path, task="qmri", coils=2, accel=2.0, cg_iters=2,

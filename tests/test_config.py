@@ -13,7 +13,6 @@ def test_parse_minimal():
     cfg = ExperimentConfig.from_text(MINIMAL)
     assert cfg.task == "denoise"
     assert cfg.seed == 42
-    assert cfg.kind == "moving-disks"  # task default
     assert cfg.nx == 32
 
 

@@ -65,31 +65,6 @@ def test_gaussian_noise_std_complex():
     assert abs(np.std(noisy.real) - 0.25 / np.sqrt(2)) / 0.25 <= 0.01
 
 
-def test_crop_patch_transform(rng):
-    from tvmap.operators import identity_op
-    from tvmap.phantoms import crop_patch
-    from tvmap.solvers import Problem
-
-    x_true = rng.standard_normal((6, 16, 12))
-    z = x_true + 0.1 * rng.standard_normal(x_true.shape)
-    prob = Problem(A=identity_op(x_true.shape), z=z, x_true=x_true, x0=z)
-    patch = crop_patch(prob, (4, 8, 8), seed=5)
-    assert patch.z.shape == (4, 8, 8)
-    assert patch.A.domain_shape == (4, 8, 8)
-    # the patch is a contiguous sub-block of the source
-    found = False
-    for t0 in range(3):
-        for i0 in range(9):
-            for j0 in range(5):
-                if np.array_equal(z[t0:t0 + 4, i0:i0 + 8, j0:j0 + 8], patch.z):
-                    found = True
-    assert found
-    again = crop_patch(prob, (4, 8, 8), seed=5)
-    np.testing.assert_array_equal(again.z, patch.z)
-    with pytest.raises(ValueError):
-        crop_patch(prob, (8, 8, 8), seed=0)
-
-
 def test_ct_poisson_log_concentrates_with_huge_counts():
     op = RadonOp(16, equispaced_angles(12), 23, side=1.0)
     x = ellipse_ct(16, seed=1)

@@ -188,6 +188,34 @@ def test_reference_solve_idempotent():
     assert np.max(np.abs(again.image - first.image)) <= 1e-10
 
 
+@pytest.mark.parametrize("fidelity", ["l2", "kl"])
+def test_reference_solve_runs_the_fixed_T_iteration(rng, fidelity):
+    # tol = 0 never stops early: T_max steps of the one iteration both share
+    if fidelity == "l2":
+        z = rng.standard_normal((2, 6, 6))
+        prob = Problem(A=identity_op(z.shape), z=z)
+        n = 120
+    else:
+        op, x_true, z, kl = small_ct(rng)
+        prob = Problem(A=op, z=z, x0=np.zeros_like(x_true), kl=kl)
+        n = 73
+    ref = reference_solve(prob, 0.05, tol=0.0, T_max=n)
+    rep = solve_problem(prob, 0.05, n)
+    assert ref.iterations == n and not ref.converged
+    assert np.array_equal(ref.image, rep.image)
+    assert np.array_equal(ref.dual_q, rep.dual_q)
+
+
+def test_reference_solve_pd3o_nonfinite_guard():
+    from tvmap.errors import NumericalError
+
+    op = RadonOp(8, equispaced_angles(12), 13, side=1.0)
+    prob = Problem(A=op, z=np.full(op.codomain_shape, -1e6), x0=np.zeros((1, 8, 8)),
+                   kl=KlParams(mu=3.0, n0=1e6))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+        reference_solve(prob, 0.01, T_max=5)
+
+
 def test_grid_search_two_pixel():
     A, z = two_pixel_problem()
     prob = Problem(A=A, z=z, x_true=np.array([0.5, 1.5]).reshape(1, 2, 1), x0=z)
