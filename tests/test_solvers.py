@@ -276,6 +276,19 @@ def test_grid_search_validation():
         grid_search_scalar([prob], SharingMode.XYT, [], T=10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_field_rejected(rng, bad):
+    # one bad entry used to spread NaN through the image without an error
+    shape = (2, 8, 8)
+    z = rng.standard_normal(shape)
+    lam = constant_map(0.1, shape)
+    lam[0, 1, 3, 4] = bad
+    with pytest.raises(ValueError):
+        pdhg_solve(identity_op(shape), z, lam, z, T=10)
+    with pytest.raises(ValueError):
+        pdhg_solve(identity_op(shape), z, bad, z, T=10)
+
+
 def test_grid_search_workers_schedule_independent(rng):
     A = identity_op((2, 6, 6))
     z = rng.standard_normal((2, 6, 6))

@@ -154,3 +154,10 @@ def test_constant_map():
     assert np.all(m == 0.5)
     with pytest.raises(ValueError):
         constant_map(0.0, (1, 3, 3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_constant_map_rejects_non_finite(value):
+    # NaN <= 0 is False, so a sign test alone lets NaN through
+    with pytest.raises(ValueError):
+        constant_map(value, (1, 3, 3))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tvmap import autodiff as ad
+from tvmap.errors import NumericalError
 from tvmap.network import UNetConfig, init_weights, weight_leaves, zero_weights
 from tvmap.operators import RadonOp, equispaced_angles, identity_op
 from tvmap.prox import KlParams
@@ -196,6 +197,18 @@ def test_train_deterministic(rng):
     b2, h2 = train(items[:3], items[3:], w0.copy(), cfg, tcfg)
     assert np.array_equal(b1.flat(), b2.flat())
     assert h1.rows == h2.rows
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_rejects_non_finite_loss(rng, split):
+    items = [denoise_problem(rng, shape=(2, 8, 8)) for _ in range(3)]
+    bad = items[0] if split == "train" else items[2]
+    bad.x_true[0, 0, 0] = np.inf
+    cfg = small_cfg(base_filters=2, convs_per_stage=1)
+    tcfg = TrainConfig(t_train=2, lr=1e-2, epochs=1, batch_size=2, validate_every=1,
+                       mode=SharingMode.XY_T)
+    with pytest.raises(NumericalError), np.errstate(all="ignore"):
+        train(items[:2], items[2:], init_weights(cfg, seed=1), cfg, tcfg)
 
 
 def test_train_improves_validation(rng):
