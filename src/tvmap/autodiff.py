@@ -1,10 +1,11 @@
-"""Tape-based reverse-mode differentiation for the parameter-map network and
-the unrolled solver iterations.
+"""Tape-based reverse-mode differentiation for the parameter-map network.
 
-The engine records exactly the primitives those two components need, nothing
-more.  Every recorded node stores its forward value and a vector-Jacobian
-closure; ``Tape.backward`` walks the nodes in strict reverse creation order,
-so gradient accumulation is deterministic.
+The engine records the primitives the network needs, and the solver
+primitives (``apply_forward``, ``box_clip_ad``, ``l2_conj_step`` and the
+like) that the test suite composes into node-by-node reference solves.
+Every recorded node stores its forward value and a vector-Jacobian
+closure; ``Tape.backward`` walks the nodes in strict reverse creation
+order, so gradient accumulation is deterministic.
 
 Complex values are treated as pairs of reals: the gradient ``g`` of a scalar
 loss with respect to a complex array ``v`` is the complex array with
@@ -12,16 +13,13 @@ loss with respect to a complex array ``v`` is the complex array with
 the registered adjoint, and elementwise nodes act on real and imaginary
 parts separately.
 
-The tape stores every unrolled iteration in full, so its size grows
-linearly in ``T`` times the image size.  One training item of an
-8x32x32 denoising problem with the two-stage, 8-filter network and
-``T = 64`` records 616 nodes holding 68.2 MB; 73 MB is live after the taped
-forward (the tape plus the padded inputs the conv VJPs keep) and the
-backward sweep peaks at 78 MB, because it drops each interior gradient once
-consumed.  Scaled to 8x128x128 with ``T = 256``, the tape would hold ~4.4 GB.
-No recompute-from-checkpoint machinery is provided; if larger problems
-need it, the natural seam is to segment the iteration loop and re-run
-segments inside ``backward``.
+Training records the ``T`` unrolled solver iterations as one node (see
+:func:`tvmap.training.reconstruct_taped`), so the tape no longer grows with
+``T``.  One training item of an 8x32x32 denoising problem with the
+two-stage, 8-filter network and ``T = 64`` records 39 nodes holding 8.0 MiB
+(``Tape.nbytes``); the solve node's closure holds a further 1.5 MiB trail
+(24 KiB per iteration) that ``nbytes`` does not count.  The traced peak of
+the whole item, forward and backward, is 19.5 MiB.
 """
 
 from __future__ import annotations

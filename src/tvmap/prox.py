@@ -2,7 +2,8 @@
 
 ``box_clip`` is the dual prox of the weighted l1 term (a pointwise projection
 onto [-lam, lam], applied to real and imaginary parts separately for complex
-inputs), ``l2_conjugate_prox`` the dual step of the squared-L2 fidelity, and
+inputs), ``box_clip_code`` and ``box_clip_vjp`` record and reverse it for
+training, ``l2_conjugate_prox`` the dual step of the squared-L2 fidelity, and
 the ``kl_*`` functions evaluate the log-transformed Poisson fidelity, its
 sinogram-space gradient factor and a Lipschitz bound for it.
 """
@@ -54,6 +55,30 @@ def box_clip(q: np.ndarray, lam) -> np.ndarray:
         im = np.minimum(np.maximum(q.imag, -lam), lam)
         return re + 1j * im
     return np.minimum(np.maximum(q, -lam), lam)
+
+
+def _clip_code(u: np.ndarray, lam) -> np.ndarray:
+    return np.subtract(u > lam, u < -lam, dtype=np.int8)
+
+
+def box_clip_code(u: np.ndarray, lam) -> np.ndarray:
+    """Which side of the box [-lam, lam] each entry of ``u`` left it by: the
+    int8 ``sign(u) [|u| > lam]``, so boundary entries count as inside.
+    Complex inputs get one code per real component, stacked (re, im)."""
+    if np.iscomplexobj(u):
+        return np.stack([_clip_code(u.real, lam), _clip_code(u.imag, lam)])
+    return _clip_code(u, lam)
+
+
+def box_clip_vjp(code: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse step of :func:`box_clip` from its :func:`box_clip_code`: the
+    gradient ``g`` at the output passes to the input inside the box and to
+    the bound, with the code's sign, outside it.  Returns (input, bound)
+    gradients."""
+    if np.iscomplexobj(g):
+        g_in = np.where(code[0] == 0, g.real, 0.0) + 1j * np.where(code[1] == 0, g.imag, 0.0)
+        return g_in, code[0] * g.real + code[1] * g.imag
+    return np.where(code == 0, g, 0.0), code * g
 
 
 def l2_conjugate_prox(p: np.ndarray, ax: np.ndarray, z: np.ndarray, sigma: float) -> np.ndarray:

@@ -2,11 +2,17 @@
 scalar grid-search baselines.
 
 Each solver's iteration is written once, as the ``step`` of :class:`_Pdhg`
-and :class:`_Pd3o`; the fixed-``T`` solvers and :func:`reference_solve` only
-drive it.  Both solvers are bit-for-bit deterministic.  The per-iteration
-arithmetic is mirrored operation for operation by the taped training path in
-:mod:`tvmap.training`; keep the two in sync (a test pins them to bit
-equality).
+and :class:`_Pd3o`; the fixed-``T`` solvers, :func:`reference_solve` and the
+training path only drive it.  Both solvers are bit-for-bit deterministic.
+
+Training differentiates ``T`` unrolled iterations with respect to the weight
+field.  With the box-clip pattern of every iteration fixed, an iteration is
+affine in its state, so given a ``trail`` list ``step`` also appends what the
+reverse step needs: one int8 clip code per dual entry (one per real part for
+complex data) and, for PD3O, the positivity mask of the prox and the clamped
+curvature ``exp(-mu A p)``.  ``reverse`` walks the trail backwards, applying
+A, A^T, grad and grad^T once each per iteration, and returns dL/dlam.  At
+8x32x32 the PDHG trail holds 24 KiB per iteration.
 """
 
 from __future__ import annotations
@@ -21,9 +27,12 @@ from .fileio import write_csv
 from .metrics import psnr
 from .operators import LinearOperator
 from .prox import (
+    EXP_CLAMP,
     ClampDiag,
     KlParams,
     box_clip,
+    box_clip_code,
+    box_clip_vjp,
     exp_clamped,
     kl_grad_sino,
     kl_lipschitz,
@@ -45,7 +54,8 @@ from .tensors import (
 # step-size inequalities hold for the true norm and not just the estimate.
 NORM_CUSHION = 1.0 + 1e-3
 
-# reference_solve tests its stopping rule after every CHECK_EVERY iterations.
+# reference_solve tests its stopping rule, and PDHG its iterate for
+# finiteness, after every CHECK_EVERY iterations.
 CHECK_EVERY = 50
 
 
@@ -137,15 +147,23 @@ def _as_field(lam, shape) -> np.ndarray:
     return lam
 
 
+def _check_finite(it) -> None:
+    if not np.isfinite(it.image).all():
+        raise NumericalError(f"non-finite iterate at iteration {it.done}", iteration=it.done)
+
+
 class _Pdhg:
     """The PDHG iteration for 0.5|Ax - z|^2 + |lam grad x|_1; each
     :meth:`step` runs one: dual L2 step, dual clip step, primal descent step,
     extrapolation with ``theta``.  Starts from p = 0, q = 0, xbar = x0 unless
     warm-start duals are passed.  ``image`` is the current iterate, ``prev``
-    the one before the last step.
+    the one before the last step.  The iterate is checked for finiteness
+    every ``CHECK_EVERY`` steps, and again after the last one by whoever
+    runs the steps.  With a ``trail`` list, each step appends its clip code
+    for :meth:`reverse`.
     """
 
-    def __init__(self, A, z, lam, x0, step=None, p0=None, q0=None):
+    def __init__(self, A, z, lam, x0, step=None, p0=None, q0=None, trail=None):
         self.lam = _as_field(lam, x0.shape)
         if step is None:
             step = pdhg_step_params(A)
@@ -158,15 +176,47 @@ class _Pdhg:
         self.p = np.zeros_like(z) if p0 is None else p0.copy()
         self.q = np.zeros_like(grad(x0)) if q0 is None else q0.copy()
         self.diag = ClampDiag()  # stays empty: no exponentials here
+        self.trail = trail
+        self.done = 0
 
     def step(self) -> None:
         A, x, xbar = self.A, self.image, self.xbar
         sigma, tau, theta = self.params.sigma, self.params.tau, self.params.theta
         self.p = l2_conjugate_prox(self.p, A.forward(xbar), self.z, sigma)
-        self.q = box_clip(self.q + sigma * grad(xbar), self.lam)
+        u = self.q + sigma * grad(xbar)
+        self.q = box_clip(u, self.lam)
+        if self.trail is not None:
+            self.trail.append(box_clip_code(u, self.lam))
         x_new = x - tau * A.adjoint(self.p) - tau * grad_adjoint(self.q)
         self.xbar = x_new + theta * (x_new - x)
         self.prev, self.image = x, x_new
+        self.done += 1
+        if self.done % CHECK_EVERY == 0:
+            _check_finite(self)
+
+    def reverse(self, g: np.ndarray) -> np.ndarray:
+        """dL/dlam of a loss with gradient ``g`` at the current iterate,
+        through every step the trail recorded.  A step maps (x, xbar, p, q)
+        to p' = (p + sigma (A xbar - z)) / (1 + sigma),
+        q' = clip(q + sigma grad xbar), x' = x - tau A^T p' - tau grad^T q',
+        xbar' = x' + theta (x' - x); the adjoints below run those lines
+        backwards, with x0 and z held constant."""
+        A, sigma, tau, theta = self.A, self.params.sigma, self.params.tau, self.params.theta
+        s = 1.0 / (1.0 + sigma)
+        gx = np.array(g, dtype=self.image.dtype)
+        gxbar = np.zeros_like(gx)
+        gp = np.zeros_like(self.p)
+        gq = np.zeros_like(self.q)
+        glam = np.zeros_like(self.lam)
+        for code in reversed(self.trail):
+            gx_new = gx + (1.0 + theta) * gxbar
+            gx = gx_new - theta * gxbar
+            gp = gp - tau * A.forward(gx_new)
+            gq, gl = box_clip_vjp(code, gq - tau * grad(gx_new))
+            glam += gl
+            gxbar = sigma * grad_adjoint(gq) + (sigma * s) * A.adjoint(gp)
+            gp = s * gp
+        return glam
 
     def measure(self) -> tuple[float, float]:
         """Objective and data residual |Ax - z| at the current iterate."""
@@ -180,13 +230,15 @@ class _Pd3o:
     nonnegativity constraint; each :meth:`step` runs one.  Starts from
     p = xbar0, q = 0.  ``kl = None`` (with explicit ``steps``) disables the
     smooth term: the gradient step vanishes, which reduces one iteration to a
-    PDHG iteration with the nonnegativity prox.  ``image`` is the prox output p, ``prev`` the one
-    before the last step.
+    PDHG iteration with the nonnegativity prox.  ``image`` is the prox output
+    p, ``prev`` the one before the last step; every step checks it for
+    finiteness.  With a ``trail`` list, each step appends its clip code,
+    positivity mask and clamped curvature for :meth:`reverse`.
     """
 
     p = None  # no data dual: the fidelity enters through its gradient
 
-    def __init__(self, A, z, lam, kl, xbar0, steps=None):
+    def __init__(self, A, z, lam, kl, xbar0, steps=None, trail=None):
         self.lam = _as_field(lam, xbar0.shape)
         grad_norm = grad_norm_exact(xbar0.shape)
         sigma, tau = pd3o_step_params(A, kl, grad_norm) if steps is None else steps
@@ -198,24 +250,61 @@ class _Pd3o:
         self.image = self.prev = xbar0.copy()
         self.xbar = xbar0.copy()
         self.q = np.zeros_like(grad(xbar0))
-        self.gh = self._grad_h(self.image)
+        self.gh, _ = self._grad_h(self.image)
+        self.trail = trail
         self.done = 0
 
-    def _grad_h(self, p: np.ndarray) -> np.ndarray:
+    def _grad_h(self, p: np.ndarray, curvature: bool = False):
+        """The KL gradient at ``p`` and, if ``curvature``, the clamped
+        exp(-mu A p) (zero where the clamp engaged) that its derivative
+        A^T diag(mu^2 n0 exp(-mu A p)) A needs; else None."""
         if self.kl is None:
-            return np.zeros_like(p)
-        return self.A.adjoint(kl_grad_sino(self.A.forward(p), self.exp_mz, self.kl, self.diag))
+            return np.zeros_like(p), None
+        ax = self.A.forward(p)
+        gh = self.A.adjoint(kl_grad_sino(ax, self.exp_mz, self.kl, self.diag))
+        if not curvature:
+            return gh, None
+        arg = -ax * self.kl.mu
+        return gh, np.where(np.abs(arg) <= EXP_CLAMP, exp_clamped(arg), 0.0)
 
     def step(self) -> None:
         p, gh, tau = self.image, self.gh, self.tau
-        self.q = box_clip(self.q + self.sigma * grad(self.xbar), self.lam)
+        u = self.q + self.sigma * grad(self.xbar)
+        self.q = box_clip(u, self.lam)
         p_new = nonneg_prox(p - tau * gh - tau * grad_adjoint(self.q))
-        gh_new = self._grad_h(p_new)
+        gh_new, curv = self._grad_h(p_new, self.trail is not None)
         self.xbar = 2.0 * p_new - p + tau * gh - tau * gh_new
-        self.done += 1
-        if not np.isfinite(p_new).all():
-            raise NumericalError(f"non-finite iterate at iteration {self.done}", iteration=self.done)
         self.prev, self.image, self.gh = p, p_new, gh_new
+        self.done += 1
+        _check_finite(self)
+        if self.trail is not None:
+            self.trail.append((box_clip_code(u, self.lam), p_new > 0, curv))
+
+    def reverse(self, g: np.ndarray) -> np.ndarray:
+        """dL/dlam of a loss with gradient ``g`` at the current iterate,
+        through every step the trail recorded.  A step maps (p, xbar, q, gh)
+        to q' = clip(q + sigma grad xbar), p' = max(p - tau gh - tau grad^T q', 0),
+        gh' = grad_h(p'), xbar' = 2 p' - p + tau gh - tau gh'; the adjoints
+        below run those lines backwards, with xbar0 and z held constant."""
+        A, sigma, tau = self.A, self.sigma, self.tau
+        c = 0.0 if self.kl is None else self.kl.mu**2 * self.kl.n0
+        gp = np.array(g, dtype=self.image.dtype)
+        gxbar = np.zeros_like(gp)
+        ggh = np.zeros_like(gp)
+        gq = np.zeros_like(self.q)
+        glam = np.zeros_like(self.lam)
+        for code, pos, curv in reversed(self.trail):
+            gp_new = gp + 2.0 * gxbar
+            ggh_new = ggh - tau * gxbar
+            if curv is not None:
+                gp_new = gp_new + A.adjoint((c * curv) * A.forward(ggh_new))
+            gw = np.where(pos, gp_new, 0.0)
+            gp = gw - gxbar
+            ggh = tau * (gxbar - gw)
+            gq, gl = box_clip_vjp(code, gq - tau * grad(gw))
+            glam += gl
+            gxbar = sigma * grad_adjoint(gq)
+        return glam
 
     def measure(self) -> tuple[float, float]:
         """Objective and data residual |Ax - z| at the current iterate."""
@@ -251,6 +340,7 @@ def _run(it, T: int, record: bool, snapshots: dict | None = None) -> SolveReport
             data_residual.append(resid)
         if snapshots is not None:
             snapshots[k] = (it.image.copy(), it.xbar.copy(), it.q.copy())
+    _check_finite(it)
     return _report(it, T, t_start, objective=objective, step_norm=step_norm,
                    data_residual=data_residual)
 
@@ -311,6 +401,21 @@ def solve_problem(problem: Problem, lam, T: int, record: bool = False) -> SolveR
     return pdhg_solve(problem.A, problem.z, lam, start, T, record=record)
 
 
+def unroll(A, z, lam, x0, T: int, kl: KlParams | None = None, trail: list | None = None):
+    """Exactly ``T`` steps of the iteration :func:`solve_problem` picks (PD3O
+    when ``kl`` is set, else PDHG) from ``x0``, with default step sizes.
+    Returns the iteration; given a ``trail`` list, its ``reverse`` then
+    differentiates the run with respect to ``lam``."""
+    if kl is not None:
+        it = _Pd3o(A, z, lam, kl, x0, trail=trail)
+    else:
+        it = _Pdhg(A, z, lam, x0, trail=trail)
+    for _ in range(T):
+        it.step()
+    _check_finite(it)
+    return it
+
+
 def reference_solve(
     problem: Problem,
     lam,
@@ -342,6 +447,7 @@ def reference_solve(
         ratio = _step_norm(it) / max(float(np.linalg.norm(it.image.ravel())), 1e-30)
         if ratio <= tol:
             break
+    _check_finite(it)
     return _report(it, done, t_start, reached_tol=ratio, converged=ratio <= tol)
 
 

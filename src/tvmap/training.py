@@ -1,11 +1,11 @@
 """End-to-end training of the parameter-map network through the unrolled
 solver.
 
-Two code paths share every prox formula: a plain numpy path for evaluation
-(:func:`reconstruct`) and a taped path for gradients
-(:func:`reconstruct_taped`).  The taped path mirrors the solver arithmetic
-operation for operation, so with identical weights the two are bit-identical;
-a test pins this.
+Evaluation (:func:`reconstruct`) and gradients (:func:`reconstruct_taped`)
+run the same solver iteration, so with identical weights the two are
+bit-identical.  The taped path records the network on an autodiff tape and
+the whole unrolled solve as a single node, whose VJP is the iteration's
+hand-written reverse sweep (:meth:`tvmap.solvers._Pdhg.reverse`).
 """
 
 from __future__ import annotations
@@ -19,14 +19,8 @@ from .errors import NumericalError
 from .network import NetWeights, UNetConfig, net_forward, net_forward_taped, weight_leaves
 from .operators import LinearOperator
 from .prox import KlParams
-from .solvers import (
-    Problem,
-    pd3o_solve_ct,
-    pd3o_step_params,
-    pdhg_solve,
-    pdhg_step_params,
-)
-from .tensors import SharingMode, expand_map, grad_norm_exact
+from .solvers import Problem, pd3o_solve_ct, pdhg_solve, unroll
+from .tensors import SharingMode, expand_map
 
 
 @dataclass
@@ -51,11 +45,19 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
 
 
+def _checked_field(lam: np.ndarray) -> np.ndarray:
+    # weights read from files are finite, so a map that is not finite and
+    # positive comes from overflowed weights or an underflowed softplus
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise NumericalError("network weight field is not finite and positive")
+    return lam
+
+
 def estimate_weight_field(
     x0: np.ndarray, weights: NetWeights, net_cfg: UNetConfig, mode: SharingMode
 ) -> np.ndarray:
     chans = net_forward(x0, weights, net_cfg)
-    return expand_map(chans, mode)
+    return _checked_field(expand_map(chans, mode))
 
 
 def reconstruct(
@@ -89,61 +91,16 @@ def reconstruct_taped(
     T: int,
     kl: KlParams | None = None,
 ) -> ad.Var:
-    """Differentiable twin of :func:`reconstruct` on an explicit tape."""
+    """Differentiable twin of :func:`reconstruct` on an explicit tape: the
+    network is recorded node by node, the ``T`` solver iterations as one
+    node whose VJP walks the iteration's trail backwards."""
     x0_var = tape.constant(np.ascontiguousarray(x0))
     chans = net_forward_taped(tape, x0_var, weight_vars, net_cfg)
     q_dirs = 3 if x0.shape[0] > 1 else 2
     lam = ad.expand_channels(chans, mode.channels, q_dirs)
-    if kl is not None:
-        return _taped_pd3o(tape, x0_var, z, A, lam, kl, T)
-    return _taped_pdhg(tape, x0_var, z, A, lam, T)
-
-
-def _taped_pdhg(tape, x0_var, z, A, lam, T):
-    step = pdhg_step_params(A)
-    sigma, tau, theta = step.sigma, step.tau, step.theta
-    x = x0_var
-    xbar = x0_var
-    p = tape.constant(np.zeros_like(z))
-    q = tape.constant(np.zeros_like(lam.value, dtype=x0_var.value.dtype))
-    for _ in range(T):
-        ax = ad.apply_forward(A, xbar)
-        p = ad.l2_conj_step(p, ax, z, sigma)
-        q = ad.box_clip_ad(ad.add_scaled(q, sigma, ad.grad_field(xbar)), lam)
-        x_new = ad.add_scaled2(
-            x, -tau, ad.apply_adjoint(A, p), -tau, ad.grad_field_adjoint(q)
-        )
-        xbar = ad.extrapolate(x_new, x, theta)
-        x = x_new
-    return x
-
-
-def _taped_pd3o(tape, x0_var, z, A, lam, kl, T):
-    grad_norm = grad_norm_exact(x0_var.value.shape)
-    sigma, tau = pd3o_step_params(A, kl, grad_norm)
-    mu, n0 = kl.mu, kl.n0
-    exp_mz = np.exp(np.clip(-z * mu, -700.0, 700.0))
-
-    def grad_h(p_var):
-        # scale before the adjoint, matching the plain solver's arithmetic
-        ap = ad.apply_forward(A, p_var)
-        diff = ad.rsub_const(exp_mz, ad.exp_clamped_ad(ad.scale(ap, -mu)))
-        return ad.apply_adjoint(A, ad.scale(diff, mu * n0))
-
-    p = x0_var
-    xbar = x0_var
-    q = tape.constant(np.zeros_like(lam.value))
-    gh = grad_h(p)
-    for _ in range(T):
-        q = ad.box_clip_ad(ad.add_scaled(q, sigma, ad.grad_field(xbar)), lam)
-        p_new = ad.leaky_relu(
-            ad.add_scaled2(p, -tau, gh, -tau, ad.grad_field_adjoint(q)), 0.0
-        )
-        gh_new = grad_h(p_new)
-        xbar = ad.pd3o_combine(p_new, p, gh, gh_new, tau)
-        p = p_new
-        gh = gh_new
-    return p
+    it = unroll(A, z, _checked_field(lam.value), x0, T, kl, trail=[])
+    # one node for the whole solve; its VJP is the iteration's reverse sweep
+    return tape._emit(it.image, (lam.idx,), lambda u: (it.reverse(u),), lam.requires_grad)
 
 
 def loss_taped(

@@ -2,12 +2,20 @@
 
 Everything here is deliberately written from first principles (hand-built
 difference stencils, exhaustive/coordinate minimization) and does not reuse
-the library's solver or gradient code paths.
+the library's solver or gradient code paths.  The exception is the taped
+reference at the end: the unrolled solvers recorded node by node from the
+autodiff primitives, the reference for the solvers' hand-written reverse
+sweeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from tvmap import autodiff as ad
+from tvmap.network import net_forward_taped
+from tvmap.solvers import pd3o_step_params, pdhg_step_params
+from tvmap.tensors import grad_norm_exact
 
 
 def _difference_rows(shape):
@@ -110,3 +118,62 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         g[idx] = (f(xp) - f(xm)) / (2 * eps)
         it.iternext()
     return g
+
+
+def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, kl=None):
+    """``training.reconstruct_taped`` with every solver iteration recorded
+    node by node on the tape."""
+    x0_var = tape.constant(np.ascontiguousarray(x0))
+    chans = net_forward_taped(tape, x0_var, weight_vars, net_cfg)
+    q_dirs = 3 if x0.shape[0] > 1 else 2
+    lam = ad.expand_channels(chans, mode.channels, q_dirs)
+    if kl is not None:
+        return _taped_pd3o(tape, x0_var, z, A, lam, kl, T)
+    return _taped_pdhg(tape, x0_var, z, A, lam, T)
+
+
+def _taped_pdhg(tape, x0_var, z, A, lam, T):
+    step = pdhg_step_params(A)
+    sigma, tau, theta = step.sigma, step.tau, step.theta
+    x = x0_var
+    xbar = x0_var
+    p = tape.constant(np.zeros_like(z))
+    q = tape.constant(np.zeros_like(lam.value, dtype=x0_var.value.dtype))
+    for _ in range(T):
+        ax = ad.apply_forward(A, xbar)
+        p = ad.l2_conj_step(p, ax, z, sigma)
+        q = ad.box_clip_ad(ad.add_scaled(q, sigma, ad.grad_field(xbar)), lam)
+        x_new = ad.add_scaled2(
+            x, -tau, ad.apply_adjoint(A, p), -tau, ad.grad_field_adjoint(q)
+        )
+        xbar = ad.extrapolate(x_new, x, theta)
+        x = x_new
+    return x
+
+
+def _taped_pd3o(tape, x0_var, z, A, lam, kl, T):
+    grad_norm = grad_norm_exact(x0_var.value.shape)
+    sigma, tau = pd3o_step_params(A, kl, grad_norm)
+    mu, n0 = kl.mu, kl.n0
+    exp_mz = np.exp(np.clip(-z * mu, -700.0, 700.0))
+
+    def grad_h(p_var):
+        # scale before the adjoint, matching the plain solver's arithmetic
+        ap = ad.apply_forward(A, p_var)
+        diff = ad.rsub_const(exp_mz, ad.exp_clamped_ad(ad.scale(ap, -mu)))
+        return ad.apply_adjoint(A, ad.scale(diff, mu * n0))
+
+    p = x0_var
+    xbar = x0_var
+    q = tape.constant(np.zeros_like(lam.value))
+    gh = grad_h(p)
+    for _ in range(T):
+        q = ad.box_clip_ad(ad.add_scaled(q, sigma, ad.grad_field(xbar)), lam)
+        p_new = ad.leaky_relu(
+            ad.add_scaled2(p, -tau, gh, -tau, ad.grad_field_adjoint(q)), 0.0
+        )
+        gh_new = grad_h(p_new)
+        xbar = ad.pd3o_combine(p_new, p, gh, gh_new, tau)
+        p = p_new
+        gh = gh_new
+    return p

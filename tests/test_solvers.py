@@ -5,6 +5,7 @@ from oracles import rof_denoise_oracle
 from tvmap.operators import GradOp, RadonOp, equispaced_angles, identity_op
 from tvmap.prox import KlParams, box_clip, nonneg_prox
 from tvmap.solvers import (
+    CHECK_EVERY,
     Problem,
     SolveReport,
     StepParams,
@@ -172,6 +173,27 @@ def test_pd3o_nonfinite_guard(rng):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as exc:
         pd3o_solve_ct(op, z, 0.01, bad, np.zeros((1, 8, 8)), 5)
     assert exc.value.iteration is not None
+
+
+@pytest.mark.parametrize("T, at", [(3, 3), (CHECK_EVERY + 10, CHECK_EVERY)])
+def test_pdhg_nonfinite_guard(rng, T, at):
+    # checked every CHECK_EVERY iterations and after the last one
+    from tvmap.errors import NumericalError
+
+    z = rng.standard_normal((2, 6, 6))
+    z[1, 2, 3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
+        pdhg_solve(identity_op(z.shape), z, 0.1, np.zeros_like(z), T)
+    assert exc.value.iteration == at
+
+
+def test_reference_solve_pdhg_nonfinite_guard():
+    from tvmap.errors import NumericalError
+
+    z = np.full((1, 4, 4), np.inf)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
+        reference_solve(Problem(A=identity_op(z.shape), z=z), 0.1)
+    assert exc.value.iteration == CHECK_EVERY
 
 
 def test_reference_solve_two_pixel():

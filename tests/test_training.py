@@ -6,7 +6,7 @@ from tvmap.errors import NumericalError
 from tvmap.network import UNetConfig, init_weights, weight_leaves, zero_weights
 from tvmap.operators import RadonOp, equispaced_angles, identity_op
 from tvmap.prox import KlParams
-from tvmap.solvers import Problem, pd3o_solve_ct, pdhg_solve
+from tvmap.solvers import Problem, pd3o_solve_ct, pdhg_solve, unroll
 from tvmap.tensors import SharingMode, constant_map
 from tvmap.training import (
     AdamState,
@@ -15,10 +15,13 @@ from tvmap.training import (
     batch_gradient,
     loss_taped,
     loss_value,
+    estimate_weight_field,
     reconstruct,
     reconstruct_taped,
     train,
 )
+
+from oracles import taped_reconstruct_reference
 
 
 def denoise_problem(rng, shape=(4, 8, 8), sigma=0.2):
@@ -72,6 +75,17 @@ def test_taped_reconstruct_bit_identical_to_plain(rng):
         tape, prob.x0, prob.z, prob.A, wv, cfg, SharingMode.XY_T, 12
     )
     assert np.array_equal(taped.value, plain)
+
+
+def ct_problem():
+    n = 8
+    op = RadonOp(n, equispaced_angles(10), 13, side=1.0)
+    kl = KlParams(mu=3.0, n0=500.0)
+    x_true = np.zeros((1, n, n))
+    x_true[0, 2:6, 3:6] = 0.7
+    z = op.forward(x_true)
+    x0 = np.maximum(op.adjoint(z) * 0.05, 0.0)
+    return Problem(A=op, z=z, x_true=x_true, x0=x0, kl=kl)
 
 
 def test_taped_pd3o_bit_identical_to_plain(rng):
@@ -211,6 +225,33 @@ def test_train_rejects_non_finite_loss(rng, split):
         train(items[:2], items[2:], init_weights(cfg, seed=1), cfg, tcfg)
 
 
+def test_taped_pdhg_nonfinite_guard(rng):
+    # training runs the solver's iteration, so it inherits its guard
+    prob = denoise_problem(rng, shape=(2, 8, 8))
+    prob.z = prob.z.copy()
+    prob.z[0, 3, 3] = np.nan  # the network input x0 stays finite
+    cfg = small_cfg(base_filters=2, convs_per_stage=1)
+    tape = ad.Tape()
+    wv = weight_leaves(tape, init_weights(cfg, seed=1))
+    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+        reconstruct_taped(tape, prob.x0, prob.z, prob.A, wv, cfg, SharingMode.XY_T, 3)
+
+
+@pytest.mark.parametrize("head_bias", [np.inf, -1e4])
+def test_bad_network_field_is_numerical_error(rng, head_bias):
+    # an overflowed or underflowed map is not the user's input: exit 3, not 2
+    prob = denoise_problem(rng, shape=(2, 8, 8))
+    cfg = small_cfg(base_filters=2, convs_per_stage=1)
+    w = init_weights(cfg, seed=1)
+    w.biases[-1][:] = head_bias
+    with pytest.raises(NumericalError), np.errstate(all="ignore"):
+        reconstruct(prob.x0, prob.z, prob.A, w, cfg, SharingMode.XY_T, 3)
+    tape = ad.Tape()
+    wv = weight_leaves(tape, w)
+    with pytest.raises(NumericalError), np.errstate(all="ignore"):
+        reconstruct_taped(tape, prob.x0, prob.z, prob.A, wv, cfg, SharingMode.XY_T, 3)
+
+
 def test_train_improves_validation(rng):
     items = [denoise_problem(rng, shape=(2, 8, 8), sigma=0.25) for _ in range(6)]
     cfg = small_cfg(base_filters=2, convs_per_stage=1)
@@ -277,3 +318,109 @@ def test_batch_gradient_averages(rng):
     v1, g1 = batch_gradient(probs[1:], w, cfg, tcfg)
     assert v01 == pytest.approx((v0 + v1) / 2)
     np.testing.assert_allclose(g01, (g0 + g1) / 2, atol=1e-14)
+
+
+def test_ct_loss_gradient_matches_fd():
+    prob = ct_problem()
+    cfg = small_cfg(rank=2, out_channels=1, base_filters=2, convs_per_stage=1)
+    w = init_weights(cfg, seed=6)
+    # no weight decay: its gradient would dwarf the solver's (|g| ~ 1e-10 to
+    # 1e-7 here) and hide a wrong reverse step
+    tcfg = TrainConfig(t_train=4, mode=SharingMode.XYT)
+    arrays = []
+    for k, b in zip(w.kernels, w.biases):
+        arrays.extend([k, b])
+
+    def build(tape, leaves):
+        wv = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(len(leaves) // 2)]
+        return loss_taped(tape, [prob], wv, cfg, tcfg)
+
+    # gradients this small sit below what eps = 1e-6 differences resolve
+    err = ad.finite_diff_check(build, arrays, trials=30, seed=0, eps=1e-5)
+    assert err <= 1e-5
+
+
+def _sweep_case(name, rng):
+    if name == "xy_t":
+        return denoise_problem(rng), small_cfg(), SharingMode.XY_T, 12
+    if name == "mri":
+        cfg = small_cfg(in_channels=2, base_filters=2, convs_per_stage=1)
+        return mri_problem(rng), cfg, SharingMode.XY_T, 8
+    return ct_problem(), small_cfg(rank=2, out_channels=1, base_filters=2), SharingMode.XYT, 6
+
+
+def _weight_gradients(reconstruct_fn, prob, cfg, w, mode, T):
+    tape = ad.Tape()
+    wv = weight_leaves(tape, w)
+    rec = reconstruct_fn(tape, prob.init_image(), prob.z, prob.A, wv, cfg, mode, T, kl=prob.kl)
+    grads = tape.backward(ad.mse(rec, tape.constant(prob.x_true)))
+    return rec.value, [grads[v.idx] for pair in wv for v in pair]
+
+
+@pytest.mark.parametrize("case", ["xy_t", "mri", "ct"])
+def test_reverse_sweep_matches_taped_reference(rng, case):
+    prob, cfg, mode, T = _sweep_case(case, rng)
+    w = init_weights(cfg, seed=4)
+    # the reverse step of every branch the case is meant to exercise runs
+    trail = []
+    lam = estimate_weight_field(prob.init_image(), w, cfg, mode)
+    unroll(prob.A, prob.z, lam, prob.init_image(), T, prob.kl, trail)
+    codes = [entry[0] if prob.kl is not None else entry for entry in trail]
+    assert any(np.any(c != 0) for c in codes)
+    if case == "mri":
+        assert all(c.shape == (2,) + lam.shape for c in codes)
+        assert any(np.any(c[1] != 0) for c in codes)
+    if case == "ct":
+        assert any(not np.all(pos) for _, pos, _ in trail)
+    ours, g_ours = _weight_gradients(reconstruct_taped, prob, cfg, w, mode, T)
+    ref, g_ref = _weight_gradients(taped_reconstruct_reference, prob, cfg, w, mode, T)
+    assert np.array_equal(ours, ref)
+    for a, b in zip(g_ours, g_ref):
+        # entries near zero from cancellation are compared on the leaf's scale
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+
+def test_taped_solve_is_one_node_and_trail_is_linear_in_T(rng):
+    prob = denoise_problem(rng)
+    cfg = small_cfg()
+    w = init_weights(cfg, seed=4)
+    counts = []
+    for T in (4, 16):
+        tape = ad.Tape()
+        reconstruct_taped(tape, prob.x0, prob.z, prob.A, weight_leaves(tape, w), cfg,
+                          SharingMode.XY_T, T)
+        counts.append(len(tape.nodes))
+    assert counts[0] == counts[1]
+    lam = estimate_weight_field(prob.x0, w, cfg, SharingMode.XY_T)
+    sizes = []
+    for T in (5, 10, 20):
+        trail = []
+        unroll(prob.A, prob.z, lam, prob.x0, T, trail=trail)
+        sizes.append(sum(c.nbytes for c in trail))
+    # one int8 code per dual entry per iteration, nothing else
+    assert sizes == [T * lam.size for T in (5, 10, 20)]
+
+
+def test_batch_gradient_memory():
+    """One 8x32x32 denoising item with the benchmark network at T = 64 keeps
+    its traced peak under 30 MB (the node-per-operation tape took ~78 MB)."""
+    import tracemalloc
+
+    from tvmap import experiments, network
+    from tvmap.config import ExperimentConfig
+
+    ecfg = ExperimentConfig(
+        task="denoise", seed=1, nx=32, ny=32, nt=8, train_count=1, val_count=1,
+        test_count=1, sigma=0.2, mode="xy_t", stages=2, filters=8, convs_per_stage=2,
+    )
+    items = experiments.build_split(ecfg, "train")
+    net_cfg = experiments.net_config(ecfg)
+    w = network.init_weights(net_cfg, seed=1)
+    tcfg = TrainConfig(t_train=64, mode=SharingMode.XY_T)
+    tracemalloc.start()
+    try:
+        batch_gradient(items, w, net_cfg, tcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
