@@ -1,22 +1,21 @@
 """Tape-based reverse-mode differentiation for the parameter-map network.
 
-The engine records the primitives the network needs, and the solver
-primitives (``apply_forward``, ``box_clip_ad``, ``l2_conj_step`` and the
-like) that the test suite composes into node-by-node reference solves.
-Every recorded node stores its forward value and a vector-Jacobian
-closure; ``Tape.backward`` walks the nodes in strict reverse creation
-order, so gradient accumulation is deterministic.
+The engine records the primitives the network and the training loss are
+built from, plus elementwise arithmetic (``add``, ``sub``, ``mul``,
+``reduce_sum``).  Every recorded node stores its forward value and a
+vector-Jacobian closure; ``Tape.backward`` walks the nodes in strict reverse
+creation order, so gradient accumulation is deterministic.  The solver is not recorded here:
+training records the ``T`` unrolled iterations as one node whose VJP is the
+iteration's hand-written reverse sweep (see
+:func:`tvmap.training.reconstruct_taped`).
 
 Complex values are treated as pairs of reals: the gradient ``g`` of a scalar
 loss with respect to a complex array ``v`` is the complex array with
-``dL = Re <g, dv>``.  Linear-operator nodes therefore backpropagate through
-the registered adjoint, and elementwise nodes act on real and imaginary
-parts separately.
+``dL = Re <g, dv>``, and elementwise nodes act on real and imaginary parts
+separately.
 
-Training records the ``T`` unrolled solver iterations as one node (see
-:func:`tvmap.training.reconstruct_taped`), so the tape no longer grows with
-``T``.  One training item of an 8x32x32 denoising problem with the
-two-stage, 8-filter network and ``T = 64`` records 39 nodes holding 8.0 MiB
+One training item of an 8x32x32 denoising problem with the two-stage,
+8-filter network and ``T = 64`` records 39 nodes holding 8.0 MiB
 (``Tape.nbytes``); the solve node's closure holds a further 1.5 MiB trail
 (24 KiB per iteration) that ``nbytes`` does not count.  The traced peak of
 the whole item, forward and backward, is 19.5 MiB.
@@ -27,10 +26,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-
-from .prox import EXP_CLAMP
-from .tensors import grad as grad_field_fn
-from .tensors import grad_adjoint as grad_adjoint_fn
 
 
 class Node:
@@ -70,7 +65,6 @@ class Var:
 class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
-        self.exp_clamp_entries = 0
 
     def _emit(self, value, parents=(), vjp=None, requires_grad=False) -> Var:
         self.nodes.append(Node(value, tuple(parents), vjp, requires_grad))
@@ -176,117 +170,24 @@ def mul(a: Var, b: Var) -> Var:
     return tape._emit(av * bv, (a.idx, b.idx), vjp, _needs(a, b))
 
 
-def add_scaled(a: Var, c: float, b: Var) -> Var:
-    """a + c * b in one node (the dual pre-step of the solvers)."""
-    tape = _same_tape(a, b)
-    c = float(c)
-    return tape._emit(
-        a.value + c * b.value, (a.idx, b.idx), lambda u: (u, c * u), _needs(a, b)
-    )
 
 
-def add_scaled2(a: Var, c1: float, b1: Var, c2: float, b2: Var) -> Var:
-    """a + c1 * b1 + c2 * b2 in one node (the primal descent step)."""
-    tape = _same_tape(a, b1, b2)
-    c1, c2 = float(c1), float(c2)
-    value = a.value + c1 * b1.value + c2 * b2.value
-    return tape._emit(
-        value, (a.idx, b1.idx, b2.idx), lambda u: (u, c1 * u, c2 * u), _needs(a, b1, b2)
-    )
 
 
-def extrapolate(x_new: Var, x_old: Var, theta: float) -> Var:
-    """x_new + theta (x_new - x_old), the over-relaxation step."""
-    tape = _same_tape(x_new, x_old)
-    theta = float(theta)
-    value = x_new.value + theta * (x_new.value - x_old.value)
-    return tape._emit(
-        value,
-        (x_new.idx, x_old.idx),
-        lambda u: ((1.0 + theta) * u, -theta * u),
-        _needs(x_new, x_old),
-    )
 
 
-def pd3o_combine(p_new: Var, p_old: Var, gh_old: Var, gh_new: Var, tau: float) -> Var:
-    """2 p_new - p_old + tau gh_old - tau gh_new, the three-operator update."""
-    tape = _same_tape(p_new, p_old, gh_old, gh_new)
-    tau = float(tau)
-    value = 2.0 * p_new.value - p_old.value + tau * gh_old.value - tau * gh_new.value
-    return tape._emit(
-        value,
-        (p_new.idx, p_old.idx, gh_old.idx, gh_new.idx),
-        lambda u: (2.0 * u, -u, tau * u, -tau * u),
-        _needs(p_new, p_old, gh_old, gh_new),
-    )
 
 
-def apply_forward(A, x: Var) -> Var:
-    """Record y = A x; the backward rule is the registered adjoint."""
-    return x.tape._emit(
-        A.forward(x.value), (x.idx,), lambda u: (A.adjoint(u),), x.requires_grad
-    )
 
 
-def apply_adjoint(A, y: Var) -> Var:
-    return y.tape._emit(
-        A.adjoint(y.value), (y.idx,), lambda u: (A.forward(u),), y.requires_grad
-    )
 
 
-def grad_field(x: Var) -> Var:
-    return x.tape._emit(
-        grad_field_fn(x.value), (x.idx,), lambda u: (grad_adjoint_fn(u),), x.requires_grad
-    )
 
 
-def grad_field_adjoint(q: Var) -> Var:
-    return q.tape._emit(
-        grad_adjoint_fn(q.value), (q.idx,), lambda u: (grad_field_fn(u),), q.requires_grad
-    )
 
 
-def box_clip_ad(q: Var, lam: Var) -> Var:
-    """Projection onto [-lam, lam]; boundary entries count as interior for q
-    and contribute sign(q) to the bound's gradient only outside the box."""
-    tape = _same_tape(q, lam)
-    qv, lv = q.value, lam.value
-
-    if np.iscomplexobj(qv):
-        value = np.minimum(np.maximum(qv.real, -lv), lv) + 1j * np.minimum(
-            np.maximum(qv.imag, -lv), lv
-        )
-
-        def vjp(u):
-            in_re = np.abs(qv.real) <= lv
-            in_im = np.abs(qv.imag) <= lv
-            gq = np.where(in_re, u.real, 0.0) + 1j * np.where(in_im, u.imag, 0.0)
-            gl = np.where(in_re, 0.0, np.sign(qv.real) * u.real) + np.where(
-                in_im, 0.0, np.sign(qv.imag) * u.imag
-            )
-            return gq, gl
-
-    else:
-        value = np.minimum(np.maximum(qv, -lv), lv)
-
-        def vjp(u):
-            inside = np.abs(qv) <= lv
-            gq = np.where(inside, u, 0.0)
-            gl = np.where(inside, 0.0, np.sign(qv) * u)
-            return gq, gl
-
-    return tape._emit(value, (q.idx, lam.idx), vjp, _needs(q, lam))
 
 
-def l2_conj_step(p: Var, ax: Var, z: np.ndarray, sigma: float) -> Var:
-    """(p + sigma (ax - z)) / (1 + sigma); z is data, not differentiated."""
-    tape = _same_tape(p, ax)
-    sigma = float(sigma)
-    value = (p.value + sigma * (ax.value - z)) / (1.0 + sigma)
-    s = 1.0 / (1.0 + sigma)
-    return tape._emit(
-        value, (p.idx, ax.idx), lambda u: (s * u, sigma * s * u), _needs(p, ax)
-    )
 
 
 def leaky_relu(x: Var, alpha: float) -> Var:
@@ -309,24 +210,8 @@ def softplus(x: Var) -> Var:
     return x.tape._emit(value, (x.idx,), lambda u: (sig * u,), x.requires_grad)
 
 
-def exp_clamped_ad(x: Var) -> Var:
-    """exp with the +-700 overflow guard; clamped entries get zero gradient
-    and bump the tape's diagnostic counter."""
-    xv = x.value
-    clipped = np.clip(xv, -EXP_CLAMP, EXP_CLAMP)
-    hits = int(np.count_nonzero(clipped != xv))
-    if hits:
-        x.tape.exp_clamp_entries += hits
-    value = np.exp(clipped)
-    inside = np.abs(xv) <= EXP_CLAMP
-    return x.tape._emit(
-        value, (x.idx,), lambda u: (np.where(inside, value * u, 0.0),), x.requires_grad
-    )
 
 
-def rsub_const(c, x: Var) -> Var:
-    """c - x for a constant c."""
-    return x.tape._emit(c - x.value, (x.idx,), lambda u: (-u,), x.requires_grad)
 
 
 def reduce_sum(x: Var) -> Var:
@@ -512,54 +397,3 @@ def upsample_nearest2(x: Var) -> Var:
 
     return x.tape._emit(value, (x.idx,), vjp, x.requires_grad)
 
-
-def finite_diff_check(build, leaves, eps: float = 1e-6, trials: int = 20, seed: int = 0):
-    """Compare reverse-mode gradients against central finite differences.
-
-    ``build(tape, leaf_vars) -> scalar Var`` records the function under test;
-    ``leaves`` is a list of real arrays.  ``trials`` coordinates are sampled
-    at random and the maximum relative error
-    |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8) is returned.
-
-    Each coordinate is differenced at ``eps`` and ``10 eps`` and the better
-    match counts: cancellation noise shrinks with the larger step and
-    truncation error with the smaller one, while a genuinely wrong gradient
-    fails at both.
-    """
-    leaves = [np.asarray(a, dtype=np.float64) for a in leaves]
-    tape = Tape()
-    leaf_vars = [tape.leaf(a.copy()) for a in leaves]
-    loss = build(tape, leaf_vars)
-    grads = tape.backward(loss)
-    ad = [grads.get(v.idx, np.zeros_like(a)) for v, a in zip(leaf_vars, leaves)]
-
-    def value_at(arrays) -> float:
-        t = Tape()
-        lv = [t.leaf(a, requires_grad=False) for a in arrays]
-        out = build(t, lv)
-        return float(out.value)
-
-    def fd_at(li: int, flat: int, h: float) -> float:
-        plus = [a.copy() for a in leaves]
-        minus = [a.copy() for a in leaves]
-        plus[li].ravel()[flat] += h
-        minus[li].ravel()[flat] -= h
-        return (value_at(plus) - value_at(minus)) / (2 * h)
-
-    rng = np.random.default_rng(seed)
-    sizes = [a.size for a in leaves]
-    total = sum(sizes)
-    worst = 0.0
-    for _ in range(trials):
-        flat = int(rng.integers(total))
-        li = 0
-        while flat >= sizes[li]:
-            flat -= sizes[li]
-            li += 1
-        g_ad = float(np.asarray(ad[li]).ravel()[flat])
-        err = np.inf
-        for h in (eps, 10 * eps):
-            g_fd = fd_at(li, flat, h)
-            err = min(err, abs(g_ad - g_fd) / max(abs(g_ad), abs(g_fd), 1e-8))
-        worst = max(worst, err)
-    return worst

@@ -79,7 +79,7 @@ def rate_certificate(
     if step is None:
         base = pdhg_step_params(A)
         # back off from the boundary so M is safely positive definite
-        step = StepParams(sigma=0.9 * base.sigma, tau=0.9 * base.tau, theta=1.0)
+        step = StepParams(sigma=0.9 * base.sigma, tau=0.9 * base.tau)
     a_mat, k_mat, n, m, qn = _dense_setup(A, shape)
     dim = n + m + qn
     m_mat = np.zeros((dim, dim))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .qmri import PAPER_INVERSION_TIMES
 
@@ -149,23 +150,14 @@ class ExperimentConfig:
 
     @classmethod
     def _convert(cls, key: str, raw: str):
-        int_keys = {
-            "seed", "nx", "ny", "nt", "disks", "train_count", "val_count",
-            "test_count", "coils", "cg_iters", "angles", "bins", "t_solve",
-            "t_train", "t_test", "epochs", "batch", "validate_every", "stages",
-            "filters", "convs_per_stage",
-        }
-        float_keys = {
-            "sigma", "accel", "center_fraction", "side", "mu", "n0", "lam",
-            "lr", "weight_decay",
-        }
+        """Type ``raw`` by the field's annotation: int, float, a tuple of
+        comma-separated floats, or str as given."""
+        kind = get_type_hints(cls)[key]
         try:
-            if key in int_keys:
-                return int(raw)
-            if key in float_keys:
-                return float(raw)
-            if key == "times":
+            if kind is tuple:
                 return tuple(float(v) for v in raw.split(",") if v.strip())
+            if kind in (int, float):
+                return kind(raw)
         except ValueError as exc:
             raise ValueError(f"cannot parse {key} = {raw!r}") from exc
         return raw

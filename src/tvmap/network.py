@@ -8,7 +8,7 @@ serves plain evaluation (throwaway tape) and end-to-end training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class NetWeights:
 
     kernels: list[np.ndarray]
     biases: list[np.ndarray]
-    names: list[str] = field(default_factory=list)
 
     def flat(self) -> np.ndarray:
         parts = []
@@ -87,43 +86,31 @@ class NetWeights:
             pos += b.size
         if pos != flat.size:
             raise ValueError("flat vector does not match the weight layout")
-        return NetWeights(kernels, biases, list(self.names))
+        return NetWeights(kernels, biases)
 
     def copy(self) -> "NetWeights":
-        return NetWeights(
-            [k.copy() for k in self.kernels],
-            [b.copy() for b in self.biases],
-            list(self.names),
-        )
-
-    def n_params(self) -> int:
-        return sum(k.size + b.size for k, b in zip(self.kernels, self.biases))
+        return NetWeights([k.copy() for k in self.kernels], [b.copy() for b in self.biases])
 
 
 def init_weights(cfg: UNetConfig, seed: int) -> NetWeights:
     """Uniform kernels in +-sqrt(1/fan_in), zero biases, and a final conv
     bias of -1 so training starts from weak regularization."""
     rng = np.random.default_rng(seed)
-    kernels, biases, names = [], [], []
+    kernels, biases = [], []
     plan = cfg.layer_plan()
-    for name, c_in, c_out, k in plan:
+    for _, c_in, c_out, k in plan:
         shape = (c_out, c_in) + (k,) * cfg.rank
         fan_in = c_in * k**cfg.rank
         bound = np.sqrt(1.0 / fan_in)
         kernels.append(rng.uniform(-bound, bound, size=shape))
         biases.append(np.zeros(c_out))
-        names.append(name)
     biases[-1] = np.full(plan[-1][2], -1.0)
-    return NetWeights(kernels, biases, names)
+    return NetWeights(kernels, biases)
 
 
 def zero_weights(cfg: UNetConfig) -> NetWeights:
     w = init_weights(cfg, seed=0)
-    return NetWeights(
-        [np.zeros_like(k) for k in w.kernels],
-        [np.zeros_like(b) for b in w.biases],
-        list(w.names),
-    )
+    return NetWeights([np.zeros_like(k) for k in w.kernels], [np.zeros_like(b) for b in w.biases])
 
 
 def _check_input(x0: np.ndarray, cfg: UNetConfig) -> None:

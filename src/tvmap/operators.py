@@ -211,14 +211,6 @@ class RadonOp(LinearOperator):
         x = self._matrix_t @ np.asarray(s, dtype=REAL).ravel()
         return x.reshape(self.domain_shape)
 
-    def geometry(self) -> dict[str, str]:
-        return {
-            "n": str(self.n),
-            "n_angles": str(self.angles.size),
-            "n_bins": str(self.n_bins),
-            "side": repr(self.side),
-        }
-
 
 def equispaced_angles(n_angles: int) -> np.ndarray:
     return np.arange(n_angles) * (np.pi / n_angles)

@@ -37,9 +37,6 @@ class ClampDiag:
     events: int = 0
     entries: int = 0
 
-    def tripped(self) -> bool:
-        return self.events > 0
-
 
 def box_clip(q: np.ndarray, lam) -> np.ndarray:
     """Entrywise projection of ``q`` onto the box [-lam, lam].

@@ -17,7 +17,6 @@ A, A^T, grad and grad^T once each per iteration, and returns dL/dlam.  At
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,13 +78,10 @@ class Problem:
 class StepParams:
     sigma: float
     tau: float
-    theta: float = 1.0
 
     def __post_init__(self):
         if self.sigma <= 0 or self.tau <= 0:
             raise ValueError("sigma and tau must be positive")
-        if not (0.0 < self.theta <= 1.0):
-            raise ValueError("theta must lie in (0, 1]")
 
 
 @dataclass
@@ -95,8 +91,6 @@ class SolveReport:
     objective: list[float] = field(default_factory=list)
     step_norm: list[float] = field(default_factory=list)
     data_residual: list[float] = field(default_factory=list)
-    wall_time: float = 0.0
-    dual_p: np.ndarray | None = None
     dual_q: np.ndarray | None = None
     reached_tol: float | None = None
     converged: bool = True
@@ -155,15 +149,15 @@ def _check_finite(it) -> None:
 class _Pdhg:
     """The PDHG iteration for 0.5|Ax - z|^2 + |lam grad x|_1; each
     :meth:`step` runs one: dual L2 step, dual clip step, primal descent step,
-    extrapolation with ``theta``.  Starts from p = 0, q = 0, xbar = x0 unless
-    warm-start duals are passed.  ``image`` is the current iterate, ``prev``
+    extrapolation xbar = 2 x' - x.  Starts from p = 0, q = 0, xbar = x0.
+    ``image`` is the current iterate, ``prev``
     the one before the last step.  The iterate is checked for finiteness
     every ``CHECK_EVERY`` steps, and again after the last one by whoever
     runs the steps.  With a ``trail`` list, each step appends its clip code
     for :meth:`reverse`.
     """
 
-    def __init__(self, A, z, lam, x0, step=None, p0=None, q0=None, trail=None):
+    def __init__(self, A, z, lam, x0, step=None, trail=None):
         self.lam = _as_field(lam, x0.shape)
         if step is None:
             step = pdhg_step_params(A)
@@ -173,22 +167,22 @@ class _Pdhg:
         self.A, self.z, self.params = A, z, step
         self.image = self.prev = x0.copy()
         self.xbar = x0.copy()
-        self.p = np.zeros_like(z) if p0 is None else p0.copy()
-        self.q = np.zeros_like(grad(x0)) if q0 is None else q0.copy()
+        self.p = np.zeros_like(z)
+        self.q = np.zeros_like(grad(x0))
         self.diag = ClampDiag()  # stays empty: no exponentials here
         self.trail = trail
         self.done = 0
 
     def step(self) -> None:
         A, x, xbar = self.A, self.image, self.xbar
-        sigma, tau, theta = self.params.sigma, self.params.tau, self.params.theta
+        sigma, tau = self.params.sigma, self.params.tau
         self.p = l2_conjugate_prox(self.p, A.forward(xbar), self.z, sigma)
         u = self.q + sigma * grad(xbar)
         self.q = box_clip(u, self.lam)
         if self.trail is not None:
             self.trail.append(box_clip_code(u, self.lam))
         x_new = x - tau * A.adjoint(self.p) - tau * grad_adjoint(self.q)
-        self.xbar = x_new + theta * (x_new - x)
+        self.xbar = x_new + (x_new - x)
         self.prev, self.image = x, x_new
         self.done += 1
         if self.done % CHECK_EVERY == 0:
@@ -199,9 +193,9 @@ class _Pdhg:
         through every step the trail recorded.  A step maps (x, xbar, p, q)
         to p' = (p + sigma (A xbar - z)) / (1 + sigma),
         q' = clip(q + sigma grad xbar), x' = x - tau A^T p' - tau grad^T q',
-        xbar' = x' + theta (x' - x); the adjoints below run those lines
-        backwards, with x0 and z held constant."""
-        A, sigma, tau, theta = self.A, self.params.sigma, self.params.tau, self.params.theta
+        xbar' = 2 x' - x; the adjoints below run those lines backwards, with
+        x0 and z held constant."""
+        A, sigma, tau = self.A, self.params.sigma, self.params.tau
         s = 1.0 / (1.0 + sigma)
         gx = np.array(g, dtype=self.image.dtype)
         gxbar = np.zeros_like(gx)
@@ -209,8 +203,8 @@ class _Pdhg:
         gq = np.zeros_like(self.q)
         glam = np.zeros_like(self.lam)
         for code in reversed(self.trail):
-            gx_new = gx + (1.0 + theta) * gxbar
-            gx = gx_new - theta * gxbar
+            gx_new = gx + 2.0 * gxbar
+            gx = gx_new - gxbar
             gp = gp - tau * A.forward(gx_new)
             gq, gl = box_clip_vjp(code, gq - tau * grad(gx_new))
             glam += gl
@@ -235,8 +229,6 @@ class _Pd3o:
     finiteness.  With a ``trail`` list, each step appends its clip code,
     positivity mask and clamped curvature for :meth:`reverse`.
     """
-
-    p = None  # no data dual: the fidelity enters through its gradient
 
     def __init__(self, A, z, lam, kl, xbar0, steps=None, trail=None):
         self.lam = _as_field(lam, xbar0.shape)
@@ -319,29 +311,24 @@ def _step_norm(it) -> float:
     return float(np.linalg.norm((it.image - it.prev).ravel()))
 
 
-def _report(it, iterations: int, t_start: float, **fields) -> SolveReport:
-    return SolveReport(
-        image=it.image, iterations=iterations, dual_p=it.p, dual_q=it.q, clamp=it.diag,
-        wall_time=time.perf_counter() - t_start, **fields,
-    )
+def _report(it, iterations: int, **fields) -> SolveReport:
+    return SolveReport(image=it.image, iterations=iterations, dual_q=it.q, clamp=it.diag,
+                       **fields)
 
 
-def _run(it, T: int, record: bool, snapshots: dict | None = None) -> SolveReport:
+def _run(it, T: int, record: bool) -> SolveReport:
     """Exactly ``T`` steps of ``it``; ``record`` keeps the objective, step
-    norm and data residual after each, ``snapshots`` the (image, xbar, q)."""
-    t_start = time.perf_counter()
+    norm and data residual after each."""
     objective, step_norm, data_residual = [], [], []
-    for k in range(T):
+    for _ in range(T):
         it.step()
         if record:
             obj, resid = it.measure()
             objective.append(obj)
             step_norm.append(_step_norm(it))
             data_residual.append(resid)
-        if snapshots is not None:
-            snapshots[k] = (it.image.copy(), it.xbar.copy(), it.q.copy())
     _check_finite(it)
-    return _report(it, T, t_start, objective=objective, step_norm=step_norm,
+    return _report(it, T, objective=objective, step_norm=step_norm,
                    data_residual=data_residual)
 
 
@@ -353,14 +340,12 @@ def pdhg_solve(
     T: int,
     step: StepParams | None = None,
     record: bool = False,
-    p0: np.ndarray | None = None,
-    q0: np.ndarray | None = None,
 ) -> SolveReport:
     """Exactly ``T`` PDHG iterations (:class:`_Pdhg`) for
     0.5|Ax - z|^2 + |lam grad x|_1."""
     if T < 0:
         raise ValueError("iteration count must be >= 0")
-    return _run(_Pdhg(A, z, lam, x0, step, p0, q0), T, record)
+    return _run(_Pdhg(A, z, lam, x0, step), T, record)
 
 
 def pd3o_step_params(A: LinearOperator, kl: KlParams, grad_norm: float) -> tuple[float, float]:
@@ -375,22 +360,20 @@ def pd3o_solve_ct(
     A: LinearOperator,
     z: np.ndarray,
     lam,
-    kl: KlParams | None,
+    kl: KlParams,
     xbar0: np.ndarray,
     T: int,
-    steps: tuple[float, float] | None = None,
     record: bool = False,
-    _snapshots: dict | None = None,
 ) -> SolveReport:
     """Exactly ``T`` PD3O iterations (:class:`_Pd3o`) for the KL fidelity
-    plus weighted TV plus a nonnegativity constraint.
+    plus weighted TV plus a nonnegativity constraint, with the step sizes of
+    :func:`pd3o_step_params`.
 
     Returns the prox output p_T, which is nonnegative by construction.
-    ``_snapshots`` is a test hook that receives (p, xbar, q) per iteration.
     """
     if T < 0:
         raise ValueError("iteration count must be >= 0")
-    return _run(_Pd3o(A, z, lam, kl, xbar0, steps), T, record, _snapshots)
+    return _run(_Pd3o(A, z, lam, kl, xbar0), T, record)
 
 
 def solve_problem(problem: Problem, lam, T: int, record: bool = False) -> SolveReport:
@@ -436,7 +419,6 @@ def reference_solve(
         it = _Pd3o(problem.A, problem.z, lam, problem.kl, start)
     else:
         it = _Pdhg(problem.A, problem.z, lam, start, step)
-    t_start = time.perf_counter()
     done = 0
     ratio = np.inf
     while done < T_max:
@@ -448,7 +430,7 @@ def reference_solve(
         if ratio <= tol:
             break
     _check_finite(it)
-    return _report(it, done, t_start, reached_tol=ratio, converged=ratio <= tol)
+    return _report(it, done, reached_tol=ratio, converged=ratio <= tol)
 
 
 def _lam_for_candidate(cand, mode: SharingMode, shape) -> np.ndarray:

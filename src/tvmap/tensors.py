@@ -38,26 +38,6 @@ class SharingMode(Enum):
         return {SharingMode.XYT: 1, SharingMode.XY_T: 2, SharingMode.X_Y_T: 3}[self]
 
 
-def as_image(data, nt: int | None = None) -> np.ndarray:
-    """Validate and canonicalize an array to image shape ``(nt, nx, ny)``.
-
-    2-D input is promoted to a single frame.  Rejects non-finite values and
-    anything that is not 2- or 3-dimensional.
-    """
-    arr = np.asarray(data)
-    if np.iscomplexobj(arr):
-        arr = np.ascontiguousarray(arr, dtype=COMPLEX)
-    else:
-        arr = np.ascontiguousarray(arr, dtype=REAL)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    if arr.ndim != 3:
-        raise ValueError(f"expected 2- or 3-d image data, got ndim={arr.ndim}")
-    if nt is not None and arr.shape[0] != nt:
-        raise ValueError(f"expected nt={nt}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ValueError("image contains non-finite values")
-    return arr
 
 
 def ndirs(shape: tuple[int, ...]) -> int:

@@ -6,6 +6,11 @@ run the same solver iteration, so with identical weights the two are
 bit-identical.  The taped path records the network on an autodiff tape and
 the whole unrolled solve as a single node, whose VJP is the iteration's
 hand-written reverse sweep (:meth:`tvmap.solvers._Pdhg.reverse`).
+
+The training objective is the mean squared error of the ``T``-step
+reconstruction: :func:`loss_taped` records it for gradients and
+:func:`loss_value` evaluates it for validation.  Weight decay is not part of
+it; :func:`adam_step` applies it decoupled from the gradient.
 """
 
 from __future__ import annotations
@@ -19,8 +24,13 @@ from .errors import NumericalError
 from .network import NetWeights, UNetConfig, net_forward, net_forward_taped, weight_leaves
 from .operators import LinearOperator
 from .prox import KlParams
-from .solvers import Problem, pd3o_solve_ct, pdhg_solve, unroll
+from .solvers import Problem, solve_problem, unroll
 from .tensors import SharingMode, expand_map
+
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -28,9 +38,6 @@ class TrainConfig:
     t_train: int = 64
     t_test: int = 256
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     weight_decay: float = 0.0
     epochs: int = 40
     batch_size: int = 4
@@ -43,6 +50,12 @@ class TrainConfig:
             raise ValueError("t_train must be >= 1")
         if self.lr < 0:
             raise ValueError("learning rate must be >= 0")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.validate_every < 1:
+            raise ValueError(f"validate_every must be >= 1, got {self.validate_every}")
 
 
 def _checked_field(lam: np.ndarray) -> np.ndarray:
@@ -75,9 +88,7 @@ def reconstruct(
     if T == 0:
         return x0.copy()
     lam = estimate_weight_field(x0, weights, net_cfg, mode)
-    if kl is not None:
-        return pd3o_solve_ct(A, z, lam, kl, x0, T).image
-    return pdhg_solve(A, z, lam, x0, T).image
+    return solve_problem(Problem(A=A, z=z, x0=x0, kl=kl), lam, T).image
 
 
 def reconstruct_taped(
@@ -110,10 +121,9 @@ def loss_taped(
     net_cfg: UNetConfig,
     cfg: TrainConfig,
     T: int | None = None,
-    include_decay: bool = True,
 ) -> ad.Var:
-    """Mean reconstruction MSE over the batch plus the L2 weight penalty,
-    recorded on one tape (the differentiable training objective)."""
+    """Mean reconstruction MSE over the batch, recorded on one tape (the
+    differentiable training objective)."""
     if not batch:
         raise ValueError("empty batch")
     T = cfg.t_train if T is None else T
@@ -125,16 +135,7 @@ def loss_taped(
         )
         item = ad.mse(rec, tape.constant(prob.x_true))
         total = item if total is None else ad.add(total, item)
-    out = ad.scale(total, 1.0 / len(batch))
-    if include_decay and cfg.weight_decay > 0:
-        penalty = None
-        for kw, bw in weight_vars:
-            term = ad.add(
-                ad.reduce_sum(ad.mul(kw, kw)), ad.reduce_sum(ad.mul(bw, bw))
-            )
-            penalty = term if penalty is None else ad.add(penalty, term)
-        out = ad.add(out, ad.scale(penalty, cfg.weight_decay))
-    return out
+    return ad.scale(total, 1.0 / len(batch))
 
 
 def loss_value(
@@ -144,7 +145,8 @@ def loss_value(
     cfg: TrainConfig,
     T: int | None = None,
 ) -> float:
-    """Plain (numpy-path) evaluation of the training objective."""
+    """Plain (numpy-path) evaluation of the training objective, the
+    validation loss of :func:`train`."""
     if not batch:
         raise ValueError("empty batch")
     T = cfg.t_train if T is None else T
@@ -154,10 +156,7 @@ def loss_value(
             prob.init_image(), prob.z, prob.A, weights, net_cfg, cfg.mode, T, kl=prob.kl
         )
         vals.append(float(np.mean(np.abs(rec - prob.x_true) ** 2)))
-    out = float(np.mean(vals))
-    if cfg.weight_decay > 0:
-        out += cfg.weight_decay * float(np.sum(weights.flat() ** 2))
-    return out
+    return float(np.mean(vals))
 
 
 def batch_gradient(
@@ -173,8 +172,7 @@ def batch_gradient(
     for prob in batch:
         tape = ad.Tape()
         wv = weight_leaves(tape, weights)
-        # decay enters through the decoupled optimizer step, not the tape
-        item = loss_taped(tape, [prob], wv, net_cfg, cfg, include_decay=False)
+        item = loss_taped(tape, [prob], wv, net_cfg, cfg)
         grads = tape.backward(item)
         parts = []
         for kw, bw in wv:
@@ -212,11 +210,11 @@ def adam_step(
     """One Adam update with bias correction; weight decay (when set) is
     applied decoupled from the moment estimates."""
     state.t += 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad_flat
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad_flat**2
-    m_hat = state.m / (1.0 - cfg.beta1**state.t)
-    v_hat = state.v / (1.0 - cfg.beta2**state.t)
-    out = flat - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad_flat
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad_flat**2
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    out = flat - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if cfg.weight_decay > 0:
         out = out - cfg.lr * cfg.weight_decay * flat
     return out
@@ -245,26 +243,10 @@ def train(
     flat = weights.flat()
     state = AdamState.zeros(flat.size)
     history = TrainHistory()
-    best_val = np.inf
     best_flat = flat.copy()
 
     def val_loss(w: NetWeights) -> float:
-        vals = [
-            float(
-                np.mean(
-                    np.abs(
-                        reconstruct(
-                            p.init_image(), p.z, p.A, w, net_cfg, cfg.mode,
-                            cfg.t_train, kl=p.kl,
-                        )
-                        - p.x_true
-                    )
-                    ** 2
-                )
-            )
-            for p in val_items
-        ]
-        v = float(np.mean(vals))
+        v = loss_value(val_items, w, net_cfg, cfg)
         if not np.isfinite(v):
             raise NumericalError(f"non-finite validation loss {v}")
         return v

@@ -3,9 +3,10 @@
 Everything here is deliberately written from first principles (hand-built
 difference stencils, exhaustive/coordinate minimization) and does not reuse
 the library's solver or gradient code paths.  The exception is the taped
-reference at the end: the unrolled solvers recorded node by node from the
-autodiff primitives, the reference for the solvers' hand-written reverse
-sweeps.
+reference at the end: the solver primitives as tape nodes, the unrolled
+solvers recorded node by node from them (the reference for the solvers'
+hand-written reverse sweeps), and the finite-difference check of taped
+gradients.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from tvmap import autodiff as ad
+from tvmap.autodiff import Tape, Var, _needs, _same_tape
 from tvmap.network import net_forward_taped
+from tvmap.prox import EXP_CLAMP
 from tvmap.solvers import pd3o_step_params, pdhg_step_params
+from tvmap.tensors import grad as grad_field_fn
+from tvmap.tensors import grad_adjoint as grad_adjoint_fn
 from tvmap.tensors import grad_norm_exact
 
 
@@ -120,6 +125,188 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return g
 
 
+def add_scaled(a: Var, c: float, b: Var) -> Var:
+    """a + c * b in one node (the dual pre-step of the solvers)."""
+    tape = _same_tape(a, b)
+    c = float(c)
+    return tape._emit(
+        a.value + c * b.value, (a.idx, b.idx), lambda u: (u, c * u), _needs(a, b)
+    )
+
+
+def add_scaled2(a: Var, c1: float, b1: Var, c2: float, b2: Var) -> Var:
+    """a + c1 * b1 + c2 * b2 in one node (the primal descent step)."""
+    tape = _same_tape(a, b1, b2)
+    c1, c2 = float(c1), float(c2)
+    value = a.value + c1 * b1.value + c2 * b2.value
+    return tape._emit(
+        value, (a.idx, b1.idx, b2.idx), lambda u: (u, c1 * u, c2 * u), _needs(a, b1, b2)
+    )
+
+
+def extrapolate(x_new: Var, x_old: Var, theta: float) -> Var:
+    """x_new + theta (x_new - x_old), the over-relaxation step."""
+    tape = _same_tape(x_new, x_old)
+    theta = float(theta)
+    value = x_new.value + theta * (x_new.value - x_old.value)
+    return tape._emit(
+        value,
+        (x_new.idx, x_old.idx),
+        lambda u: ((1.0 + theta) * u, -theta * u),
+        _needs(x_new, x_old),
+    )
+
+
+def pd3o_combine(p_new: Var, p_old: Var, gh_old: Var, gh_new: Var, tau: float) -> Var:
+    """2 p_new - p_old + tau gh_old - tau gh_new, the three-operator update."""
+    tape = _same_tape(p_new, p_old, gh_old, gh_new)
+    tau = float(tau)
+    value = 2.0 * p_new.value - p_old.value + tau * gh_old.value - tau * gh_new.value
+    return tape._emit(
+        value,
+        (p_new.idx, p_old.idx, gh_old.idx, gh_new.idx),
+        lambda u: (2.0 * u, -u, tau * u, -tau * u),
+        _needs(p_new, p_old, gh_old, gh_new),
+    )
+
+
+def apply_forward(A, x: Var) -> Var:
+    """Record y = A x; the backward rule is the registered adjoint."""
+    return x.tape._emit(
+        A.forward(x.value), (x.idx,), lambda u: (A.adjoint(u),), x.requires_grad
+    )
+
+
+def apply_adjoint(A, y: Var) -> Var:
+    return y.tape._emit(
+        A.adjoint(y.value), (y.idx,), lambda u: (A.forward(u),), y.requires_grad
+    )
+
+
+def grad_field(x: Var) -> Var:
+    return x.tape._emit(
+        grad_field_fn(x.value), (x.idx,), lambda u: (grad_adjoint_fn(u),), x.requires_grad
+    )
+
+
+def grad_field_adjoint(q: Var) -> Var:
+    return q.tape._emit(
+        grad_adjoint_fn(q.value), (q.idx,), lambda u: (grad_field_fn(u),), q.requires_grad
+    )
+
+
+def box_clip_ad(q: Var, lam: Var) -> Var:
+    """Projection onto [-lam, lam]; boundary entries count as interior for q
+    and contribute sign(q) to the bound's gradient only outside the box."""
+    tape = _same_tape(q, lam)
+    qv, lv = q.value, lam.value
+
+    if np.iscomplexobj(qv):
+        value = np.minimum(np.maximum(qv.real, -lv), lv) + 1j * np.minimum(
+            np.maximum(qv.imag, -lv), lv
+        )
+
+        def vjp(u):
+            in_re = np.abs(qv.real) <= lv
+            in_im = np.abs(qv.imag) <= lv
+            gq = np.where(in_re, u.real, 0.0) + 1j * np.where(in_im, u.imag, 0.0)
+            gl = np.where(in_re, 0.0, np.sign(qv.real) * u.real) + np.where(
+                in_im, 0.0, np.sign(qv.imag) * u.imag
+            )
+            return gq, gl
+
+    else:
+        value = np.minimum(np.maximum(qv, -lv), lv)
+
+        def vjp(u):
+            inside = np.abs(qv) <= lv
+            gq = np.where(inside, u, 0.0)
+            gl = np.where(inside, 0.0, np.sign(qv) * u)
+            return gq, gl
+
+    return tape._emit(value, (q.idx, lam.idx), vjp, _needs(q, lam))
+
+
+def l2_conj_step(p: Var, ax: Var, z: np.ndarray, sigma: float) -> Var:
+    """(p + sigma (ax - z)) / (1 + sigma); z is data, not differentiated."""
+    tape = _same_tape(p, ax)
+    sigma = float(sigma)
+    value = (p.value + sigma * (ax.value - z)) / (1.0 + sigma)
+    s = 1.0 / (1.0 + sigma)
+    return tape._emit(
+        value, (p.idx, ax.idx), lambda u: (s * u, sigma * s * u), _needs(p, ax)
+    )
+
+
+def exp_clamped_ad(x: Var) -> Var:
+    """exp with the +-700 overflow guard; clamped entries get zero gradient."""
+    xv = x.value
+    clipped = np.clip(xv, -EXP_CLAMP, EXP_CLAMP)
+    value = np.exp(clipped)
+    inside = np.abs(xv) <= EXP_CLAMP
+    return x.tape._emit(
+        value, (x.idx,), lambda u: (np.where(inside, value * u, 0.0),), x.requires_grad
+    )
+
+
+def rsub_const(c, x: Var) -> Var:
+    """c - x for a constant c."""
+    return x.tape._emit(c - x.value, (x.idx,), lambda u: (-u,), x.requires_grad)
+
+
+def finite_diff_check(build, leaves, eps: float = 1e-6, trials: int = 20, seed: int = 0):
+    """Compare reverse-mode gradients against central finite differences.
+
+    ``build(tape, leaf_vars) -> scalar Var`` records the function under test;
+    ``leaves`` is a list of real arrays.  ``trials`` coordinates are sampled
+    at random and the maximum relative error
+    |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8) is returned.
+
+    Each coordinate is differenced at ``eps`` and ``10 eps`` and the better
+    match counts: cancellation noise shrinks with the larger step and
+    truncation error with the smaller one, while a genuinely wrong gradient
+    fails at both.
+    """
+    leaves = [np.asarray(a, dtype=np.float64) for a in leaves]
+    tape = Tape()
+    leaf_vars = [tape.leaf(a.copy()) for a in leaves]
+    loss = build(tape, leaf_vars)
+    grads = tape.backward(loss)
+    ad = [grads.get(v.idx, np.zeros_like(a)) for v, a in zip(leaf_vars, leaves)]
+
+    def value_at(arrays) -> float:
+        t = Tape()
+        lv = [t.leaf(a, requires_grad=False) for a in arrays]
+        out = build(t, lv)
+        return float(out.value)
+
+    def fd_at(li: int, flat: int, h: float) -> float:
+        plus = [a.copy() for a in leaves]
+        minus = [a.copy() for a in leaves]
+        plus[li].ravel()[flat] += h
+        minus[li].ravel()[flat] -= h
+        return (value_at(plus) - value_at(minus)) / (2 * h)
+
+    rng = np.random.default_rng(seed)
+    sizes = [a.size for a in leaves]
+    total = sum(sizes)
+    worst = 0.0
+    for _ in range(trials):
+        flat = int(rng.integers(total))
+        li = 0
+        while flat >= sizes[li]:
+            flat -= sizes[li]
+            li += 1
+        g_ad = float(np.asarray(ad[li]).ravel()[flat])
+        err = np.inf
+        for h in (eps, 10 * eps):
+            g_fd = fd_at(li, flat, h)
+            err = min(err, abs(g_ad - g_fd) / max(abs(g_ad), abs(g_fd), 1e-8))
+        worst = max(worst, err)
+    return worst
+
+
+
 def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, kl=None):
     """``training.reconstruct_taped`` with every solver iteration recorded
     node by node on the tape."""
@@ -134,19 +321,19 @@ def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, k
 
 def _taped_pdhg(tape, x0_var, z, A, lam, T):
     step = pdhg_step_params(A)
-    sigma, tau, theta = step.sigma, step.tau, step.theta
+    sigma, tau = step.sigma, step.tau
     x = x0_var
     xbar = x0_var
     p = tape.constant(np.zeros_like(z))
     q = tape.constant(np.zeros_like(lam.value, dtype=x0_var.value.dtype))
     for _ in range(T):
-        ax = ad.apply_forward(A, xbar)
-        p = ad.l2_conj_step(p, ax, z, sigma)
-        q = ad.box_clip_ad(ad.add_scaled(q, sigma, ad.grad_field(xbar)), lam)
-        x_new = ad.add_scaled2(
-            x, -tau, ad.apply_adjoint(A, p), -tau, ad.grad_field_adjoint(q)
+        ax = apply_forward(A, xbar)
+        p = l2_conj_step(p, ax, z, sigma)
+        q = box_clip_ad(add_scaled(q, sigma, grad_field(xbar)), lam)
+        x_new = add_scaled2(
+            x, -tau, apply_adjoint(A, p), -tau, grad_field_adjoint(q)
         )
-        xbar = ad.extrapolate(x_new, x, theta)
+        xbar = extrapolate(x_new, x, 1.0)
         x = x_new
     return x
 
@@ -159,21 +346,21 @@ def _taped_pd3o(tape, x0_var, z, A, lam, kl, T):
 
     def grad_h(p_var):
         # scale before the adjoint, matching the plain solver's arithmetic
-        ap = ad.apply_forward(A, p_var)
-        diff = ad.rsub_const(exp_mz, ad.exp_clamped_ad(ad.scale(ap, -mu)))
-        return ad.apply_adjoint(A, ad.scale(diff, mu * n0))
+        ap = apply_forward(A, p_var)
+        diff = rsub_const(exp_mz, exp_clamped_ad(ad.scale(ap, -mu)))
+        return apply_adjoint(A, ad.scale(diff, mu * n0))
 
     p = x0_var
     xbar = x0_var
     q = tape.constant(np.zeros_like(lam.value))
     gh = grad_h(p)
     for _ in range(T):
-        q = ad.box_clip_ad(ad.add_scaled(q, sigma, ad.grad_field(xbar)), lam)
+        q = box_clip_ad(add_scaled(q, sigma, grad_field(xbar)), lam)
         p_new = ad.leaky_relu(
-            ad.add_scaled2(p, -tau, gh, -tau, ad.grad_field_adjoint(q)), 0.0
+            add_scaled2(p, -tau, gh, -tau, grad_field_adjoint(q)), 0.0
         )
         gh_new = grad_h(p_new)
-        xbar = ad.pd3o_combine(p_new, p, gh, gh_new, tau)
+        xbar = pd3o_combine(p_new, p, gh, gh_new, tau)
         p = p_new
         gh = gh_new
     return p

@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import rof_denoise_oracle
-from tvmap import autodiff as ad
+from oracles import finite_diff_check, rof_denoise_oracle
 from tvmap.certificates import lipschitz_probe, rate_certificate
 from tvmap.cli import main as cli_main
 from tvmap.config import ExperimentConfig
@@ -34,6 +33,7 @@ from tvmap.prox import KlParams, box_clip, kl_value, nonneg_prox
 from tvmap.qmri import InversionSeries, concentric_region_labels, fit_t1, synth_qmri_series
 from tvmap.solvers import (
     Problem,
+    _Pd3o,
     grid_search_scalar,
     pd3o_solve_ct,
     pdhg_solve,
@@ -222,7 +222,7 @@ def test_criterion_05_gradient_check():
             wv = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(len(leaves) // 2)]
             return loss_taped(tape, [prob], wv, ncfg, tcfg)
 
-        worst = max(worst, ad.finite_diff_check(build, arrays, trials=6, seed=seed))
+        worst = max(worst, finite_diff_check(build, arrays, trials=6, seed=seed))
         coords += 6
     elapsed = time.perf_counter() - t0
     print(f"\ncriterion 5: max relative FD error {worst:.3e} over {coords} "
@@ -355,8 +355,7 @@ def test_criterion_10_reduction_identities():
     lam = constant_map(0.3, shape4)
     gn = grad_norm_exact(shape4)
     sigma = tau = 1.0 / gn
-    snaps = {}
-    pd3o_solve_ct(None, None, lam, None, x0, 12, steps=(sigma, tau), _snapshots=snaps)
+    it = _Pd3o(None, None, lam, None, x0, steps=(sigma, tau))
     x = x0.copy()
     xbar = x0.copy()
     q = np.zeros_like(grad(x0))
@@ -365,7 +364,8 @@ def test_criterion_10_reduction_identities():
         q = box_clip(q + sigma * grad(xbar), lam)
         x_new = nonneg_prox(x - tau * grad_adjoint(q))
         xbar = x_new + 1.0 * (x_new - x)
-        p_s, xb_s, q_s = snaps[k]
+        it.step()
+        p_s, xb_s, q_s = it.image, it.xbar, it.q
         max_dev = max(
             max_dev,
             float(np.max(np.abs(p_s - x_new))),

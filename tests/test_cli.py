@@ -113,6 +113,17 @@ def test_train_divergence_is_numerical_failure(tmp_path):
     assert not (tmp_path / "run" / "checkpoint").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [("validate_every", 0, "validate_every"), ("batch", 0, "batch_size"), ("epochs", -1, "epochs")],
+)
+def test_train_rejects_bad_loop_settings(tmp_path, capsys, key, value, field):
+    _, path = tiny_config(tmp_path, **{key: value})
+    assert main(["train", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint").exists()
+
+
 def test_full_pipeline_deterministic(tmp_path):
     outputs = []
     for attempt in range(2):

@@ -6,6 +6,8 @@ from tvmap.operators import GradOp, RadonOp, equispaced_angles, identity_op
 from tvmap.prox import KlParams, box_clip, nonneg_prox
 from tvmap.solvers import (
     CHECK_EVERY,
+    _Pd3o,
+    _Pdhg,
     Problem,
     SolveReport,
     StepParams,
@@ -77,8 +79,10 @@ def test_pdhg_fixed_point():
     ref = reference_solve(Problem(A=A, z=z), 0.5, tol=1e-14, T_max=100000, x0=z.copy())
     x_star = ref.image
     p_star = A.forward(x_star) - z
-    rep = pdhg_solve(A, z, 0.5, x_star, T=1, p0=p_star, q0=ref.dual_q)
-    assert np.max(np.abs(rep.image - x_star)) <= 1e-10
+    it = _Pdhg(A, z, 0.5, x_star)
+    it.p, it.q = p_star, ref.dual_q
+    it.step()
+    assert np.max(np.abs(it.image - x_star)) <= 1e-10
 
 
 def test_step_invariant_violation():
@@ -146,8 +150,7 @@ def test_pd3o_with_zero_h_matches_pdhg_nonneg_states(rng):
     lam = constant_map(0.3, shape)
     gn = GradOp(shape).norm() * (1.0 + 1e-3)
     sigma, tau = 1.0 / gn, 1.0 / gn
-    snaps = {}
-    pd3o_solve_ct(None, None, lam, None, x0, 10, steps=(sigma, tau), _snapshots=snaps)
+    it = _Pd3o(None, None, lam, None, x0, steps=(sigma, tau))
     # hand-rolled PDHG for min iota_{x>=0}(x) + |lam grad x|_1 with theta = 1
     x = x0.copy()
     xbar = x0.copy()
@@ -156,7 +159,8 @@ def test_pd3o_with_zero_h_matches_pdhg_nonneg_states(rng):
         q = box_clip(q + sigma * grad(xbar), lam)
         x_new = nonneg_prox(x - tau * grad_adjoint(q))
         xbar = x_new + 1.0 * (x_new - x)
-        p_snap, xbar_snap, q_snap = snaps[k]
+        it.step()
+        p_snap, xbar_snap, q_snap = it.image, it.xbar, it.q
         np.testing.assert_allclose(p_snap, x_new, rtol=0, atol=1e-13)
         np.testing.assert_allclose(xbar_snap, xbar, rtol=0, atol=1e-13)
         np.testing.assert_allclose(q_snap, q, rtol=0, atol=1e-13)

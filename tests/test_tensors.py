@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from tvmap.tensors import (
     SharingMode,
-    as_image,
     constant_map,
     expand_map,
     grad,
@@ -16,19 +15,6 @@ from tvmap.tensors import (
 
 # spec'd test shapes as (nt, nx, ny)
 SHAPES = [(1, 4, 4), (2, 5, 3), (4, 8, 8)]
-
-
-def test_as_image_promotes_2d():
-    x = as_image(np.ones((3, 4)))
-    assert x.shape == (1, 3, 4)
-    assert x.dtype == np.float64
-
-
-def test_as_image_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_image(np.array([[np.nan, 1.0]]))
-    with pytest.raises(ValueError):
-        as_image(np.array([[np.inf, 1.0]]))
 
 
 def test_grad_of_constant_is_zero():

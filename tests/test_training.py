@@ -21,7 +21,7 @@ from tvmap.training import (
     train,
 )
 
-from oracles import taped_reconstruct_reference
+from oracles import finite_diff_check, taped_reconstruct_reference
 
 
 def denoise_problem(rng, shape=(4, 8, 8), sigma=0.2):
@@ -154,7 +154,7 @@ def test_loss_gradient_matches_fd(rng):
         wv = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(len(leaves) // 2)]
         return loss_taped(tape, [prob], wv, cfg, tcfg)
 
-    err = ad.finite_diff_check(build, arrays, trials=30, seed=0)
+    err = finite_diff_check(build, arrays, trials=30, seed=0)
     assert err <= 1e-5
 
 
@@ -305,7 +305,7 @@ def test_mri_loss_gradient_matches_fd(rng):
 
     # bottleneck kernels here have near-dead coordinates (|g| ~ 1e-9), below
     # what eps = 1e-6 differences resolve; the larger steps are exact enough
-    assert ad.finite_diff_check(build, arrays, trials=25, seed=5, eps=1e-5) <= 1e-5
+    assert finite_diff_check(build, arrays, trials=25, seed=5, eps=1e-5) <= 1e-5
 
 
 def test_batch_gradient_averages(rng):
@@ -336,7 +336,7 @@ def test_ct_loss_gradient_matches_fd():
         return loss_taped(tape, [prob], wv, cfg, tcfg)
 
     # gradients this small sit below what eps = 1e-6 differences resolve
-    err = ad.finite_diff_check(build, arrays, trials=30, seed=0, eps=1e-5)
+    err = finite_diff_check(build, arrays, trials=30, seed=0, eps=1e-5)
     assert err <= 1e-5
 
 
