@@ -300,8 +300,9 @@ def conv(x: Var, w: Var, b: Var) -> Var:
     forward pass accumulates one GEMM per offset into an output laid out on
     the padded grid and keeps its valid positions; the VJP runs the same
     loop transposed on the zero-padded output gradient, whose padding
-    entries cancel the reads that wrap across rows.  The closure holds only
-    the padded input and the kernel.
+    entries cancel the reads that wrap across rows, and builds the input
+    gradient only if ``x`` requires one.  The closure holds only the padded
+    input and the kernel.
     """
     tape = _same_tape(x, w, b)
     xv, wv, bv = x.value, w.value, b.value
@@ -336,19 +337,24 @@ def conv(x: Var, w: Var, b: Var) -> Var:
         run += tmp
     y = acc.reshape(grid)[valid] + bv.reshape((c_out,) + (1,) * len(spatial))
 
+    need_gx = x.requires_grad
+
     def vjp(u):
         ug = np.zeros(grid)
         ug[valid] = u
         ur = ug.reshape(c_out, -1)[:, :span]
-        gxf = np.zeros(xf.shape)
         gw = np.empty(wk.shape)
         for i, s in enumerate(shifts):
-            gxf[:, s : s + span] += wk[i].T @ ur
             gw[i] = ur @ xf[:, s : s + span].T
-        crop = (slice(None),) + tuple(
-            slice(k // 2, k // 2 + s) for k, s in zip(kernel, spatial)
-        )
-        gx = gxf.reshape((c_in,) + padded)[crop]
+        gx = None  # a constant input (the network's first layer) needs none
+        if need_gx:
+            gxf = np.zeros(xf.shape)
+            for i, s in enumerate(shifts):
+                gxf[:, s : s + span] += wk[i].T @ ur
+            crop = (slice(None),) + tuple(
+                slice(k // 2, k // 2 + s) for k, s in zip(kernel, spatial)
+            )
+            gx = gxf.reshape((c_in,) + padded)[crop]
         gb = u.reshape(c_out, -1).sum(axis=1)
         return gx, np.moveaxis(gw, 0, 2).reshape(wv.shape), gb
 

@@ -45,15 +45,18 @@ class LinearOperator:
 
 
 class IdentityOp(LinearOperator):
+    """The identity on images.  ``forward`` and ``adjoint`` return their
+    argument itself, not a copy: callers must not write into the result."""
+
     def __init__(self, shape):
         super().__init__(shape, shape)
         self._norm_estimate = 1.0
 
     def forward(self, x):
-        return x.copy()
+        return x
 
     def adjoint(self, y):
-        return y.copy()
+        return y
 
 
 def identity_op(shape) -> IdentityOp:

@@ -38,58 +38,87 @@ class ClampDiag:
     entries: int = 0
 
 
-def box_clip(q: np.ndarray, lam) -> np.ndarray:
+def box_clip(q: np.ndarray, lam, out: np.ndarray | None = None,
+             neg_lam=None) -> np.ndarray:
     """Entrywise projection of ``q`` onto the box [-lam, lam].
 
     Complex inputs are projected per real component, consistent with the
-    anisotropic |Re| + |Im| form of the penalty.
+    anisotropic |Re| + |Im| form of the penalty.  ``neg_lam``, if given,
+    must equal ``-lam``; a caller clipping many times computes it once.
+    Given ``out`` (shaped and typed like ``q``; it may be ``q`` itself),
+    writes the projection into it and returns it.
     """
     lam = np.asarray(lam)
     if lam.ndim and lam.shape != q.shape:
         raise ValueError(f"bound shape {lam.shape} != field shape {q.shape}")
-    if np.iscomplexobj(q):
-        re = np.minimum(np.maximum(q.real, -lam), lam)
-        im = np.minimum(np.maximum(q.imag, -lam), lam)
-        return re + 1j * im
-    return np.minimum(np.maximum(q, -lam), lam)
+    if neg_lam is None:
+        neg_lam = -lam
+    if not np.iscomplexobj(q):
+        return np.clip(q, neg_lam, lam, out=out)
+    if out is None:
+        return np.clip(q.real, neg_lam, lam) + 1j * np.clip(q.imag, neg_lam, lam)
+    np.clip(q.real, neg_lam, lam, out=out.real)
+    np.clip(q.imag, neg_lam, lam, out=out.imag)
+    return out
 
 
-def _clip_code(u: np.ndarray, lam) -> np.ndarray:
-    return np.subtract(u > lam, u < -lam, dtype=np.int8)
+def _clip_code(u: np.ndarray, lam, neg_lam) -> np.ndarray:
+    return np.subtract(u > lam, u < neg_lam, dtype=np.int8)
 
 
-def box_clip_code(u: np.ndarray, lam) -> np.ndarray:
+def box_clip_code(u: np.ndarray, lam, neg_lam=None) -> np.ndarray:
     """Which side of the box [-lam, lam] each entry of ``u`` left it by: the
     int8 ``sign(u) [|u| > lam]``, so boundary entries count as inside.
-    Complex inputs get one code per real component, stacked (re, im)."""
+    Complex inputs get one code per real component, stacked (re, im).
+    ``neg_lam``, if given, must equal ``-lam``, as in :func:`box_clip`."""
+    if neg_lam is None:
+        neg_lam = -np.asarray(lam)
     if np.iscomplexobj(u):
-        return np.stack([_clip_code(u.real, lam), _clip_code(u.imag, lam)])
-    return _clip_code(u, lam)
+        return np.stack([_clip_code(u.real, lam, neg_lam), _clip_code(u.imag, lam, neg_lam)])
+    return _clip_code(u, lam, neg_lam)
 
 
-def box_clip_vjp(code: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def box_clip_vjp(code: np.ndarray, g: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reverse step of :func:`box_clip` from its :func:`box_clip_code`: the
     gradient ``g`` at the output passes to the input inside the box and to
     the bound, with the code's sign, outside it.  Returns (input, bound)
-    gradients."""
+    gradients.  Given ``out``, a real buffer shaped like the bound, the
+    bound gradient goes into ``out`` and the input gradient over ``g``."""
     if np.iscomplexobj(g):
+        g_lam = np.add(code[0] * g.real, code[1] * g.imag, out=out)
         g_in = np.where(code[0] == 0, g.real, 0.0) + 1j * np.where(code[1] == 0, g.imag, 0.0)
-        return g_in, code[0] * g.real + code[1] * g.imag
-    return np.where(code == 0, g, 0.0), code * g
+        if out is None:
+            return g_in, g_lam
+        g[...] = g_in
+        return g, g_lam
+    g_lam = np.multiply(code, g, out=out)
+    if out is None:
+        return np.where(code == 0, g, 0.0), g_lam
+    np.copyto(g, 0.0, where=code != 0)
+    return g, g_lam
 
 
-def l2_conjugate_prox(p: np.ndarray, ax: np.ndarray, z: np.ndarray, sigma: float) -> np.ndarray:
-    """Dual update of the squared-L2 fidelity: (p + sigma (ax - z)) / (1 + sigma)."""
+def l2_conjugate_prox(p: np.ndarray, ax: np.ndarray, z: np.ndarray, sigma: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Dual update of the squared-L2 fidelity: (p + sigma (ax - z)) / (1 + sigma).
+
+    Given ``out`` (overlapping none of ``p``, ``ax`` and ``z``), writes the
+    update into it and returns it."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if p.shape != ax.shape or ax.shape != z.shape:
         raise ValueError("p, ax and z must share one shape")
-    return (p + sigma * (ax - z)) / (1.0 + sigma)
+    out = np.subtract(ax, z, out=out)
+    out *= sigma
+    out += p
+    out /= 1.0 + sigma
+    return out
 
 
-def nonneg_prox(p: np.ndarray) -> np.ndarray:
-    """Projection onto the nonnegative orthant."""
-    return np.maximum(p, 0.0)
+def nonneg_prox(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Projection onto the nonnegative orthant, into ``out`` if given."""
+    return np.maximum(p, 0.0, out=out)
 
 
 def exp_clamped(a: np.ndarray, diag: ClampDiag | None = None) -> np.ndarray:

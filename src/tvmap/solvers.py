@@ -5,6 +5,23 @@ Each solver's iteration is written once, as the ``step`` of :class:`_Pdhg`
 and :class:`_Pd3o`; the fixed-``T`` solvers, :func:`reference_solve` and the
 training path only drive it.  Both solvers are bit-for-bit deterministic.
 
+Buffers.  Each :class:`_Pdhg` / :class:`_Pd3o` instance allocates its state
+once (``image``, ``prev``, ``xbar``, the duals ``p`` and ``q``, the
+gradient-field scratch ``u``) and ``step`` writes every temporary into
+those, through the ``out=`` forms of the kernels: the new iterate goes into
+the spent ``prev`` and the two swap, and ``xbar`` doubles as scratch once
+read.  Each in-place sequence performs the floating-point operations of
+the formula it replaces, operands at most commuted, so the results are
+bit-identical to evaluating the formula with fresh arrays.  ``reverse``
+allocates its adjoint state once per call in the same way, and
+:func:`unroll` frees the step-only buffers before handing the iteration to
+the tape.  Nothing is cached on the operator or the module, so concurrent
+solves (threaded grid search) share no buffer.  Two rules keep callers safe:
+``step`` never writes into the caller's ``x0`` or ``z`` (denoising passes
+``x0 = z``), and never into an operator's result, since the identity
+returns its argument.  ``SolveReport.image`` and ``dual_q`` are the
+iteration's own buffers, handed over when the solve ends.
+
 Training differentiates ``T`` unrolled iterations with respect to the weight
 field.  With the box-clip pattern of every iteration fixed, an iteration is
 affine in its state, so given a ``trail`` list ``step`` also appends what the
@@ -46,6 +63,7 @@ from .tensors import (
     grad,
     grad_adjoint,
     grad_norm_exact,
+    ndirs,
     weighted_tv,
 )
 
@@ -132,7 +150,7 @@ def _as_field(lam, shape) -> np.ndarray:
     if np.isscalar(lam):
         return constant_map(float(lam), shape)
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (grad(np.zeros(shape)).shape[0],) + tuple(shape):
+    if lam.shape != (ndirs(shape),) + tuple(shape):
         raise ValueError(f"weight field shape {lam.shape} does not fit image {shape}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("weight field must be finite")
@@ -159,34 +177,52 @@ class _Pdhg:
 
     def __init__(self, A, z, lam, x0, step=None, trail=None):
         self.lam = _as_field(lam, x0.shape)
+        self.neg_lam = -self.lam
         if step is None:
             step = pdhg_step_params(A)
         L = stacked_norm_bound(A)
         if step.sigma * step.tau * L * L > 1.0 + 1e-9:
             raise ValueError("step sizes violate sigma * tau * L^2 <= 1")
         self.A, self.z, self.params = A, z, step
-        self.image = self.prev = x0.copy()
-        self.xbar = x0.copy()
-        self.p = np.zeros_like(z)
-        self.q = np.zeros_like(grad(x0))
+        dtype = np.result_type(x0, z)
+        self.image = np.array(x0, dtype=dtype)
+        self.prev = self.image.copy()
+        self.xbar = self.image.copy()
+        self.p = np.zeros(z.shape, dtype=np.result_type(z, dtype))
+        self.p_next = np.empty_like(self.p)
+        self.q = np.zeros(self.lam.shape, dtype=dtype)
+        self.u = np.empty_like(self.q)
         self.diag = ClampDiag()  # stays empty: no exponentials here
         self.trail = trail
         self.done = 0
 
     def step(self) -> None:
-        A, x, xbar = self.A, self.image, self.xbar
-        sigma, tau = self.params.sigma, self.params.tau
-        self.p = l2_conjugate_prox(self.p, A.forward(xbar), self.z, sigma)
-        u = self.q + sigma * grad(xbar)
-        self.q = box_clip(u, self.lam)
+        A, x, xbar, sigma, tau = self.A, self.image, self.xbar, self.params.sigma, self.params.tau
+        l2_conjugate_prox(self.p, A.forward(xbar), self.z, sigma, out=self.p_next)
+        self.p, self.p_next = self.p_next, self.p
+        u = grad(xbar, out=self.u)
+        u *= sigma
+        u += self.q
+        box_clip(u, self.lam, out=self.q, neg_lam=self.neg_lam)
         if self.trail is not None:
-            self.trail.append(box_clip_code(u, self.lam))
-        x_new = x - tau * A.adjoint(self.p) - tau * grad_adjoint(self.q)
-        self.xbar = x_new + (x_new - x)
+            self.trail.append(box_clip_code(u, self.lam, neg_lam=self.neg_lam))
+        # x' = x - tau A^T p' - tau grad^T q' into the spent prev, with xbar
+        # (read by now) holding grad^T q'
+        x_new = np.multiply(A.adjoint(self.p), tau, out=self.prev)
+        np.subtract(x, x_new, out=x_new)
+        gtq = grad_adjoint(self.q, out=xbar)
+        gtq *= tau
+        x_new -= gtq
+        np.subtract(x_new, x, out=xbar)
+        xbar += x_new
         self.prev, self.image = x, x_new
         self.done += 1
         if self.done % CHECK_EVERY == 0:
             _check_finite(self)
+
+    def drop_step_buffers(self) -> None:
+        """Free the buffers only :meth:`step` uses; :meth:`reverse` still runs."""
+        self.prev = self.xbar = self.p_next = self.u = self.neg_lam = None
 
     def reverse(self, g: np.ndarray) -> np.ndarray:
         """dL/dlam of a loss with gradient ``g`` at the current iterate,
@@ -198,18 +234,25 @@ class _Pdhg:
         A, sigma, tau = self.A, self.params.sigma, self.params.tau
         s = 1.0 / (1.0 + sigma)
         gx = np.array(g, dtype=self.image.dtype)
-        gxbar = np.zeros_like(gx)
-        gp = np.zeros_like(self.p)
-        gq = np.zeros_like(self.q)
+        gx_new, gxbar = np.empty_like(gx), np.zeros_like(gx)
+        gp, gp_step = np.zeros_like(self.p), np.empty_like(self.p)
+        gq, gu, gl = np.zeros_like(self.q), np.empty_like(self.q), np.empty_like(self.lam)
         glam = np.zeros_like(self.lam)
         for code in reversed(self.trail):
-            gx_new = gx + 2.0 * gxbar
-            gx = gx_new - gxbar
-            gp = gp - tau * A.forward(gx_new)
-            gq, gl = box_clip_vjp(code, gq - tau * grad(gx_new))
+            np.multiply(gxbar, 2.0, out=gx_new)
+            gx_new += gx
+            np.subtract(gx_new, gxbar, out=gx)
+            gp -= np.multiply(A.forward(gx_new), tau, out=gp_step)
+            grad(gx_new, out=gu)
+            gu *= tau
+            np.subtract(gq, gu, out=gu)
+            box_clip_vjp(code, gu, out=gl)
+            gq, gu = gu, gq
             glam += gl
-            gxbar = sigma * grad_adjoint(gq) + (sigma * s) * A.adjoint(gp)
-            gp = s * gp
+            grad_adjoint(gq, out=gxbar)
+            gxbar *= sigma
+            gxbar += np.multiply(A.adjoint(gp), sigma * s, out=gx_new)
+            gp *= s
         return glam
 
     def measure(self) -> tuple[float, float]:
@@ -232,6 +275,7 @@ class _Pd3o:
 
     def __init__(self, A, z, lam, kl, xbar0, steps=None, trail=None):
         self.lam = _as_field(lam, xbar0.shape)
+        self.neg_lam = -self.lam
         grad_norm = grad_norm_exact(xbar0.shape)
         sigma, tau = pd3o_step_params(A, kl, grad_norm) if steps is None else steps
         if sigma * tau * grad_norm**2 > 1.0 + 1e-9:
@@ -239,9 +283,12 @@ class _Pd3o:
         self.A, self.z, self.kl, self.sigma, self.tau = A, z, kl, sigma, tau
         self.diag = ClampDiag()
         self.exp_mz = None if kl is None else exp_clamped(-z * kl.mu, self.diag)
-        self.image = self.prev = xbar0.copy()
-        self.xbar = xbar0.copy()
-        self.q = np.zeros_like(grad(xbar0))
+        self.image = np.array(xbar0, dtype=np.result_type(xbar0, np.float64))
+        self.prev = self.image.copy()
+        self.xbar = self.image.copy()
+        self.tau_gh = np.empty_like(self.image)
+        self.q = np.zeros(self.lam.shape, dtype=self.image.dtype)
+        self.u = np.empty_like(self.q)
         self.gh, _ = self._grad_h(self.image)
         self.trail = trail
         self.done = 0
@@ -260,17 +307,35 @@ class _Pd3o:
         return gh, np.where(np.abs(arg) <= EXP_CLAMP, exp_clamped(arg), 0.0)
 
     def step(self) -> None:
-        p, gh, tau = self.image, self.gh, self.tau
-        u = self.q + self.sigma * grad(self.xbar)
-        self.q = box_clip(u, self.lam)
-        p_new = nonneg_prox(p - tau * gh - tau * grad_adjoint(self.q))
+        p, xbar, tau, tau_gh = self.image, self.xbar, self.tau, self.tau_gh
+        u = grad(xbar, out=self.u)
+        u *= self.sigma
+        u += self.q
+        box_clip(u, self.lam, out=self.q, neg_lam=self.neg_lam)
+        # p' = max(p - tau gh - tau grad^T q', 0) into the spent prev, with
+        # xbar (read by now) holding grad^T q'
+        np.multiply(self.gh, tau, out=tau_gh)
+        p_new = np.subtract(p, tau_gh, out=self.prev)
+        gtq = grad_adjoint(self.q, out=xbar)
+        gtq *= tau
+        p_new -= gtq
+        nonneg_prox(p_new, out=p_new)
         gh_new, curv = self._grad_h(p_new, self.trail is not None)
-        self.xbar = 2.0 * p_new - p + tau * gh - tau * gh_new
+        # xbar' = 2 p' - p + tau gh - tau gh'
+        np.multiply(p_new, 2.0, out=xbar)
+        xbar -= p
+        xbar += tau_gh
+        xbar -= np.multiply(gh_new, tau, out=tau_gh)
         self.prev, self.image, self.gh = p, p_new, gh_new
         self.done += 1
         _check_finite(self)
         if self.trail is not None:
-            self.trail.append((box_clip_code(u, self.lam), p_new > 0, curv))
+            code = box_clip_code(u, self.lam, neg_lam=self.neg_lam)
+            self.trail.append((code, p_new > 0, curv))
+
+    def drop_step_buffers(self) -> None:
+        """Free the buffers only :meth:`step` uses; :meth:`reverse` still runs."""
+        self.prev = self.xbar = self.tau_gh = self.u = self.neg_lam = self.gh = None
 
     def reverse(self, g: np.ndarray) -> np.ndarray:
         """dL/dlam of a loss with gradient ``g`` at the current iterate,
@@ -281,21 +346,30 @@ class _Pd3o:
         A, sigma, tau = self.A, self.sigma, self.tau
         c = 0.0 if self.kl is None else self.kl.mu**2 * self.kl.n0
         gp = np.array(g, dtype=self.image.dtype)
-        gxbar = np.zeros_like(gp)
-        ggh = np.zeros_like(gp)
-        gq = np.zeros_like(self.q)
+        gw, gxbar, ggh = np.empty_like(gp), np.zeros_like(gp), np.zeros_like(gp)
+        gq, gu, gl = np.zeros_like(self.q), np.empty_like(self.q), np.empty_like(self.lam)
         glam = np.zeros_like(self.lam)
         for code, pos, curv in reversed(self.trail):
-            gp_new = gp + 2.0 * gxbar
-            ggh_new = ggh - tau * gxbar
+            # gw = gp' masked to the positive set, gp' = gp + 2 gxbar + the
+            # curvature term of gh' on ggh' = ggh - tau gxbar (built in gp)
+            np.multiply(gxbar, 2.0, out=gw)
+            gw += gp
             if curv is not None:
-                gp_new = gp_new + A.adjoint((c * curv) * A.forward(ggh_new))
-            gw = np.where(pos, gp_new, 0.0)
-            gp = gw - gxbar
-            ggh = tau * (gxbar - gw)
-            gq, gl = box_clip_vjp(code, gq - tau * grad(gw))
+                ggh_new = np.multiply(gxbar, tau, out=gp)
+                np.subtract(ggh, ggh_new, out=ggh_new)
+                gw += A.adjoint((c * curv) * A.forward(ggh_new))
+            np.copyto(gw, 0.0, where=~pos)
+            np.subtract(gw, gxbar, out=gp)
+            np.subtract(gxbar, gw, out=ggh)
+            ggh *= tau
+            grad(gw, out=gu)
+            gu *= tau
+            np.subtract(gq, gu, out=gu)
+            box_clip_vjp(code, gu, out=gl)
+            gq, gu = gu, gq
             glam += gl
-            gxbar = sigma * grad_adjoint(gq)
+            grad_adjoint(gq, out=gxbar)
+            gxbar *= sigma
         return glam
 
     def measure(self) -> tuple[float, float]:
@@ -387,8 +461,9 @@ def solve_problem(problem: Problem, lam, T: int, record: bool = False) -> SolveR
 def unroll(A, z, lam, x0, T: int, kl: KlParams | None = None, trail: list | None = None):
     """Exactly ``T`` steps of the iteration :func:`solve_problem` picks (PD3O
     when ``kl`` is set, else PDHG) from ``x0``, with default step sizes.
-    Returns the iteration; given a ``trail`` list, its ``reverse`` then
-    differentiates the run with respect to ``lam``."""
+    Returns the iteration without its step buffers, so that it holds no
+    more than ``image`` and what ``reverse`` reads; given a ``trail`` list,
+    its ``reverse`` then differentiates the run with respect to ``lam``."""
     if kl is not None:
         it = _Pd3o(A, z, lam, kl, x0, trail=trail)
     else:
@@ -396,6 +471,7 @@ def unroll(A, z, lam, x0, T: int, kl: KlParams | None = None, trail: list | None
     for _ in range(T):
         it.step()
     _check_finite(it)
+    it.drop_step_buffers()
     return it
 
 

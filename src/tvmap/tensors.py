@@ -45,40 +45,72 @@ def ndirs(shape: tuple[int, ...]) -> int:
     return 3 if shape[0] > 1 else 2
 
 
-def grad(x: np.ndarray) -> np.ndarray:
+def grad(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward differences of ``x`` per direction, zero at the trailing edge.
 
     Returns an array of shape ``(q,) + x.shape``; directions are ordered
-    ``(x, y)`` or ``(x, y, t)``.
+    ``(x, y)`` or ``(x, y, t)``.  Given ``out`` (C-contiguous, of that
+    shape, not overlapping ``x``), writes every entry of it, trailing edges
+    included, and returns it.
     """
     q = ndirs(x.shape)
-    g = np.zeros((q,) + x.shape, dtype=x.dtype)
-    g[0, :, :-1, :] = x[:, 1:, :] - x[:, :-1, :]
-    g[1, :, :, :-1] = x[:, :, 1:] - x[:, :, :-1]
+    x = np.ascontiguousarray(x)
+    out = _checked_out(out, (q,) + x.shape, x.dtype)
+    np.subtract(x[:, 1:, :], x[:, :-1, :], out=out[0, :, :-1, :])
+    out[0, :, -1, :] = 0.0
+    # the y direction as one contiguous pass, about twice as fast as numpy's
+    # row-by-row loop; the edge zeros then overwrite its differences across
+    # row ends
+    flat = x.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=out[1].reshape(-1)[:-1])
+    out[1, :, :, -1] = 0.0
     if q == 3:
-        g[2, :-1, :, :] = x[1:, :, :] - x[:-1, :, :]
-    return g
+        np.subtract(x[1:, :, :], x[:-1, :, :], out=out[2, :-1, :, :])
+        out[2, -1, :, :] = 0.0
+    return out
 
 
-def grad_adjoint(g: np.ndarray) -> np.ndarray:
+def grad_adjoint(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact adjoint of :func:`grad`: ``<grad(x), g> == <x, grad_adjoint(g)>``.
 
     Note this is the transpose, not the negative divergence; callers supply
-    the sign they need.
+    the sign they need.  Each direction subtracts its differences at their
+    left end and adds them at their right end, starting from zero, with the
+    first direction written straight into the result.  Given ``out``
+    (C-contiguous, of shape ``g.shape[1:]``, not overlapping ``g``), writes
+    every entry of it and returns it.
     """
     if g.ndim != 4:
         raise ValueError("gradient field must have shape (q, nt, nx, ny)")
     q = g.shape[0]
     if q != ndirs(g.shape[1:]):
         raise ValueError(f"field has {q} components, expected {ndirs(g.shape[1:])}")
-    out = np.zeros(g.shape[1:], dtype=g.dtype)
-    out[:, :-1, :] -= g[0, :, :-1, :]
+    out = _checked_out(out, g.shape[1:], g.dtype)
+    np.subtract(0.0, g[0, :, :-1, :], out=out[:, :-1, :])
+    out[:, -1, :] = 0.0
     out[:, 1:, :] += g[0, :, :-1, :]
-    out[:, :, :-1] -= g[1, :, :, :-1]
-    out[:, :, 1:] += g[1, :, :, :-1]
+    g1 = g[1]
+    if g1[:, :, -1].any():
+        out[:, :, :-1] -= g1[:, :, :-1]
+        out[:, :, 1:] += g1[:, :, :-1]
+    else:
+        # a zero trailing edge (as in every field grad writes) lets the y
+        # direction run as one contiguous pass, about twice as fast: its
+        # extra terms are those zeros, and no entry is -0 here for them to flip
+        flat, g1 = out.reshape(-1), g1.reshape(-1)
+        flat[:-1] -= g1[:-1]
+        flat[1:] += g1[:-1]
     if q == 3:
         out[:-1, :, :] -= g[2, :-1, :, :]
         out[1:, :, :] += g[2, :-1, :, :]
+    return out
+
+
+def _checked_out(out, shape, dtype) -> np.ndarray:
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != tuple(shape) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous with shape {tuple(shape)}, got {out.shape}")
     return out
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from tvmap import autodiff as ad
 from tvmap.network import (
     NetWeights,
     UNetConfig,
     init_weights,
     net_forward,
+    net_forward_taped,
+    weight_leaves,
     zero_weights,
 )
 
@@ -117,3 +120,25 @@ def test_layer_plan_channels():
     assert plan[4][1:] == (24, 8, 3)   # upsampled 16 + skip 8
     assert plan[5][1:] == (8, 8, 3)
     assert plan[-1][1:] == (8, 1, 1)
+
+
+@pytest.mark.parametrize("rank, shape", [(2, (1, 8, 8)), (3, (4, 8, 8))])
+def test_constant_input_leaf_gradients_match_full_sweep(rank, shape):
+    # the first conv builds no input gradient for a constant input; the
+    # weight gradients must equal those of a sweep that does build it
+    cfg = small_cfg(rank=rank, out_channels=1 if rank == 2 else 2)
+    w = init_weights(cfg, seed=5)
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal(shape)
+    target = rng.standard_normal((cfg.out_channels,) + shape)
+    sweeps = []
+    for input_grad in (False, True):
+        tape = ad.Tape()
+        wv = weight_leaves(tape, w)
+        x_var = tape.leaf(x0) if input_grad else tape.constant(x0)
+        out = net_forward_taped(tape, x_var, wv, cfg)
+        grads = tape.backward(ad.mse(out, tape.constant(target)))
+        assert (x_var.idx in grads) == input_grad
+        sweeps.append([grads[v.idx] for pair in wv for v in pair])
+    for skipped, full in zip(*sweeps):
+        assert skipped.tobytes() == full.tobytes()

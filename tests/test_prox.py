@@ -9,6 +9,8 @@ from tvmap.prox import (
     ClampDiag,
     KlParams,
     box_clip,
+    box_clip_code,
+    box_clip_vjp,
     exp_clamped,
     kl_grad_sino,
     kl_lipschitz,
@@ -171,3 +173,69 @@ def test_kl_params_validation():
         KlParams(mu=0.0, n0=1.0)
     with pytest.raises(ValueError):
         KlParams(mu=1.0, n0=-3.0)
+
+
+def _draw(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# fields of static (q = 2) and dynamic (q = 3) images, real and complex
+OUT_CASES = [(shape, dtype) for shape in [(2, 1, 5, 4), (3, 3, 6, 5)]
+             for dtype in (np.float64, np.complex128)]
+
+
+@pytest.mark.parametrize("shape, dtype", OUT_CASES)
+def test_box_clip_out_matches_allocating_form(rng, shape, dtype):
+    u = 2.0 * _draw(rng, shape, dtype)
+    lam = rng.random(shape) + 0.1
+    want = box_clip(u, lam)
+    out = np.full(shape, np.nan, dtype=dtype)
+    assert box_clip(u, lam, out=out, neg_lam=-lam) is out
+    assert _same_bytes(out, want)
+    assert _same_bytes(box_clip(u, lam, neg_lam=-lam), want)
+    box_clip(u, lam, out=u)  # in place
+    assert _same_bytes(u, want)
+
+
+@pytest.mark.parametrize("shape, dtype", OUT_CASES)
+def test_box_clip_code_neg_lam_matches_default(rng, shape, dtype):
+    u = 2.0 * _draw(rng, shape, dtype)
+    lam = rng.random(shape) + 0.1
+    want = box_clip_code(u, lam)
+    assert _same_bytes(box_clip_code(u, lam, neg_lam=-lam), want)
+    assert set(np.unique(want)) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("shape, dtype", OUT_CASES)
+def test_box_clip_vjp_out_matches_allocating_form(rng, shape, dtype):
+    lam = rng.random(shape) + 0.1
+    code = box_clip_code(2.0 * _draw(rng, shape, dtype), lam)
+    g = _draw(rng, shape, dtype)
+    want_in, want_lam = box_clip_vjp(code, g)
+    lam_buf = np.full(shape, np.nan)
+    g_in, g_lam = box_clip_vjp(code, g, out=lam_buf)  # input gradient over g
+    assert g_in is g and g_lam is lam_buf
+    assert _same_bytes(g, want_in) and _same_bytes(lam_buf, want_lam)
+
+
+@pytest.mark.parametrize("shape, dtype", OUT_CASES)
+def test_l2_conjugate_prox_out_matches_allocating_form(rng, shape, dtype):
+    p, ax, z = (_draw(rng, shape, dtype) for _ in range(3))
+    want = l2_conjugate_prox(p, ax, z, 0.37)
+    out = np.full(shape, np.nan, dtype=dtype)
+    assert l2_conjugate_prox(p, ax, z, 0.37, out=out) is out
+    assert _same_bytes(out, want)
+
+
+def test_nonneg_prox_out_matches_allocating_form(rng):
+    x = rng.standard_normal((3, 4, 5))
+    out = np.full(x.shape, np.nan)
+    assert nonneg_prox(x, out=out) is out
+    assert _same_bytes(out, nonneg_prox(x))

@@ -1,8 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import rof_denoise_oracle
-from tvmap.operators import GradOp, RadonOp, equispaced_angles, identity_op
+from tvmap.operators import (
+    GradOp,
+    LinearOperator,
+    MriEncoder,
+    RadonOp,
+    cg_normal_init,
+    equispaced_angles,
+    identity_op,
+    make_cartesian_mask,
+    synth_coil_maps,
+)
 from tvmap.prox import KlParams, box_clip, nonneg_prox
 from tvmap.solvers import (
     CHECK_EVERY,
@@ -17,6 +29,7 @@ from tvmap.solvers import (
     pdhg_step_params,
     reference_solve,
     solve_problem,
+    unroll,
 )
 from tvmap.tensors import SharingMode, constant_map, grad, grad_adjoint, weighted_tv
 
@@ -342,3 +355,95 @@ def test_weighted_tv_consistency_with_report(rng):
     x = rep.image
     expected = 0.5 * float(np.sum((x - z) ** 2)) + weighted_tv(x, lam)
     assert rep.objective[-1] == pytest.approx(expected, rel=1e-12)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+class _ReadOnlyResults(LinearOperator):
+    """An operator whose results raise on any write, as the identity's own
+    results (its argument) would have to be treated."""
+
+    def __init__(self, op):
+        super().__init__(op.domain_shape, op.codomain_shape)
+        self.op = op
+        self._norm_estimate = op.norm()
+
+    def forward(self, x):
+        return _read_only(self.op.forward(x))
+
+    def adjoint(self, y):
+        return _read_only(self.op.adjoint(y))
+
+
+def _caller_problem(kind, rng):
+    """(A, z, x0, kl) with x0 is z wherever the shapes allow it."""
+    if kind in ("identity", "identity_kl"):
+        z = np.abs(rng.standard_normal((3, 6, 5))) + 0.5
+        kl = KlParams(mu=1.0, n0=50.0) if kind == "identity_kl" else None
+        return identity_op(z.shape), z, z, kl
+    if kind == "mri":
+        enc = MriEncoder(synth_coil_maps(8, 8, 2), make_cartesian_mask(8, 8, 2, 2.0, seed=4))
+        z = (rng.standard_normal(enc.codomain_shape)
+             + 1j * rng.standard_normal(enc.codomain_shape)) * enc.masks[None]
+        return enc, z, cg_normal_init(enc, z, 2), None
+    op, x_true, z, kl = small_ct(rng)
+    return op, z, np.zeros_like(x_true), (kl if kind == "radon_kl" else None)
+
+
+@pytest.mark.parametrize("kind", ["identity", "identity_kl", "mri", "radon", "radon_kl"])
+def test_solvers_never_write_caller_arrays(rng, kind):
+    # the identity returns its argument, so a write into an operator result
+    # or into x0 (which is z for denoising) would change the caller's data;
+    # read-only inputs and operator results make any such write raise
+    A, z, x0, kl = _caller_problem(kind, rng)
+    aliased = x0 is z
+    z = _read_only(z)
+    x0 = z if aliased else _read_only(x0)
+    A = _ReadOnlyResults(A)
+    before = z.tobytes(), x0.tobytes()
+    if kl is None:
+        pdhg_solve(A, z, 0.05, x0, 12, record=True)
+    else:
+        pd3o_solve_ct(A, z, 0.05, kl, x0, 12, record=True)
+    reference_solve(Problem(A=A, z=z, x0=x0, kl=kl), 0.05, tol=0.0, T_max=CHECK_EVERY + 5)
+    if aliased:
+        solve_problem(Problem(A=A, z=z, kl=kl), 0.05, 12)  # x0 = A^T z, which is z
+    it = unroll(A, z, 0.05, x0, 12, kl, trail=[])
+    g = _read_only(rng.standard_normal(x0.shape).astype(it.image.dtype))
+    g_bytes = g.tobytes()
+    it.reverse(g)
+    assert (z.tobytes(), x0.tobytes()) == before
+    assert g.tobytes() == g_bytes
+
+
+def test_pdhg_step_allocates_no_temporaries(rng):
+    # after a warm-up, steps without a trail run in the iteration's own buffers
+    shape = (8, 64, 64)
+    z = rng.standard_normal(shape)
+    it = _Pdhg(identity_op(shape), z, 0.1, z)
+    for _ in range(3):
+        it.step()
+    tracemalloc.start()
+    try:
+        for _ in range(50):
+            it.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < z.nbytes, f"50 steps peaked at {peak} bytes of temporaries"
+
+
+def test_iterations_clip_against_minus_lam(rng):
+    # step clips with the neg_lam each iteration computes once; it must stay -lam
+    shape = (3, 8, 8)
+    z = rng.random(shape)
+    lam = rng.random((3,) + shape) + 0.01
+    for it in (_Pdhg(identity_op(shape), z, lam, z),
+               _Pd3o(identity_op(shape), z, lam, None, z, steps=(0.1, 0.1))):
+        for _ in range(3):
+            it.step()
+        assert np.array_equal(it.neg_lam, -it.lam)
