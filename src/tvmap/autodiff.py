@@ -1,13 +1,14 @@
 """Tape-based reverse-mode differentiation for the parameter-map network.
 
-The engine records the primitives the network and the training loss are
-built from, plus elementwise arithmetic (``add``, ``sub``, ``mul``,
-``reduce_sum``).  Every recorded node stores its forward value and a
-vector-Jacobian closure; ``Tape.backward`` walks the nodes in strict reverse
-creation order, so gradient accumulation is deterministic.  The solver is not recorded here:
-training records the ``T`` unrolled iterations as one node whose VJP is the
-iteration's hand-written reverse sweep (see
-:func:`tvmap.training.reconstruct_taped`).
+The engine records only the primitives the network and the training loss
+are built from: ``add`` and ``scale``, the activations, ``mse``, the channel
+plumbing and the convolution, pooling and upsampling layers (the tests keep
+further elementwise nodes in ``tests/oracles.py``).  Every recorded node
+stores its forward value and a vector-Jacobian closure; ``Tape.backward``
+walks the nodes in strict reverse creation order, so gradient accumulation
+is deterministic.  The solver is not recorded here: training records the
+``T`` unrolled iterations as one node whose VJP is the iteration's
+hand-written reverse sweep (see :func:`tvmap.training.reconstruct_taped`).
 
 Complex values are treated as pairs of reals: the gradient ``g`` of a scalar
 loss with respect to a complex array ``v`` is the complex array with
@@ -145,49 +146,9 @@ def add(a: Var, b: Var) -> Var:
     )
 
 
-def sub(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    return tape._emit(
-        a.value - b.value, (a.idx, b.idx), lambda u: (u, -u), _needs(a, b)
-    )
-
-
 def scale(a: Var, c: float) -> Var:
     c = float(c)
     return a.tape._emit(c * a.value, (a.idx,), lambda u: (c * u,), a.requires_grad)
-
-
-def mul(a: Var, b: Var) -> Var:
-    """Elementwise product; complex factors backpropagate conjugated."""
-    tape = _same_tape(a, b)
-    av, bv = a.value, b.value
-
-    def vjp(u):
-        ga = np.conj(bv) * u if np.iscomplexobj(bv) else bv * u
-        gb = np.conj(av) * u if np.iscomplexobj(av) else av * u
-        return ga, gb
-
-    return tape._emit(av * bv, (a.idx, b.idx), vjp, _needs(a, b))
-
-
-
-
-
-
-
-
-
-
-
-
-
-
-
-
-
-
-
-
 
 
 def leaky_relu(x: Var, alpha: float) -> Var:
@@ -208,19 +169,6 @@ def softplus(x: Var) -> Var:
     value = np.logaddexp(0.0, xv)
     sig = 0.5 * (1.0 + np.tanh(0.5 * xv))
     return x.tape._emit(value, (x.idx,), lambda u: (sig * u,), x.requires_grad)
-
-
-
-
-
-
-def reduce_sum(x: Var) -> Var:
-    xv = x.value
-    if np.iscomplexobj(xv):
-        raise ValueError("reduce_sum is defined for real values only")
-    return x.tape._emit(
-        float(np.sum(xv)), (x.idx,), lambda u: (u * np.ones_like(xv),), x.requires_grad
-    )
 
 
 def mse(a: Var, b: Var) -> Var:

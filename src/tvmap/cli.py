@@ -12,6 +12,7 @@ import sys
 
 from .config import ExperimentConfig
 from .errors import ConvergenceError, NumericalError
+from .parallel import DEFAULT_WORKERS_CAP
 
 
 def _floats(text: str) -> list[float]:
@@ -20,6 +21,12 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _add_workers(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for independent items (0: the usable CPUs, at "
+                   f"most {DEFAULT_WORKERS_CAP}); outputs are identical for every count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate phantoms and corrupted data")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers(p)
 
     p = sub.add_parser("solve", help="reconstruct one test item")
     p.add_argument("--config", required=True)
@@ -49,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-t", help="temporal values for mode xy_t")
     p.add_argument("--T", type=int)
     p.add_argument("--split", default="train", choices=["train", "val", "test"])
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers(p)
 
     p = sub.add_parser("train", help="train the parameter-map network")
     p.add_argument("--config", required=True)
@@ -83,6 +90,8 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from . import experiments as ex
 
+    if getattr(args, "workers", 1) < 0:
+        raise ValueError(f"--workers must be >= 0, got {args.workers}")
     if args.command == "gen":
         cfg = ExperimentConfig.load(args.config)
         out = ex.cmd_gen(cfg, workers=args.workers)

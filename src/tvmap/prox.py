@@ -54,12 +54,20 @@ def box_clip(q: np.ndarray, lam, out: np.ndarray | None = None,
     if neg_lam is None:
         neg_lam = -lam
     if not np.iscomplexobj(q):
-        return np.clip(q, neg_lam, lam, out=out)
+        return _clip(q, lam, neg_lam, out)
     if out is None:
-        return np.clip(q.real, neg_lam, lam) + 1j * np.clip(q.imag, neg_lam, lam)
-    np.clip(q.real, neg_lam, lam, out=out.real)
-    np.clip(q.imag, neg_lam, lam, out=out.imag)
+        return _clip(q.real, lam, neg_lam) + 1j * _clip(q.imag, lam, neg_lam)
+    _clip(q.real, lam, neg_lam, out.real)
+    _clip(q.imag, lam, neg_lam, out.imag)
     return out
+
+
+def _clip(u: np.ndarray, lam, neg_lam, out: np.ndarray | None = None) -> np.ndarray:
+    # np.clip(u, neg_lam, lam), byte for byte when lam > 0 (signed zeros and
+    # NaNs included); two two-operand ufuncs took a third of clip's time on
+    # a 3x8x32x32 field
+    out = np.minimum(u, lam, out=out)
+    return np.maximum(out, neg_lam, out=out)
 
 
 def _clip_code(u: np.ndarray, lam, neg_lam) -> np.ndarray:

@@ -42,6 +42,7 @@ from .errors import NumericalError
 from .fileio import write_csv
 from .metrics import psnr
 from .operators import LinearOperator
+from .parallel import pmap
 from .prox import (
     EXP_CLAMP,
     ClampDiag,
@@ -533,7 +534,9 @@ def grid_search_scalar(
     temporal) whose Cartesian product is scanned for mode xy_t.  Candidates
     are visited in ascending (lexicographic) order and ties keep the earlier,
     i.e. smaller, candidate.  Returns ``(best, scores)`` with ``scores`` the
-    mean PSNR per candidate in scan order.
+    mean PSNR per candidate in scan order.  Candidates are scored on
+    up to ``workers`` processes (0: the :func:`pmap` default) with
+    identical results.
     """
     if not problems:
         raise ValueError("empty problem list")
@@ -558,12 +561,7 @@ def grid_search_scalar(
             vals.append(psnr(rep.image, prob.x_true))
         return float(np.mean(vals))
 
-    if workers > 1:
-        from .parallel import pmap
-
-        scores = pmap(score, cands, workers)
-    else:
-        scores = [score(c) for c in cands]
+    scores = pmap(score, cands, workers)
     best_i = 0
     for i in range(1, len(cands)):
         if scores[i] > scores[best_i]:

@@ -11,6 +11,10 @@ The training objective is the mean squared error of the ``T``-step
 reconstruction: :func:`loss_taped` records it for gradients and
 :func:`loss_value` evaluates it for validation.  Weight decay is not part of
 it; :func:`adam_step` applies it decoupled from the gradient.
+
+The items of a batch, of a validation pass and of an evaluation are mapped
+over processes with :func:`tvmap.parallel.pmap` and combined in item order,
+so every result is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from . import autodiff as ad
 from .errors import NumericalError
 from .network import NetWeights, UNetConfig, net_forward, net_forward_taped, weight_leaves
 from .operators import LinearOperator
+from .parallel import pmap
 from .prox import KlParams
 from .solvers import Problem, solve_problem, unroll
 from .tensors import SharingMode, expand_map
@@ -150,13 +155,14 @@ def loss_value(
     if not batch:
         raise ValueError("empty batch")
     T = cfg.t_train if T is None else T
-    vals = []
-    for prob in batch:
+
+    def item_mse(prob: Problem) -> float:
         rec = reconstruct(
             prob.init_image(), prob.z, prob.A, weights, net_cfg, cfg.mode, T, kl=prob.kl
         )
-        vals.append(float(np.mean(np.abs(rec - prob.x_true) ** 2)))
-    return float(np.mean(vals))
+        return float(np.mean(np.abs(rec - prob.x_true) ** 2))
+
+    return float(np.mean(pmap(item_mse, batch)))
 
 
 def batch_gradient(
@@ -165,11 +171,11 @@ def batch_gradient(
     net_cfg: UNetConfig,
     cfg: TrainConfig,
 ) -> tuple[float, np.ndarray]:
-    """Mean MSE and its flat gradient; items use separate tapes so memory
-    scales with one unrolled solve, and are reduced in batch order."""
-    grad_flat = np.zeros(weights.flat().size)
-    total = 0.0
-    for prob in batch:
+    """Mean MSE and its flat gradient.  Items use separate tapes, so memory
+    scales with one unrolled solve; they run on :func:`pmap`'s processes and
+    are reduced in batch order, so the result does not depend on their count."""
+
+    def item_gradient(prob: Problem) -> tuple[float, np.ndarray]:
         tape = ad.Tape()
         wv = weight_leaves(tape, weights)
         item = loss_taped(tape, [prob], wv, net_cfg, cfg)
@@ -178,14 +184,16 @@ def batch_gradient(
         for kw, bw in wv:
             gk = grads.get(kw.idx)
             gb = grads.get(bw.idx)
-            parts.append(
-                (gk if gk is not None else np.zeros_like(kw.value)).ravel()
-            )
-            parts.append(
-                (gb if gb is not None else np.zeros_like(bw.value)).ravel()
-            )
-        grad_flat += np.concatenate(parts)
-        total += float(item.value)
+            parts.append((gk if gk is not None else np.zeros_like(kw.value)).ravel())
+            parts.append((gb if gb is not None else np.zeros_like(bw.value)).ravel())
+        return float(item.value), np.concatenate(parts)
+
+    per_item = pmap(item_gradient, batch)
+    grad_flat = np.zeros(weights.flat().size)
+    total = 0.0
+    for value, g in per_item:
+        grad_flat += g
+        total += value
     n = len(batch)
     # checked before the optimizer sees them: one NaN poisons every weight
     if not (np.isfinite(total) and np.all(np.isfinite(grad_flat))):
@@ -282,15 +290,14 @@ def evaluate(
     mode: SharingMode,
     T: int,
 ):
-    """Per-item (psnr, nrmse, ssim) of the learned-map reconstructions."""
+    """Per-item (psnr, nrmse, ssim) of the learned-map reconstructions, the
+    items mapped over :func:`pmap`'s processes."""
     from .metrics import nrmse, psnr, ssim
 
-    rows = []
-    for prob in items:
+    def row(prob: Problem):
         rec = reconstruct(
             prob.init_image(), prob.z, prob.A, weights, net_cfg, mode, T, kl=prob.kl
         )
-        rows.append(
-            (psnr(rec, prob.x_true), nrmse(rec, prob.x_true), ssim(rec, prob.x_true))
-        )
-    return rows
+        return psnr(rec, prob.x_true), nrmse(rec, prob.x_true), ssim(rec, prob.x_true)
+
+    return pmap(row, items)

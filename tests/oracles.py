@@ -3,10 +3,11 @@
 Everything here is deliberately written from first principles (hand-built
 difference stencils, exhaustive/coordinate minimization) and does not reuse
 the library's solver or gradient code paths.  The exception is the taped
-reference at the end: the solver primitives as tape nodes, the unrolled
-solvers recorded node by node from them (the reference for the solvers'
-hand-written reverse sweeps), and the finite-difference check of taped
-gradients.
+reference at the end: the elementwise nodes the tests build scalar losses
+from (``mul``, ``reduce_sum``), the solver primitives as tape nodes, the
+unrolled solvers recorded node by node from them (the reference for the
+solvers' hand-written reverse sweeps), and the finite-difference check of
+taped gradients.
 """
 
 from __future__ import annotations
@@ -123,6 +124,28 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         g[idx] = (f(xp) - f(xm)) / (2 * eps)
         it.iternext()
     return g
+
+
+def mul(a: Var, b: Var) -> Var:
+    """Elementwise product; complex factors backpropagate conjugated."""
+    tape = _same_tape(a, b)
+    av, bv = a.value, b.value
+
+    def vjp(u):
+        ga = np.conj(bv) * u if np.iscomplexobj(bv) else bv * u
+        gb = np.conj(av) * u if np.iscomplexobj(av) else av * u
+        return ga, gb
+
+    return tape._emit(av * bv, (a.idx, b.idx), vjp, _needs(a, b))
+
+
+def reduce_sum(x: Var) -> Var:
+    xv = x.value
+    if np.iscomplexobj(xv):
+        raise ValueError("reduce_sum is defined for real values only")
+    return x.tape._emit(
+        float(np.sum(xv)), (x.idx,), lambda u: (u * np.ones_like(xv),), x.requires_grad
+    )
 
 
 def add_scaled(a: Var, c: float, b: Var) -> Var:

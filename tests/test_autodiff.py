@@ -17,6 +17,8 @@ from oracles import (
     grad_field,
     grad_field_adjoint,
     l2_conj_step,
+    mul,
+    reduce_sum,
 )
 from tvmap import autodiff as ad
 from tvmap.operators import identity_op
@@ -28,7 +30,7 @@ def test_gradient_of_half_norm_squared_is_x(rng):
     x = rng.standard_normal((4, 4))
     tape = ad.Tape()
     v = tape.leaf(x)
-    half = ad.scale(ad.reduce_sum(ad.mul(v, v)), 0.5)
+    half = ad.scale(reduce_sum(mul(v, v)), 0.5)
     grads = tape.backward(half)
     np.testing.assert_allclose(grads[v.idx], x, atol=1e-14)
 
@@ -47,7 +49,7 @@ def test_mse_gradient(rng):
 def test_softplus_derivative_at_zero():
     tape = ad.Tape()
     v = tape.leaf(np.zeros(1))
-    out = ad.reduce_sum(ad.softplus(v))
+    out = reduce_sum(ad.softplus(v))
     grads = tape.backward(out)
     assert grads[v.idx][0] == pytest.approx(0.5)
 
@@ -58,7 +60,7 @@ def test_clip_backward_piecewise():
     tape = ad.Tape()
     vq = tape.leaf(q)
     vl = tape.leaf(lam)
-    out = ad.reduce_sum(box_clip_ad(vq, vl))
+    out = reduce_sum(box_clip_ad(vq, vl))
     grads = tape.backward(out)
     np.testing.assert_array_equal(grads[vq.idx], [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(grads[vl.idx], [0.0, 1.0, -1.0])
@@ -86,7 +88,7 @@ def test_linear_op_backward_is_adjoint(rng):
     x = rng.standard_normal((2, 4, 3))
     tape = ad.Tape()
     v = tape.leaf(x)
-    out = ad.reduce_sum(grad_field(v))
+    out = reduce_sum(grad_field(v))
     grads = tape.backward(out)
     expected = grad_adjoint(np.ones((3, 2, 4, 3)))
     np.testing.assert_allclose(grads[v.idx], expected, atol=1e-14)
@@ -200,7 +202,7 @@ def test_backward_drops_interior_gradients_bit_identically(rng):
     # h and q each feed two consumers; add hands one array to both its
     # parents, so accumulating in place would corrupt h's gradient
     h = ad.conv(vx, vw, vb)
-    q = ad.mul(h, tape.constant(rng.standard_normal((3, 4, 6))))
+    q = mul(h, tape.constant(rng.standard_normal((3, 4, 6))))
     m = ad.leaky_relu(q, 0.1)
     s = ad.add(h, q)
     loss = ad.mse(ad.add(s, m), tape.constant(np.zeros((3, 4, 6))))
@@ -219,7 +221,7 @@ def test_backward_memory_stays_at_live_frontier():
     v = x
     for _ in range(40):
         v = ad.scale(v, 1.0)
-    loss = ad.reduce_sum(v)
+    loss = reduce_sum(v)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -262,7 +264,7 @@ def test_concat_and_split(rng):
     tape = ad.Tape()
     va, vb = tape.leaf(a), tape.leaf(b)
     cat = ad.concat_channels(va, vb)
-    out = ad.reduce_sum(ad.mul(cat, cat))
+    out = reduce_sum(mul(cat, cat))
     grads = tape.backward(out)
     np.testing.assert_allclose(grads[va.idx], 2 * a, atol=1e-14)
     np.testing.assert_allclose(grads[vb.idx], 2 * b, atol=1e-14)
@@ -273,7 +275,7 @@ def test_split_reim_roundtrip_gradient(rng):
     tape = ad.Tape()
     v = tape.leaf(x)
     chans = ad.split_reim(v)
-    out = ad.reduce_sum(ad.mul(chans, chans))
+    out = reduce_sum(mul(chans, chans))
     grads = tape.backward(out)
     np.testing.assert_allclose(grads[v.idx], 2 * x.real + 2j * x.imag, atol=1e-14)
 
@@ -284,7 +286,7 @@ def test_expand_channels_gradients(rng):
     v = tape.leaf(c2)
     out = ad.expand_channels(v, 2, 3)
     w = rng.standard_normal((3, 2, 3, 3))
-    loss = ad.reduce_sum(ad.mul(out, tape.constant(w)))
+    loss = reduce_sum(mul(out, tape.constant(w)))
     grads = tape.backward(loss)
     np.testing.assert_allclose(grads[v.idx][0], w[0] + w[1], atol=1e-14)
     np.testing.assert_allclose(grads[v.idx][1], w[2], atol=1e-14)
@@ -293,7 +295,7 @@ def test_expand_channels_gradients(rng):
 def test_exp_clamped_counts_and_zero_grad():
     tape = ad.Tape()
     v = tape.leaf(np.array([0.0, 800.0]))
-    out = ad.reduce_sum(exp_clamped_ad(v))
+    out = reduce_sum(exp_clamped_ad(v))
     grads = tape.backward(out)
     assert grads[v.idx][0] == pytest.approx(1.0)
     assert grads[v.idx][1] == 0.0
@@ -305,7 +307,7 @@ def test_quadratic_fd_is_exact(rng):
 
     def build(tape, leaves):
         (v,) = leaves
-        return ad.scale(ad.reduce_sum(ad.mul(v, v)), 0.5)
+        return ad.scale(reduce_sum(mul(v, v)), 0.5)
 
     assert finite_diff_check(build, [x], trials=16, seed=3) <= 1e-9
 
@@ -317,7 +319,7 @@ def test_dead_coordinate_reports_zero_error(rng):
         (v,) = leaves
         # only the first coordinate matters
         mask = tape.constant(np.array([1.0, 0.0, 0.0, 0.0]))
-        return ad.reduce_sum(ad.mul(v, mask))
+        return reduce_sum(mul(v, mask))
 
     # sample every coordinate; dead ones must contribute zero error
     assert finite_diff_check(build, [x], trials=50, seed=4) <= 1e-9
@@ -346,7 +348,7 @@ def test_loss_must_be_scalar(rng):
 def test_loss_from_other_tape_rejected(rng):
     t1, t2 = ad.Tape(), ad.Tape()
     v = t2.leaf(rng.standard_normal(2))
-    loss = ad.reduce_sum(v)
+    loss = reduce_sum(v)
     with pytest.raises(ValueError):
         t1.backward(loss)
 

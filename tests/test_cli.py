@@ -1,6 +1,9 @@
+import shutil
+
 import numpy as np
 import pytest
 
+from tvmap import parallel
 from tvmap.cli import main
 from tvmap.config import ExperimentConfig
 from tvmap.fileio import read_tensor, write_tensor
@@ -111,6 +114,46 @@ def test_train_divergence_is_numerical_failure(tmp_path):
     with np.errstate(all="ignore"):
         assert main(["train", "--config", str(path)]) == 3
     assert not (tmp_path / "run" / "checkpoint").exists()
+
+
+def test_train_divergence_in_two_workers_is_numerical_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    _, path = tiny_config(tmp_path, lr=1e300)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(path)]) == 3
+    assert not (tmp_path / "run" / "checkpoint").exists()
+
+
+def _tree_bytes(root):
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+            if f.is_file()}
+
+
+def test_train_eval_outputs_identical_for_any_worker_count(tmp_path, monkeypatch):
+    _, path = tiny_config(tmp_path, train_count=5, batch=3)
+    run = tmp_path / "run"
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert main(["train", "--config", str(path)]) == 0
+        assert main(["eval", "--config", str(path), "--checkpoint", str(run / "checkpoint"),
+                     "--t-test", "4,8"]) == 0
+        trees.append(_tree_bytes(run))
+        shutil.rmtree(run)
+    assert trees[0] == trees[1]
+    assert {"history.csv", "train_manifest.txt", "checkpoint/checkpoint.txt",
+            "eval/metrics.csv", "eval/manifest.txt"} <= set(trees[0])
+    assert not any(b"workers" in data for data in trees[0].values())
+
+
+@pytest.mark.parametrize("command", ["gen", "gridsearch"])
+def test_negative_workers_is_usage_error(tmp_path, capsys, command):
+    _, path = tiny_config(tmp_path)
+    extra = {"gridsearch": ["--grid", "0.1"]}
+    argv = [command, "--config", str(path), "--workers", "-1"] + extra.get(command, [])
+    assert main(argv) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

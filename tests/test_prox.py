@@ -239,3 +239,42 @@ def test_nonneg_prox_out_matches_allocating_form(rng):
     out = np.full(x.shape, np.nan)
     assert nonneg_prox(x, out=out) is out
     assert _same_bytes(out, nonneg_prox(x))
+
+
+def _with_edge_values(x: np.ndarray, lam) -> np.ndarray:
+    """``x`` with signed zeros, entries on either bound, just outside them,
+    NaNs of both signs and infinities written over its first entries."""
+    x = x.copy()
+    flat, bound = x.reshape(-1), np.broadcast_to(lam, x.shape).reshape(-1)
+    edge = [0.0, -0.0, bound[2], -bound[3], np.nextafter(bound[4], np.inf),
+            np.nextafter(-bound[5], -np.inf), np.nan, -np.nan, np.inf, -np.inf]
+    flat[: len(edge)] = edge
+    return x
+
+
+def _np_clip_box(u, lam, out=None):
+    """box_clip written with np.clip, as it was before it used two ufuncs."""
+    neg = -np.asarray(lam)
+    if not np.iscomplexobj(u):
+        return np.clip(u, neg, lam, out=out)
+    if out is None:
+        return np.clip(u.real, neg, lam) + 1j * np.clip(u.imag, neg, lam)
+    np.clip(u.real, neg, lam, out=out.real)
+    np.clip(u.imag, neg, lam, out=out.imag)
+    return out
+
+
+@pytest.mark.parametrize("scalar_lam", [False, True])
+@pytest.mark.parametrize("shape, dtype", OUT_CASES)
+def test_box_clip_matches_np_clip_byte_for_byte(rng, shape, dtype, scalar_lam):
+    lam = 0.3 if scalar_lam else rng.random(shape) + 0.1
+    u = np.zeros(shape, dtype=dtype)
+    u.real = _with_edge_values(2.0 * rng.standard_normal(shape), lam)
+    if dtype is np.complex128:
+        u.imag = _with_edge_values(2.0 * rng.standard_normal(shape)[::-1], lam)
+    assert _same_bytes(box_clip(u, lam), _np_clip_box(u, lam))
+    want = _np_clip_box(u, lam, out=np.empty_like(u))
+    out = np.full(shape, np.nan, dtype=dtype)
+    assert _same_bytes(box_clip(u, lam, out=out, neg_lam=-np.asarray(lam)), want)
+    box_clip(u, lam, out=u)  # in place
+    assert _same_bytes(u, want)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tvmap import autodiff as ad
+from tvmap import parallel
 from tvmap.errors import NumericalError
 from tvmap.network import UNetConfig, init_weights, weight_leaves, zero_weights
 from tvmap.operators import RadonOp, equispaced_angles, identity_op
@@ -211,6 +212,21 @@ def test_train_deterministic(rng):
     b2, h2 = train(items[:3], items[3:], w0.copy(), cfg, tcfg)
     assert np.array_equal(b1.flat(), b2.flat())
     assert h1.rows == h2.rows
+
+
+def test_train_identical_for_one_and_two_workers(rng, monkeypatch):
+    # per-item gradients from child processes are summed in batch order
+    items = [denoise_problem(rng, shape=(2, 8, 8)) for _ in range(7)]
+    cfg = small_cfg(base_filters=2, convs_per_stage=1)
+    w0 = init_weights(cfg, seed=1)
+    tcfg = TrainConfig(t_train=3, lr=1e-2, epochs=2, batch_size=3, validate_every=1,
+                       seed=7, mode=SharingMode.XY_T)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        best, hist = train(items[:5], items[5:], w0.copy(), cfg, tcfg)
+        runs.append((best.flat().tobytes(), np.asarray(hist.rows).tobytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("split", ["train", "val"])
