@@ -1,13 +1,15 @@
 """Tape-based reverse-mode differentiation for the parameter-map network.
 
 The engine records only the primitives the network and the training loss
-are built from: ``add`` and ``scale``, the activations, ``mse``, the channel
-plumbing and the convolution, pooling and upsampling layers (the tests keep
-further elementwise nodes in ``tests/oracles.py``).  Every recorded node
-stores its forward value and a vector-Jacobian closure; ``Tape.backward``
-walks the nodes in strict reverse creation order, so gradient accumulation
-is deterministic.  The solver is not recorded here: training records the
-``T`` unrolled iterations as one node whose VJP is the iteration's
+are built from: ``add`` and ``scale``, the activations, ``mse``, the
+real/imaginary split, channel concatenation and the convolution, pooling
+and upsampling layers (the tests keep further elementwise nodes in
+``tests/oracles.py``).  Every recorded node stores its forward value and a
+vector-Jacobian closure; ``Tape.backward`` walks the nodes in strict reverse
+creation order, so gradient accumulation is deterministic.  Two nodes are
+recorded by training instead: the expansion of the network's channels into
+the weight field (:func:`tvmap.tensors.expand_map` and its adjoint), and
+the ``T`` unrolled iterations as one node whose VJP is the iteration's
 hand-written reverse sweep (see :func:`tvmap.training.reconstruct_taped`).
 
 Complex values are treated as pairs of reals: the gradient ``g`` of a scalar
@@ -55,12 +57,6 @@ class Var:
     @property
     def requires_grad(self) -> bool:
         return self.tape.nodes[self.idx].requires_grad
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
 
 class Tape:
@@ -201,38 +197,6 @@ def concat_channels(a: Var, b: Var) -> Var:
     return tape._emit(
         value, (a.idx, b.idx), lambda u: (u[:na], u[na:]), _needs(a, b)
     )
-
-
-def expand_channels(chans: Var, mode_channels: int, q: int) -> Var:
-    """Share network output channels across the q difference directions:
-    1 channel copies everywhere, 2 channels map to (spatial, spatial,
-    temporal), 3 channels pass through."""
-    cv = chans.value
-    if mode_channels == 1:
-        value = np.stack([cv[0]] * q)
-
-        def vjp(u):
-            return (np.sum(u, axis=0)[None],)
-
-    elif mode_channels == 2:
-        if q != 3:
-            raise ValueError("two-channel sharing needs q = 3")
-        value = np.stack([cv[0], cv[0], cv[1]])
-
-        def vjp(u):
-            return (np.stack([u[0] + u[1], u[2]]),)
-
-    elif mode_channels == 3:
-        if q != 3:
-            raise ValueError("three-channel sharing needs q = 3")
-        value = cv.copy()
-
-        def vjp(u):
-            return (u,)
-
-    else:
-        raise ValueError(f"unsupported channel count {mode_channels}")
-    return chans.tape._emit(value, (chans.idx,), vjp, chans.requires_grad)
 
 
 def conv(x: Var, w: Var, b: Var) -> Var:

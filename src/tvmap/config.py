@@ -63,6 +63,30 @@ def render_sections(sections: dict[str, dict[str, str]]) -> str:
     return "\n".join(out)
 
 
+def parse_value(cls, key: str, raw: str):
+    """Type the text ``raw`` of the dataclass field ``cls.key`` by its
+    annotation: int, float, a tuple of comma-separated floats, or str as given."""
+    kind = get_type_hints(cls)[key]
+    try:
+        if kind is tuple:
+            return tuple(float(v) for v in raw.split(",") if v.strip())
+        if kind in (int, float):
+            return kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {key} = {raw!r}") from exc
+    return raw
+
+
+def format_value(value) -> str:
+    """The text :func:`parse_value` reads back: floats by ``repr`` (exact
+    round trip), tuples as comma-separated float reprs, the rest by ``str``."""
+    if isinstance(value, tuple):
+        return ",".join(repr(float(v)) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 @dataclass
 class ExperimentConfig:
     task: str
@@ -143,39 +167,13 @@ class ExperimentConfig:
             raise ValueError("missing mandatory key 'task' in [run]")
         if "seed" not in values:
             raise ValueError("missing mandatory key 'seed' in [run]")
-        typed = {}
-        for key, raw in values.items():
-            typed[key] = cls._convert(key, raw)
-        return cls(**typed)
-
-    @classmethod
-    def _convert(cls, key: str, raw: str):
-        """Type ``raw`` by the field's annotation: int, float, a tuple of
-        comma-separated floats, or str as given."""
-        kind = get_type_hints(cls)[key]
-        try:
-            if kind is tuple:
-                return tuple(float(v) for v in raw.split(",") if v.strip())
-            if kind in (int, float):
-                return kind(raw)
-        except ValueError as exc:
-            raise ValueError(f"cannot parse {key} = {raw!r}") from exc
-        return raw
+        return cls(**{key: parse_value(cls, key, raw) for key, raw in values.items()})
 
     def to_sections(self) -> dict[str, dict[str, str]]:
-        out: dict[str, dict[str, str]] = {}
-        for sec_name, keys in self._SECTIONS.items():
-            pairs = {}
-            for key in keys:
-                value = getattr(self, key)
-                if key == "times":
-                    pairs[key] = ",".join(repr(float(v)) for v in value)
-                elif isinstance(value, float):
-                    pairs[key] = repr(value)
-                else:
-                    pairs[key] = str(value)
-            out[sec_name] = pairs
-        return out
+        return {
+            sec_name: {key: format_value(getattr(self, key)) for key in keys}
+            for sec_name, keys in self._SECTIONS.items()
+        }
 
     def to_text(self) -> str:
         return render_sections(self.to_sections())

@@ -8,6 +8,7 @@ exported artifacts, and downstream commands rebuild the same data in memory.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,10 @@ from .config import (
     SEED_NOISE,
     SEED_PHANTOM,
     ExperimentConfig,
+    format_value,
+    parse_sections,
+    parse_value,
+    render_sections,
     write_manifest,
 )
 from .metrics import nrmse, psnr, ssim
@@ -33,9 +38,9 @@ from .operators import (
     synth_coil_maps,
 )
 from .parallel import pmap
-from .phantoms import add_gaussian, ct_poisson_log, gen_phantom, moving_disks
+from .phantoms import add_gaussian, ct_poisson_log, ellipse_ct, moving_disks
 from .prox import KlParams
-from .qmri import InversionSeries, fit_t1, synth_qmri_series
+from .qmri import InversionSeries, concentric_region_labels, fit_t1, synth_qmri_series
 from .solvers import Problem, grid_search_scalar, solve_problem
 from .tensors import SharingMode
 from .training import TrainConfig, evaluate, train
@@ -87,60 +92,44 @@ def net_config(cfg: ExperimentConfig) -> UNetConfig:
     )
 
 
+def _mri_problem(cfg: ExperimentConfig, item: int, x_true: np.ndarray) -> Problem:
+    """Undersampled multi-coil data of ``x_true`` (one mask per frame), with
+    complex noise, and the CG start of the normal equations."""
+    coils = synth_coil_maps(cfg.nx, cfg.ny, cfg.coils)
+    masks = make_cartesian_mask(
+        cfg.nx, cfg.ny, x_true.shape[0], cfg.accel, cfg.center_fraction,
+        seed=cfg.item_seed(SEED_MASKS, item),
+    )
+    enc = MriEncoder(coils, masks)
+    z = enc.forward(x_true)
+    z = add_gaussian(z, cfg.sigma, seed=cfg.item_seed(SEED_NOISE, item),
+                     complex_noise=True) * masks[None]
+    x0 = cg_normal_init(enc, z, cfg.cg_iters)
+    return Problem(A=enc, z=z, x_true=x_true, x0=x0)
+
+
 def _build_item(cfg: ExperimentConfig, split: str, index: int) -> Problem:
     item = SPLIT_OFFSETS[split] + index
-    if cfg.task == "denoise":
+    if cfg.task in ("denoise", "mri"):
         x_true = moving_disks(
             cfg.nx, cfg.ny, cfg.nt, n_disks=cfg.disks,
             seed=cfg.item_seed(SEED_PHANTOM, item),
         )
+        if cfg.task == "mri":
+            return _mri_problem(cfg, item, x_true * _phase_ramp(cfg.nx, cfg.ny)[None])
         z = add_gaussian(x_true, cfg.sigma, seed=cfg.item_seed(SEED_NOISE, item))
         return Problem(A=identity_op(x_true.shape), z=z, x_true=x_true, x0=z)
-    if cfg.task == "mri":
-        mag = moving_disks(
-            cfg.nx, cfg.ny, cfg.nt, n_disks=cfg.disks,
-            seed=cfg.item_seed(SEED_PHANTOM, item),
-        )
-        x_true = mag * _phase_ramp(cfg.nx, cfg.ny)[None]
-        coils = synth_coil_maps(cfg.nx, cfg.ny, cfg.coils)
-        masks = make_cartesian_mask(
-            cfg.nx, cfg.ny, cfg.nt, cfg.accel, cfg.center_fraction,
-            seed=cfg.item_seed(SEED_MASKS, item),
-        )
-        enc = MriEncoder(coils, masks)
-        z = enc.forward(x_true)
-        z = add_gaussian(z, cfg.sigma, seed=cfg.item_seed(SEED_NOISE, item),
-                         complex_noise=True) * masks[None]
-        x0 = cg_normal_init(enc, z, cfg.cg_iters)
-        return Problem(A=enc, z=z, x_true=x_true, x0=x0)
     if cfg.task == "ct":
-        x_true = gen_phantom(
-            "ellipse-ct", cfg.nx, cfg.ny, 1, seed=cfg.item_seed(SEED_PHANTOM, item)
-        )
+        x_true = ellipse_ct(cfg.nx, seed=cfg.item_seed(SEED_PHANTOM, item))
         op = _radon_for(cfg)
         kl = KlParams(mu=cfg.mu, n0=cfg.n0)
         z = ct_poisson_log(op, x_true, kl, seed=cfg.item_seed(SEED_NOISE, item))
-        x0 = fbp(op, z)
-        return Problem(A=op, z=z, x_true=x_true, x0=x0, kl=kl)
+        return Problem(A=op, z=z, x_true=x_true, x0=fbp(op, z), kl=kl)
     if cfg.task == "qmri":
-        from .qmri import concentric_region_labels
-
-        labels = concentric_region_labels(cfg.nx)
         series, _truth = synth_qmri_series(
-            labels, QMRI_TISSUES, times=cfg.times, noise_sigma=0.0
+            concentric_region_labels(cfg.nx), QMRI_TISSUES, times=cfg.times, noise_sigma=0.0
         )
-        x_true = series.images  # (n_times, nx, ny), complex
-        coils = synth_coil_maps(cfg.nx, cfg.ny, cfg.coils)
-        masks = make_cartesian_mask(
-            cfg.nx, cfg.ny, x_true.shape[0], cfg.accel, cfg.center_fraction,
-            seed=cfg.item_seed(SEED_MASKS, item),
-        )
-        enc = MriEncoder(coils, masks)
-        z = enc.forward(x_true)
-        z = add_gaussian(z, cfg.sigma, seed=cfg.item_seed(SEED_NOISE, item),
-                         complex_noise=True) * masks[None]
-        x0 = cg_normal_init(enc, z, cfg.cg_iters)
-        return Problem(A=enc, z=z, x_true=x_true, x0=x0)
+        return _mri_problem(cfg, item, series.images)  # (n_times, nx, ny), complex
     raise ValueError(f"unknown task {cfg.task!r}")
 
 
@@ -224,14 +213,13 @@ def cmd_gridsearch(
     problems = build_split(cfg, split)
     if mode_enum is SharingMode.XYT:
         spec = sorted(grid)
-        best, scores = grid_search_scalar(problems, mode_enum, spec, T, workers=workers)
         cands = [(v,) for v in spec]
         header = ["lam", "mean_psnr"]
     else:
         spec = (sorted(grid), sorted(grid_t if grid_t is not None else grid))
-        best, scores = grid_search_scalar(problems, mode_enum, spec, T, workers=workers)
         cands = [(a, b) for a in spec[0] for b in spec[1]]
         header = ["lam_spatial", "lam_temporal", "mean_psnr"]
+    best, scores = grid_search_scalar(problems, mode_enum, spec, T, workers=workers)
     out = Path(cfg.outdir) / "gridsearch"
     out.mkdir(parents=True, exist_ok=True)
     rows = [tuple(c) + (s,) for c, s in zip(cands, scores)]
@@ -248,60 +236,44 @@ def save_checkpoint(
     cfg: ExperimentConfig,
     val_loss: float,
 ) -> None:
+    """Write each layer's kernel and bias, and ``checkpoint.txt``: every
+    :class:`UNetConfig` field, then the run's training settings."""
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     for i, (k, b) in enumerate(zip(weights.kernels, weights.biases)):
         fileio.write_tensor(ckpt_dir / f"w{i:02d}_kernel.tnsr", k)
         fileio.write_tensor(ckpt_dir / f"w{i:02d}_bias.tnsr", b)
-    pairs = {
-        "rank": str(net_cfg.rank),
-        "stages": str(net_cfg.stages),
-        "convs_per_stage": str(net_cfg.convs_per_stage),
-        "base_filters": str(net_cfg.base_filters),
-        "kernel": str(net_cfg.kernel),
-        "out_channels": str(net_cfg.out_channels),
-        "in_channels": str(net_cfg.in_channels),
-        "alpha": repr(net_cfg.alpha),
-        "scale": repr(net_cfg.scale),
-        "mode": cfg.mode,
-        "seed": str(cfg.seed),
-        "t_train": str(cfg.t_train),
-        "t_test": str(cfg.t_test),
-        "lr": repr(cfg.lr),
-        "weight_decay": repr(cfg.weight_decay),
-        "epochs": str(cfg.epochs),
-        "batch": str(cfg.batch),
-        "validate_every": str(cfg.validate_every),
-        "val_loss": fileio.format_float(val_loss),
-        "n_layers": str(len(weights.kernels)),
-    }
-    (ckpt_dir / "checkpoint.txt").write_text(
-        "[checkpoint]\n" + "\n".join(f"{k} = {v}" for k, v in pairs.items()) + "\n"
-    )
+    pairs = {f.name: format_value(getattr(net_cfg, f.name)) for f in fields(UNetConfig)}
+    for key in ("mode", "seed", "t_train", "t_test", "lr", "weight_decay", "epochs",
+                "batch", "validate_every"):
+        pairs[key] = format_value(getattr(cfg, key))
+    pairs.update(val_loss=fileio.format_float(val_loss), n_layers=str(len(weights.kernels)))
+    (ckpt_dir / "checkpoint.txt").write_text(render_sections({"checkpoint": pairs}))
 
 
 def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
-    from .config import parse_sections
-
+    """Read a checkpoint; the layer count and every kernel and bias shape
+    must match the network's :meth:`UNetConfig.layer_plan`."""
     ckpt_dir = Path(ckpt_dir)
     info = parse_sections((ckpt_dir / "checkpoint.txt").read_text())["checkpoint"]
-    net_cfg = UNetConfig(
-        rank=int(info["rank"]),
-        stages=int(info["stages"]),
-        convs_per_stage=int(info["convs_per_stage"]),
-        base_filters=int(info["base_filters"]),
-        kernel=int(info["kernel"]),
-        out_channels=int(info["out_channels"]),
-        in_channels=int(info["in_channels"]),
-        alpha=float(info["alpha"]),
-        scale=float(info["scale"]),
-    )
-    n_layers = int(info["n_layers"])
+    net_cfg = UNetConfig(**{f.name: parse_value(UNetConfig, f.name, info[f.name])
+                            for f in fields(UNetConfig)})
+    plan = net_cfg.layer_plan()
+    if int(info["n_layers"]) != len(plan):
+        raise ValueError(f"{ckpt_dir / 'checkpoint.txt'}: n_layers = {info['n_layers']}, "
+                         f"the network has {len(plan)} layers")
     kernels, biases = [], []
-    for i in range(n_layers):
-        kernels.append(fileio.read_tensor(ckpt_dir / f"w{i:02d}_kernel.tnsr"))
-        biases.append(fileio.read_tensor(ckpt_dir / f"w{i:02d}_bias.tnsr"))
-    weights = NetWeights(kernels, biases)
-    return weights, net_cfg, SharingMode(info["mode"])
+    for i, (_, c_in, c_out, k) in enumerate(plan):
+        kernels.append(_read_shaped(ckpt_dir / f"w{i:02d}_kernel.tnsr",
+                                    (c_out, c_in) + (k,) * net_cfg.rank))
+        biases.append(_read_shaped(ckpt_dir / f"w{i:02d}_bias.tnsr", (c_out,)))
+    return NetWeights(kernels, biases), net_cfg, SharingMode(info["mode"])
+
+
+def _read_shaped(path: Path, shape: tuple) -> np.ndarray:
+    arr = fileio.read_tensor(path)
+    if arr.shape != shape:
+        raise ValueError(f"{path}: shape {arr.shape}, the layer plan needs {shape}")
+    return arr
 
 
 def cmd_train(cfg: ExperimentConfig) -> Path:

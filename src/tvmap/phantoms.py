@@ -58,20 +58,6 @@ def ellipse_ct(n: int, n_ellipses: int = 4, seed: int = 0) -> np.ndarray:
     return np.clip(img, 0.0, 1.0)[None]
 
 
-def gen_phantom(kind: str, nx: int, ny: int, nt: int, seed: int, n_disks: int = 3):
-    """Dispatch on phantom kind; returns an image array (plus labels for the
-    relaxometry phantom)."""
-    if kind == "moving-disks":
-        return moving_disks(nx, ny, nt, n_disks=n_disks, seed=seed)
-    if kind == "ellipse-ct":
-        return ellipse_ct(nx, seed=seed)
-    if kind == "qmri-regions":
-        from .qmri import concentric_region_labels
-
-        return concentric_region_labels(nx)
-    raise ValueError(f"unknown phantom kind {kind!r}")
-
-
 def add_gaussian(x: np.ndarray, sigma: float, seed: int, complex_noise: bool = False):
     """Additive Gaussian noise; in the complex case the variance splits
     evenly between real and imaginary parts (total sigma^2 per sample)."""

@@ -459,19 +459,21 @@ def solve_problem(problem: Problem, lam, T: int, record: bool = False) -> SolveR
     return pdhg_solve(problem.A, problem.z, lam, start, T, record=record)
 
 
+def _iteration(A, z, lam, x0, kl, step, trail):
+    """PD3O when ``kl`` is set, else PDHG with ``step`` (None: the default)."""
+    if kl is not None:
+        return _Pd3o(A, z, lam, kl, x0, trail=trail)
+    return _Pdhg(A, z, lam, x0, step, trail)
+
+
 def unroll(A, z, lam, x0, T: int, kl: KlParams | None = None, trail: list | None = None):
     """Exactly ``T`` steps of the iteration :func:`solve_problem` picks (PD3O
     when ``kl`` is set, else PDHG) from ``x0``, with default step sizes.
     Returns the iteration without its step buffers, so that it holds no
     more than ``image`` and what ``reverse`` reads; given a ``trail`` list,
     its ``reverse`` then differentiates the run with respect to ``lam``."""
-    if kl is not None:
-        it = _Pd3o(A, z, lam, kl, x0, trail=trail)
-    else:
-        it = _Pdhg(A, z, lam, x0, trail=trail)
-    for _ in range(T):
-        it.step()
-    _check_finite(it)
+    it = _iteration(A, z, lam, x0, kl, None, trail)
+    _run(it, T, record=False)
     it.drop_step_buffers()
     return it
 
@@ -492,10 +494,7 @@ def reference_solve(
     met.
     """
     start = x0 if x0 is not None else problem.init_image()
-    if problem.kl is not None:
-        it = _Pd3o(problem.A, problem.z, lam, problem.kl, start)
-    else:
-        it = _Pdhg(problem.A, problem.z, lam, start, step)
+    it = _iteration(problem.A, problem.z, lam, start, problem.kl, step, None)
     done = 0
     ratio = np.inf
     while done < T_max:
@@ -508,17 +507,6 @@ def reference_solve(
             break
     _check_finite(it)
     return _report(it, done, reached_tol=ratio, converged=ratio <= tol)
-
-
-def _lam_for_candidate(cand, mode: SharingMode, shape) -> np.ndarray:
-    if mode is SharingMode.XYT:
-        chans = np.full((1,) + tuple(shape), float(cand))
-    elif mode is SharingMode.XY_T:
-        sp, tm = cand
-        chans = np.stack([np.full(shape, float(sp)), np.full(shape, float(tm))])
-    else:
-        raise ValueError("grid search supports modes xyt and xy_t")
-    return expand_map(chans, mode)
 
 
 def grid_search_scalar(
@@ -538,6 +526,8 @@ def grid_search_scalar(
     up to ``workers`` processes (0: the :func:`pmap` default) with
     identical results.
     """
+    if mode is SharingMode.X_Y_T:
+        raise ValueError("grid search supports modes xyt and xy_t")
     if not problems:
         raise ValueError("empty problem list")
     for prob in problems:
@@ -556,7 +546,9 @@ def grid_search_scalar(
     def score(cand) -> float:
         vals = []
         for prob in problems:
-            lam = _lam_for_candidate(cand, mode, prob.init_image().shape)
+            shape = prob.init_image().shape
+            values = cand if isinstance(cand, tuple) else (cand,)
+            lam = expand_map(np.stack([np.full(shape, v) for v in values]), mode)
             rep = solve_problem(prob, lam, T)
             vals.append(psnr(rep.image, prob.x_true))
         return float(np.mean(vals))

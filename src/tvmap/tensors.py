@@ -38,8 +38,6 @@ class SharingMode(Enum):
         return {SharingMode.XYT: 1, SharingMode.XY_T: 2, SharingMode.X_Y_T: 3}[self]
 
 
-
-
 def ndirs(shape: tuple[int, ...]) -> int:
     """Number of difference directions for an image shape: 2 static, 3 dynamic."""
     return 3 if shape[0] > 1 else 2
@@ -156,6 +154,22 @@ def expand_map(channels: np.ndarray, mode: SharingMode) -> np.ndarray:
     if mode is SharingMode.XY_T:
         return np.stack([channels[0], channels[0], channels[1]])
     return channels.copy()
+
+
+def expand_map_adjoint(field: np.ndarray, mode: SharingMode) -> np.ndarray:
+    """Adjoint of :func:`expand_map`: ``<expand_map(c), g> == <c, adjoint(g)>``.
+
+    Sums the components of a ``(q, nt, nx, ny)`` field that share a channel:
+    XYT sums all of them, XY_T maps ``(a, b, c)`` to ``(a + b, c)``, X_Y_T
+    passes the three through.
+    """
+    if mode is SharingMode.XYT:
+        return np.sum(field, axis=0)[None]
+    if field.shape[0] != 3:
+        raise ValueError(f"mode {mode.value} needs a dynamic image (nt > 1)")
+    if mode is SharingMode.XY_T:
+        return np.stack([field[0] + field[1], field[2]])
+    return field.copy()
 
 
 def constant_map(value: float, shape: tuple[int, int, int]) -> np.ndarray:

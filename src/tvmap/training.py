@@ -30,7 +30,7 @@ from .operators import LinearOperator
 from .parallel import pmap
 from .prox import KlParams
 from .solvers import Problem, solve_problem, unroll
-from .tensors import SharingMode, expand_map
+from .tensors import SharingMode, expand_map, expand_map_adjoint
 
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
@@ -96,6 +96,19 @@ def reconstruct(
     return solve_problem(Problem(A=A, z=z, x0=x0, kl=kl), lam, T).image
 
 
+def weight_field_taped(
+    tape: ad.Tape, x0: np.ndarray, weight_vars, net_cfg: UNetConfig, mode: SharingMode
+) -> tuple[ad.Var, ad.Var]:
+    """Record :func:`estimate_weight_field` on ``tape``, before its check:
+    the network node by node and the channel expansion as one node.
+    Returns the constant ``x0`` node and the weight-field node."""
+    x0_var = tape.constant(np.ascontiguousarray(x0))
+    chans = net_forward_taped(tape, x0_var, weight_vars, net_cfg)
+    lam = tape._emit(expand_map(chans.value, mode), (chans.idx,),
+                     lambda u: (expand_map_adjoint(u, mode),), chans.requires_grad)
+    return x0_var, lam
+
+
 def reconstruct_taped(
     tape: ad.Tape,
     x0: np.ndarray,
@@ -110,10 +123,7 @@ def reconstruct_taped(
     """Differentiable twin of :func:`reconstruct` on an explicit tape: the
     network is recorded node by node, the ``T`` solver iterations as one
     node whose VJP walks the iteration's trail backwards."""
-    x0_var = tape.constant(np.ascontiguousarray(x0))
-    chans = net_forward_taped(tape, x0_var, weight_vars, net_cfg)
-    q_dirs = 3 if x0.shape[0] > 1 else 2
-    lam = ad.expand_channels(chans, mode.channels, q_dirs)
+    _, lam = weight_field_taped(tape, x0, weight_vars, net_cfg, mode)
     it = unroll(A, z, _checked_field(lam.value), x0, T, kl, trail=[])
     # one node for the whole solve; its VJP is the iteration's reverse sweep
     return tape._emit(it.image, (lam.idx,), lambda u: (it.reverse(u),), lam.requires_grad)

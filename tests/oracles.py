@@ -16,12 +16,12 @@ import numpy as np
 
 from tvmap import autodiff as ad
 from tvmap.autodiff import Tape, Var, _needs, _same_tape
-from tvmap.network import net_forward_taped
 from tvmap.prox import EXP_CLAMP
 from tvmap.solvers import pd3o_step_params, pdhg_step_params
 from tvmap.tensors import grad as grad_field_fn
 from tvmap.tensors import grad_adjoint as grad_adjoint_fn
 from tvmap.tensors import grad_norm_exact
+from tvmap.training import weight_field_taped
 
 
 def _difference_rows(shape):
@@ -332,11 +332,9 @@ def finite_diff_check(build, leaves, eps: float = 1e-6, trials: int = 20, seed: 
 
 def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, kl=None):
     """``training.reconstruct_taped`` with every solver iteration recorded
-    node by node on the tape."""
-    x0_var = tape.constant(np.ascontiguousarray(x0))
-    chans = net_forward_taped(tape, x0_var, weight_vars, net_cfg)
-    q_dirs = 3 if x0.shape[0] > 1 else 2
-    lam = ad.expand_channels(chans, mode.channels, q_dirs)
+    node by node on the tape; the network and the channel expansion are
+    training's own (:func:`tvmap.training.weight_field_taped`)."""
+    x0_var, lam = weight_field_taped(tape, x0, weight_vars, net_cfg, mode)
     if kl is not None:
         return _taped_pd3o(tape, x0_var, z, A, lam, kl, T)
     return _taped_pdhg(tape, x0_var, z, A, lam, T)

@@ -280,18 +280,6 @@ def test_split_reim_roundtrip_gradient(rng):
     np.testing.assert_allclose(grads[v.idx], 2 * x.real + 2j * x.imag, atol=1e-14)
 
 
-def test_expand_channels_gradients(rng):
-    c2 = rng.random((2, 2, 3, 3)) + 0.1
-    tape = ad.Tape()
-    v = tape.leaf(c2)
-    out = ad.expand_channels(v, 2, 3)
-    w = rng.standard_normal((3, 2, 3, 3))
-    loss = reduce_sum(mul(out, tape.constant(w)))
-    grads = tape.backward(loss)
-    np.testing.assert_allclose(grads[v.idx][0], w[0] + w[1], atol=1e-14)
-    np.testing.assert_allclose(grads[v.idx][1], w[2], atol=1e-14)
-
-
 def test_exp_clamped_counts_and_zero_grad():
     tape = ad.Tape()
     v = tape.leaf(np.array([0.0, 800.0]))

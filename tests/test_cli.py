@@ -108,6 +108,34 @@ def test_train_eval_pipeline(tmp_path):
     assert len(metrics) == 1 + 2 * cfg.test_count
 
 
+def _eval_edited_checkpoint(tmp_path, edit) -> int:
+    cfg, path = tiny_config(tmp_path, epochs=1)
+    assert main(["train", "--config", str(path)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint"
+    edit(ckpt)
+    return main(["eval", "--config", str(path), "--checkpoint", str(ckpt), "--t-test", "4"])
+
+
+def test_eval_rejects_checkpoint_layer_count(tmp_path, capsys):
+    def drop_layer(ckpt):
+        info = ckpt / "checkpoint.txt"
+        info.write_text(info.read_text().replace("n_layers = 4", "n_layers = 3"))
+
+    assert _eval_edited_checkpoint(tmp_path, drop_layer) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.txt" in err and "n_layers = 3" in err
+
+
+@pytest.mark.parametrize("part", ["kernel", "bias"])
+def test_eval_rejects_checkpoint_tensor_shape(tmp_path, capsys, part):
+    def swap_layer(ckpt):
+        write_tensor(ckpt / f"w01_{part}.tnsr", read_tensor(ckpt / f"w00_{part}.tnsr"))
+
+    assert _eval_edited_checkpoint(tmp_path, swap_layer) == 2
+    err = capsys.readouterr().err
+    assert f"w01_{part}.tnsr" in err and "layer plan" in err
+
+
 def test_train_divergence_is_numerical_failure(tmp_path):
     # an absurd learning rate overflows the weights after the first step
     _, path = tiny_config(tmp_path, lr=1e300)

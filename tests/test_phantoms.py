@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from tvmap.operators import RadonOp, equispaced_angles
-from tvmap.phantoms import add_gaussian, ct_poisson_log, ellipse_ct, gen_phantom, moving_disks
+from tvmap.phantoms import add_gaussian, ct_poisson_log, ellipse_ct, moving_disks
 from tvmap.prox import KlParams
 
 
@@ -34,15 +33,6 @@ def test_ellipse_ct_range():
         img = ellipse_ct(32, seed=seed)
         assert img.shape == (1, 32, 32)
         assert img.min() >= 0.0 and img.max() <= 1.0
-
-
-def test_gen_phantom_dispatch():
-    assert gen_phantom("moving-disks", 8, 8, 3, seed=0).shape == (3, 8, 8)
-    assert gen_phantom("ellipse-ct", 16, 16, 1, seed=0).shape == (1, 16, 16)
-    labels = gen_phantom("qmri-regions", 12, 12, 1, seed=0)
-    assert labels.shape == (12, 12) and labels.dtype.kind == "i"
-    with pytest.raises(ValueError):
-        gen_phantom("nope", 8, 8, 1, seed=0)
 
 
 def test_gaussian_noise_zero_sigma(rng):

@@ -7,6 +7,7 @@ from tvmap.tensors import (
     SharingMode,
     constant_map,
     expand_map,
+    expand_map_adjoint,
     grad,
     grad_adjoint,
     ndirs,
@@ -125,6 +126,8 @@ def test_expand_map_static():
     assert out.shape == (2, 1, 4, 4)
     with pytest.raises(ValueError):
         expand_map(np.ones((2, 1, 4, 4)), SharingMode.XY_T)
+    with pytest.raises(ValueError):
+        expand_map_adjoint(np.ones((2, 1, 4, 4)), SharingMode.XY_T)
 
 
 def test_expand_map_count_mismatch():
@@ -132,6 +135,20 @@ def test_expand_map_count_mismatch():
         expand_map(np.ones((2, 2, 4, 4)), SharingMode.XYT)
     with pytest.raises(ValueError):
         expand_map(np.ones((1, 2, 4, 4)), SharingMode.X_Y_T)
+
+
+@pytest.mark.parametrize(
+    "mode, shape",
+    [(SharingMode.XYT, (1, 4, 5)), (SharingMode.XYT, (3, 4, 5)),
+     (SharingMode.XY_T, (3, 4, 5)), (SharingMode.X_Y_T, (3, 4, 5))],
+    ids=["xyt_static", "xyt", "xy_t", "x_y_t"],
+)
+def test_expand_map_adjoint(rng, mode, shape):
+    c = rng.standard_normal((mode.channels,) + shape)
+    g = rng.standard_normal((ndirs(shape),) + shape)
+    back = expand_map_adjoint(g, mode)
+    assert back.shape == c.shape
+    assert np.vdot(expand_map(c, mode), g) == pytest.approx(np.vdot(c, back), rel=1e-12)
 
 
 def test_constant_map():

@@ -65,15 +65,16 @@ def test_reconstruct_deterministic(rng):
     assert np.array_equal(a, b)
 
 
-def test_taped_reconstruct_bit_identical_to_plain(rng):
+@pytest.mark.parametrize("mode", list(SharingMode), ids=lambda m: m.value)
+def test_taped_reconstruct_bit_identical_to_plain(rng, mode):
     prob = denoise_problem(rng)
-    cfg = small_cfg()
+    cfg = small_cfg(out_channels=mode.channels)
     w = init_weights(cfg, seed=9)
-    plain = reconstruct(prob.x0, prob.z, prob.A, w, cfg, SharingMode.XY_T, 12)
+    plain = reconstruct(prob.x0, prob.z, prob.A, w, cfg, mode, 12)
     tape = ad.Tape()
     wv = weight_leaves(tape, w)
     taped = reconstruct_taped(
-        tape, prob.x0, prob.z, prob.A, wv, cfg, SharingMode.XY_T, 12
+        tape, prob.x0, prob.z, prob.A, wv, cfg, mode, 12
     )
     assert np.array_equal(taped.value, plain)
 
