@@ -7,9 +7,7 @@ import argparse
 
 import numpy as np
 
-from tvmap.certificates import lipschitz_probe, rate_certificate
-from tvmap.operators import identity_op
-from tvmap.tensors import constant_map
+from tvmap.certificates import desk_lipschitz_worst, desk_rate_certificate
 
 
 def main():
@@ -19,11 +17,7 @@ def main():
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
 
-    shape = (1, 4, 4)
-    A = identity_op(shape)
-    z = rng.standard_normal(shape)
-    cert = rate_certificate(A, z, constant_map(0.3, shape), z.copy(),
-                            T_list=[2**k for k in range(11)])
+    cert = desk_rate_certificate(rng)
     print(f"  norm equivalence c={cert.c_lower:.4f} C={cert.c_upper:.4f}, "
           f"constant {cert.c_za:.3f}, start gap {cert.m_norm_gap:.3f}")
     print("      T     measured        bound")
@@ -31,15 +25,7 @@ def main():
         print(f"  {T:5d}  {measured:12.5e} {bound:12.5e}")
     print(f"  bound holds everywhere: {cert.holds()}\n")
 
-    shape = (1, 8, 1)
-    A = identity_op(shape)
-    z = rng.standard_normal(shape)
-    worst = 0.0
-    for _ in range(args.pairs):
-        lam1 = np.abs(rng.standard_normal((2,) + shape)) * 0.4 + 0.02
-        lam2 = np.abs(rng.standard_normal((2,) + shape)) * 0.4 + 0.02
-        lhs, rhs = lipschitz_probe(A, z, lam1, lam2)
-        worst = max(worst, lhs / rhs)
+    worst = desk_lipschitz_worst(rng, args.pairs)
     print(f"  {args.pairs} Lipschitz probes, worst lhs/rhs = {worst:.4e}")
 
 

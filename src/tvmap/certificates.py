@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import GradOp, LinearOperator
+from .operators import GradOp, LinearOperator, identity_op
 from .solvers import Problem, StepParams, pdhg_solve, pdhg_step_params, reference_solve
-from .tensors import grad, ndirs
+from .tensors import constant_map, grad, ndirs
 
 
 def dense_matrix(apply_fn, in_shape, out_size: int) -> np.ndarray:
@@ -159,3 +159,29 @@ def lipschitz_probe(
     if lhs > rhs + 1e-12:
         raise AssertionError(f"Lipschitz bound violated: {lhs} > {rhs}")
     return lhs, rhs
+
+
+def desk_rate_certificate(rng: np.random.Generator) -> RateCertificate:
+    """The rate certificate for denoising a 1x4x4 standard-normal draw from
+    ``rng`` with the constant weight 0.3, at T = 1, 2, 4, ..., 1024."""
+    shape = (1, 4, 4)
+    z = rng.standard_normal(shape)
+    return rate_certificate(identity_op(shape), z, constant_map(0.3, shape), z.copy(),
+                            T_list=[2**k for k in range(11)])
+
+
+def desk_lipschitz_worst(rng: np.random.Generator, pairs: int) -> float:
+    """The worst lhs/rhs of :func:`lipschitz_probe` for denoising a 1x8x1
+    standard-normal draw from ``rng``, over ``pairs`` random weight-field
+    pairs drawn after it; pairs with a zero bound are skipped."""
+    shape = (1, 8, 1)
+    A = identity_op(shape)
+    z = rng.standard_normal(shape)
+    worst = 0.0
+    for _ in range(pairs):
+        lam1 = np.abs(rng.standard_normal((2,) + shape)) * 0.4 + 0.02
+        lam2 = np.abs(rng.standard_normal((2,) + shape)) * 0.4 + 0.02
+        lhs, rhs = lipschitz_probe(A, z, lam1, lam2)
+        if rhs > 0:
+            worst = max(worst, lhs / rhs)
+    return worst

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 Every command echoes its resolved configuration and seed into a manifest
 next to its outputs.
+
+``train``, ``eval`` and ``gridsearch`` map their items over processes at
+:func:`tvmap.parallel.pmap`'s default count, which only the command's CPU
+set limits; ``gen`` is serial. Outputs are byte-identical for any count.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import sys
 
 from .config import ExperimentConfig
 from .errors import ConvergenceError, NumericalError
-from .parallel import DEFAULT_WORKERS_CAP
 
 
 def _floats(text: str) -> list[float]:
@@ -21,12 +24,6 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _add_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for independent items (0: the usable CPUs, at "
-                   f"most {DEFAULT_WORKERS_CAP}); outputs are identical for every count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate phantoms and corrupted data")
     p.add_argument("--config", required=True)
-    _add_workers(p)
 
     p = sub.add_parser("solve", help="reconstruct one test item")
     p.add_argument("--config", required=True)
@@ -56,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-t", help="temporal values for mode xy_t")
     p.add_argument("--T", type=int)
     p.add_argument("--split", default="train", choices=["train", "val", "test"])
-    _add_workers(p)
 
     p = sub.add_parser("train", help="train the parameter-map network")
     p.add_argument("--config", required=True)
@@ -90,11 +85,9 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from . import experiments as ex
 
-    if getattr(args, "workers", 1) < 0:
-        raise ValueError(f"--workers must be >= 0, got {args.workers}")
     if args.command == "gen":
         cfg = ExperimentConfig.load(args.config)
-        out = ex.cmd_gen(cfg, workers=args.workers)
+        out = ex.cmd_gen(cfg)
         print(f"wrote data to {out}")
     elif args.command == "solve":
         cfg = ExperimentConfig.load(args.config)
@@ -102,6 +95,9 @@ def run(argv=None) -> int:
             raise ValueError(f"--task {args.task} does not match config task {cfg.task}")
         if args.lam is not None and args.map_path is not None:
             raise ValueError("pass either --lambda or --map, not both")
+        if not 0 <= args.item < cfg.test_count:
+            raise ValueError(f"--item {args.item} is outside the test split, "
+                             f"range({cfg.test_count})")
         out = ex.cmd_solve(cfg, lam=args.lam, map_path=args.map_path, T=args.T,
                            item=args.item)
         print(f"wrote reconstruction to {out}")
@@ -110,7 +106,7 @@ def run(argv=None) -> int:
         grid_t = _floats(args.grid_t) if args.grid_t else None
         best, _ = ex.cmd_gridsearch(
             cfg, _floats(args.grid), grid_t=grid_t, mode=args.mode, T=args.T,
-            workers=args.workers, split=args.split,
+            split=args.split,
         )
         print(f"best weight: {best!r}")
     elif args.command == "train":

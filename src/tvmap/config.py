@@ -150,6 +150,9 @@ class ExperimentConfig:
             self.nt = 1
         if self.mode not in ("xyt", "xy_t", "x_y_t"):
             raise ValueError(f"unknown sharing mode {self.mode!r}")
+        for key in ("train_count", "val_count", "test_count"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -189,10 +192,12 @@ class ExperimentConfig:
         return [int(self.seed), int(purpose), int(index)]
 
 
-def write_manifest(path, cfg: ExperimentConfig, command: str, extra: dict | None = None) -> None:
+def write_manifest(path, cfg: ExperimentConfig | None, command: str,
+                   extra: dict | None = None) -> None:
     """Resolved config plus an informational [manifest] block; the file can
-    be fed back to any command in place of the original config."""
-    sections = cfg.to_sections()
+    be fed back to any command in place of the original config.  Commands
+    that read no config (``cfg`` None) write the [manifest] block alone."""
+    sections = cfg.to_sections() if cfg is not None else {}
     info = {"command": command}
     if extra:
         info.update({k: str(v) for k, v in extra.items()})

@@ -37,15 +37,22 @@ from .operators import (
     make_cartesian_mask,
     synth_coil_maps,
 )
-from .parallel import pmap
 from .phantoms import add_gaussian, ct_poisson_log, ellipse_ct, moving_disks
 from .prox import KlParams
 from .qmri import InversionSeries, concentric_region_labels, fit_t1, synth_qmri_series
-from .solvers import Problem, grid_search_scalar, solve_problem
+from .solvers import Problem, grid_candidates, grid_search_scalar, solve_problem
 from .tensors import SharingMode
 from .training import TrainConfig, evaluate, train
 
 SPLIT_OFFSETS = {"train": 0, "val": 100000, "test": 200000}
+
+# The run's training settings: config key -> TrainConfig field, in the
+# order checkpoint.txt lists them.
+TRAIN_SETTINGS = {
+    "mode": "mode", "seed": "seed", "t_train": "t_train", "t_test": "t_test",
+    "lr": "lr", "weight_decay": "weight_decay", "epochs": "epochs",
+    "batch": "batch_size", "validate_every": "validate_every",
+}
 
 # Radon system matrices are immutable and expensive to assemble; share them
 # across items with the same geometry.
@@ -71,10 +78,6 @@ QMRI_TISSUES = [
 def _phase_ramp(nx: int, ny: int) -> np.ndarray:
     gx, gy = np.meshgrid(np.linspace(-1, 1, nx), np.linspace(-1, 1, ny), indexing="ij")
     return np.exp(1j * (0.6 * gx + 0.9 * gy))
-
-
-def sharing_mode(cfg: ExperimentConfig) -> SharingMode:
-    return SharingMode(cfg.mode)
 
 
 def net_config(cfg: ExperimentConfig) -> UNetConfig:
@@ -142,14 +145,13 @@ def _data_dir(cfg: ExperimentConfig) -> Path:
     return Path(cfg.outdir) / "data"
 
 
-def cmd_gen(cfg: ExperimentConfig, workers: int = 1) -> Path:
+def cmd_gen(cfg: ExperimentConfig) -> Path:
     """Write phantoms and corrupted data as TNSR1 files, plus the manifest."""
     out = _data_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-
-    def write_split(split: str):
-        problems = build_split(cfg, split)
-        for i, prob in enumerate(problems):
+    items = 0
+    for split in ("train", "val", "test"):
+        for i, prob in enumerate(build_split(cfg, split)):
             stem = out / f"{split}_{i:03d}"
             fileio.write_tensor(f"{stem}_true.tnsr", prob.x_true)
             fileio.write_tensor(f"{stem}_z.tnsr", prob.z)
@@ -157,13 +159,8 @@ def cmd_gen(cfg: ExperimentConfig, workers: int = 1) -> Path:
             if isinstance(prob.A, MriEncoder):
                 fileio.write_tensor(f"{stem}_masks.tnsr", prob.A.masks)
                 fileio.write_tensor(f"{stem}_coils.tnsr", prob.A.coil_maps)
-        return len(problems)
-
-    counts = pmap(write_split, ["train", "val", "test"], workers)
-    write_manifest(
-        Path(cfg.outdir) / "manifest.txt", cfg, "gen",
-        {"items": sum(counts)},
-    )
+            items += 1
+    write_manifest(Path(cfg.outdir) / "manifest.txt", cfg, "gen", {"items": items})
     return out
 
 
@@ -204,25 +201,22 @@ def cmd_gridsearch(
     grid_t: list[float] | None = None,
     mode: str | None = None,
     T: int | None = None,
-    workers: int = 1,
     split: str = "train",
 ):
     """Scalar grid search over the chosen split; writes scores and the pick."""
-    mode_enum = SharingMode(mode) if mode else sharing_mode(cfg)
+    mode_enum = SharingMode(mode or cfg.mode)
     T = cfg.t_solve if T is None else T
     problems = build_split(cfg, split)
     if mode_enum is SharingMode.XYT:
-        spec = sorted(grid)
-        cands = [(v,) for v in spec]
+        spec = grid
         header = ["lam", "mean_psnr"]
     else:
-        spec = (sorted(grid), sorted(grid_t if grid_t is not None else grid))
-        cands = [(a, b) for a in spec[0] for b in spec[1]]
+        spec = (grid, grid_t if grid_t is not None else grid)
         header = ["lam_spatial", "lam_temporal", "mean_psnr"]
-    best, scores = grid_search_scalar(problems, mode_enum, spec, T, workers=workers)
+    best, scores = grid_search_scalar(problems, mode_enum, spec, T)
     out = Path(cfg.outdir) / "gridsearch"
     out.mkdir(parents=True, exist_ok=True)
-    rows = [tuple(c) + (s,) for c, s in zip(cands, scores)]
+    rows = [c + (s,) for c, s in zip(grid_candidates(mode_enum, spec), scores)]
     fileio.write_csv(out / f"scores_{mode_enum.value}.csv", header, rows)
     extra = {"mode": mode_enum.value, "T": T, "best": repr(best), "split": split}
     write_manifest(out / "manifest.txt", cfg, "gridsearch", extra)
@@ -243,8 +237,7 @@ def save_checkpoint(
         fileio.write_tensor(ckpt_dir / f"w{i:02d}_kernel.tnsr", k)
         fileio.write_tensor(ckpt_dir / f"w{i:02d}_bias.tnsr", b)
     pairs = {f.name: format_value(getattr(net_cfg, f.name)) for f in fields(UNetConfig)}
-    for key in ("mode", "seed", "t_train", "t_test", "lr", "weight_decay", "epochs",
-                "batch", "validate_every"):
+    for key in TRAIN_SETTINGS:
         pairs[key] = format_value(getattr(cfg, key))
     pairs.update(val_loss=fileio.format_float(val_loss), n_layers=str(len(weights.kernels)))
     (ckpt_dir / "checkpoint.txt").write_text(render_sections({"checkpoint": pairs}))
@@ -279,17 +272,8 @@ def _read_shaped(path: Path, shape: tuple) -> np.ndarray:
 def cmd_train(cfg: ExperimentConfig) -> Path:
     """Train the parameter-map network; writes checkpoint plus history CSV."""
     net_cfg = net_config(cfg)
-    tcfg = TrainConfig(
-        t_train=cfg.t_train,
-        t_test=cfg.t_test,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch,
-        validate_every=cfg.validate_every,
-        seed=cfg.seed,
-        mode=sharing_mode(cfg),
-    )
+    settings = {name: getattr(cfg, key) for key, name in TRAIN_SETTINGS.items()}
+    tcfg = TrainConfig(**settings | {"mode": SharingMode(cfg.mode)})
     train_items = build_split(cfg, "train")
     val_items = build_split(cfg, "val")
     w0 = init_weights(net_cfg, seed=cfg.seed)
@@ -310,6 +294,8 @@ def cmd_eval(cfg: ExperimentConfig, ckpt_dir, t_list: list[int]) -> Path:
     """Evaluate a checkpoint on the test split for each iteration budget."""
     weights, net_cfg, mode = load_checkpoint(ckpt_dir)
     items = build_split(cfg, "test")
+    if not items:
+        raise ValueError("eval needs test items, the config has test_count = 0")
     out = Path(cfg.outdir) / "eval"
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -329,47 +315,25 @@ def cmd_eval(cfg: ExperimentConfig, ckpt_dir, t_list: list[int]) -> Path:
     return out
 
 
-def _plain_manifest(path, command: str, pairs: dict) -> None:
-    lines = ["[manifest]", f"command = {command}"]
-    lines += [f"{k} = {v}" for k, v in pairs.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def cmd_certify(rate: bool, lipschitz: bool, outdir, seed: int = 0) -> Path:
     """Run the executable solver certificates on built-in desk instances."""
-    from .certificates import lipschitz_probe, rate_certificate
-    from .tensors import constant_map
+    from .certificates import desk_lipschitz_worst, desk_rate_certificate
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     lines = []
     if rate:
-        shape = (1, 4, 4)
-        A = identity_op(shape)
-        z = rng.standard_normal(shape)
-        cert = rate_certificate(
-            A, z, constant_map(0.3, shape), z.copy(),
-            T_list=[2**k for k in range(11)],
-        )
+        cert = desk_rate_certificate(rng)
         rows = [(float(T), m, b) for T, m, b in cert.entries]
         fileio.write_csv(out / "rate_certificate.csv", ["T", "measured", "bound"], rows)
         lines.append(f"rate bound holds: {cert.holds()}")
     if lipschitz:
-        shape = (1, 8, 1)
-        A = identity_op(shape)
-        z = rng.standard_normal(shape)
-        worst = 0.0
-        for _ in range(100):
-            lam1 = np.abs(rng.standard_normal((2,) + shape)) * 0.4 + 0.02
-            lam2 = np.abs(rng.standard_normal((2,) + shape)) * 0.4 + 0.02
-            lhs, rhs = lipschitz_probe(A, z, lam1, lam2)
-            if rhs > 0:
-                worst = max(worst, lhs / rhs)
+        worst = desk_lipschitz_worst(rng, 100)
         lines.append(f"lipschitz probes: 100 pairs, worst lhs/rhs = {worst!r}")
     (out / "certify.txt").write_text("\n".join(lines) + "\n")
-    _plain_manifest(out / "manifest.txt", "certify",
-                    {"seed": seed, "rate": rate, "lipschitz": lipschitz})
+    write_manifest(out / "manifest.txt", None, "certify",
+                   {"seed": seed, "rate": rate, "lipschitz": lipschitz})
     return out
 
 
@@ -382,7 +346,7 @@ def cmd_fit_t1(series_path, times, outdir, t1_lo: float = 0.05, t1_hi: float = 6
     fileio.write_tensor(out / "t1.tnsr", result.t1)
     fileio.write_tensor(out / "m0.tnsr", result.m0)
     fileio.write_tensor(out / "degenerate.tnsr", result.degenerate.astype(float))
-    _plain_manifest(out / "manifest.txt", "fit-t1", {
+    write_manifest(out / "manifest.txt", None, "fit-t1", {
         "series": series_path,
         "times": ",".join(repr(float(t)) for t in times),
         "t1_lo": repr(t1_lo), "t1_hi": repr(t1_hi),
@@ -395,6 +359,6 @@ def cmd_preview(tensor_path, out_prefix) -> list[Path]:
     if arr.ndim == 4:  # field stacks preview per component
         arr = arr.reshape((-1,) + arr.shape[2:])
     paths = fileio.write_pgm_frames(out_prefix, arr)
-    _plain_manifest(f"{out_prefix}_manifest.txt", "preview",
-                    {"tensor": tensor_path, "frames": len(paths)})
+    write_manifest(f"{out_prefix}_manifest.txt", None, "preview",
+                   {"tensor": tensor_path, "frames": len(paths)})
     return paths

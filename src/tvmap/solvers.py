@@ -509,22 +509,32 @@ def reference_solve(
     return _report(it, done, reached_tol=ratio, converged=ratio <= tol)
 
 
+def grid_candidates(mode: SharingMode, grid) -> list[tuple[float, ...]]:
+    """The channel values :func:`grid_search_scalar` scans, in scan order:
+    ``(lam,)`` ascending for mode xyt, and for mode xy_t the product of the
+    (spatial, temporal) lists as pairs in ascending lexicographic order."""
+    if mode is SharingMode.XYT:
+        return [(v,) for v in sorted(map(float, grid))]
+    sp, tm = grid
+    return [(a, b) for a in sorted(map(float, sp)) for b in sorted(map(float, tm))]
+
+
 def grid_search_scalar(
     problems: list[Problem],
     mode: SharingMode,
     grid,
     T: int,
-    workers: int = 1,
+    workers: int = 0,
 ):
     """Pick the scalar weight(s) maximizing mean PSNR over ``problems``.
 
     ``grid`` is a list of values for mode xyt, or a pair of lists (spatial,
-    temporal) whose Cartesian product is scanned for mode xy_t.  Candidates
-    are visited in ascending (lexicographic) order and ties keep the earlier,
-    i.e. smaller, candidate.  Returns ``(best, scores)`` with ``scores`` the
-    mean PSNR per candidate in scan order.  Candidates are scored on
-    up to ``workers`` processes (0: the :func:`pmap` default) with
-    identical results.
+    temporal) whose Cartesian product is scanned for mode xy_t, in the order
+    of :func:`grid_candidates`; ties keep the earlier, i.e. smaller,
+    candidate.  Returns ``(best, scores)``: ``best`` the value (xyt) or the
+    pair (xy_t), ``scores`` the mean PSNR per candidate in scan order.
+    Candidates are scored on up to ``workers`` processes (0: the
+    :func:`pmap` default) with identical results.
     """
     if mode is SharingMode.X_Y_T:
         raise ValueError("grid search supports modes xyt and xy_t")
@@ -533,29 +543,21 @@ def grid_search_scalar(
     for prob in problems:
         if prob.x_true is None:
             raise ValueError("grid search needs ground-truth images")
-    if mode is SharingMode.XYT:
-        cands = sorted(float(v) for v in grid)
-    else:
-        sp, tm = grid
-        cands = [(a, b) for a in sorted(map(float, sp)) for b in sorted(map(float, tm))]
+    cands = grid_candidates(mode, grid)
     if not cands:
         raise ValueError("empty grid")
-    if any((min(c) if isinstance(c, tuple) else c) <= 0 for c in cands):
+    if any(min(c) <= 0 for c in cands):
         raise ValueError("grid values must be strictly positive")
 
     def score(cand) -> float:
         vals = []
         for prob in problems:
             shape = prob.init_image().shape
-            values = cand if isinstance(cand, tuple) else (cand,)
-            lam = expand_map(np.stack([np.full(shape, v) for v in values]), mode)
+            lam = expand_map(np.stack([np.full(shape, v) for v in cand]), mode)
             rep = solve_problem(prob, lam, T)
             vals.append(psnr(rep.image, prob.x_true))
         return float(np.mean(vals))
 
     scores = pmap(score, cands, workers)
-    best_i = 0
-    for i in range(1, len(cands)):
-        if scores[i] > scores[best_i]:
-            best_i = i
-    return cands[best_i], scores
+    best = cands[max(range(len(cands)), key=scores.__getitem__)]  # first of ties
+    return (best[0] if mode is SharingMode.XYT else best), scores

@@ -1,12 +1,16 @@
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvmap import parallel
-from tvmap.cli import main
+from tvmap.cli import build_parser, main
 from tvmap.config import ExperimentConfig
 from tvmap.fileio import read_tensor, write_tensor
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_config(tmp_path, task="denoise", **overrides):
@@ -72,6 +76,25 @@ def test_solve_scalar_and_map(tmp_path):
     assert main(["solve", "--config", str(path), "--map", str(map_path)]) == 0
     rec2 = read_tensor(out / "recon_000.tnsr")
     assert rec2.shape == (4, 8, 8)
+
+
+@pytest.mark.parametrize("item", [-1, 2])
+def test_solve_rejects_item_outside_test_split(tmp_path, capsys, item):
+    _, path = tiny_config(tmp_path)  # test_count = 2
+    assert main(["solve", "--config", str(path), "--item", str(item)]) == 2
+    assert "range(2)" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert main(["solve", "--config", str(path), "--item", "1", "--T", "2"]) == 0
+
+
+def test_eval_rejects_empty_test_split(tmp_path, capsys):
+    _, path = tiny_config(tmp_path, epochs=1)
+    assert main(["train", "--config", str(path)]) == 0
+    _, empty = tiny_config(tmp_path, test_count=0)
+    assert main(["eval", "--config", str(empty), "--checkpoint",
+                 str(tmp_path / "run" / "checkpoint"), "--t-test", "4"]) == 2
+    assert "test_count = 0" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "eval").exists()
 
 
 def test_solve_rejects_conflicting_flags(tmp_path):
@@ -163,25 +186,42 @@ def test_train_eval_outputs_identical_for_any_worker_count(tmp_path, monkeypatch
     trees = []
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert main(["gen", "--config", str(path)]) == 0
+        assert main(["gridsearch", "--config", str(path), "--mode", "xy_t",
+                     "--grid", "0.05,0.15,0.4", "--grid-t", "0.1,0.3", "--T", "8"]) == 0
         assert main(["train", "--config", str(path)]) == 0
         assert main(["eval", "--config", str(path), "--checkpoint", str(run / "checkpoint"),
                      "--t-test", "4,8"]) == 0
         trees.append(_tree_bytes(run))
         shutil.rmtree(run)
     assert trees[0] == trees[1]
-    assert {"history.csv", "train_manifest.txt", "checkpoint/checkpoint.txt",
-            "eval/metrics.csv", "eval/manifest.txt"} <= set(trees[0])
+    assert {"manifest.txt", "data/train_004_z.tnsr", "gridsearch/scores_xy_t.csv",
+            "gridsearch/manifest.txt", "history.csv", "train_manifest.txt",
+            "checkpoint/checkpoint.txt", "eval/metrics.csv", "eval/manifest.txt"} <= set(trees[0])
     assert not any(b"workers" in data for data in trees[0].values())
 
 
 @pytest.mark.parametrize("command", ["gen", "gridsearch"])
-def test_negative_workers_is_usage_error(tmp_path, capsys, command):
+def test_workers_option_rejected(tmp_path, capsys, command):
     _, path = tiny_config(tmp_path)
     extra = {"gridsearch": ["--grid", "0.1"]}
-    argv = [command, "--config", str(path), "--workers", "-1"] + extra.get(command, [])
-    assert main(argv) == 2
+    argv = [command, "--config", str(path), "--workers", "1"] + extra.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_readme_command_lines_parse():
+    # every documented command line is accepted by the parser, and every
+    # subcommand is documented
+    lines = [line.split("#")[0] for line in README.read_text().splitlines()
+             if line.startswith("tvmap ")]
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    assert commands == set(subparsers.choices)
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,21 @@ def test_manifest_is_loadable_config(tmp_path):
     assert "[manifest]" in path.read_text()
 
 
+def test_manifest_without_config(tmp_path):
+    path = tmp_path / "manifest.txt"
+    write_manifest(path, None, "preview", {"tensor": "a.tnsr", "frames": 2})
+    assert path.read_text() == "[manifest]\ncommand = preview\ntensor = a.tnsr\nframes = 2\n"
+
+
+@pytest.mark.parametrize("key", ["train_count", "val_count", "test_count"])
+def test_negative_split_count_rejected(key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(task="denoise", seed=1, **{key: -3})
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_text(MINIMAL + f"\n[phantom]\n{key} = -1\n")
+    assert getattr(ExperimentConfig(task="denoise", seed=1, **{key: 0}), key) == 0
+
+
 def test_render_sections_format():
     text = render_sections({"a": {"x": "1"}, "b": {"y": "2"}})
     assert text == "[a]\nx = 1\n\n[b]\ny = 2\n"
