@@ -205,6 +205,9 @@ def cmd_gridsearch(
 ):
     """Scalar grid search over the chosen split; writes scores and the pick."""
     mode_enum = SharingMode(mode or cfg.mode)
+    if mode_enum is SharingMode.XYT and grid_t is not None:
+        raise ValueError("--grid-t applies only to mode xy_t; mode xyt takes one "
+                         "weight per candidate, from --grid")
     T = cfg.t_solve if T is None else T
     problems = build_split(cfg, split)
     if mode_enum is SharingMode.XYT:

@@ -19,6 +19,7 @@ Round trips are bit-exact; readers reject non-finite payloads.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -45,18 +46,28 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a TNSR1 file; a short header, a payload of any other length than
+    the dims give, or a non-finite value raises ``ValueError`` naming it."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a TNSR1 file")
+    if len(raw) < 7:
+        raise ValueError(f"{path}: header truncated at {len(raw)} bytes")
     version, code, ndim = struct.unpack_from("<BBB", raw, 4)
     if version != 1:
         raise ValueError(f"{path}: unsupported version {version}")
     if code not in _DTYPES:
         raise ValueError(f"{path}: unknown dtype code {code}")
-    dims = struct.unpack_from(f"<{ndim}I", raw, 7)
     offset = 7 + 4 * ndim
-    count = int(np.prod(dims)) if ndim else 1
-    arr = np.frombuffer(raw, dtype=_DTYPES[code], count=count, offset=offset)
+    if len(raw) < offset:
+        raise ValueError(f"{path}: header truncated at {len(raw)} bytes, "
+                         f"{ndim} dims need {offset}")
+    dims = struct.unpack_from(f"<{ndim}I", raw, 7)
+    size = math.prod(dims) * _DTYPES[code].itemsize
+    if len(raw) - offset != size:
+        raise ValueError(f"{path}: payload has {len(raw) - offset} bytes, "
+                         f"dims {dims} need {size}")
+    arr = np.frombuffer(raw, dtype=_DTYPES[code], offset=offset)
     arr = arr.reshape(dims).copy()
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: payload contains non-finite values")

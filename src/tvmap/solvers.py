@@ -238,7 +238,7 @@ class _Pdhg:
         gx_new, gxbar = np.empty_like(gx), np.zeros_like(gx)
         gp, gp_step = np.zeros_like(self.p), np.empty_like(self.p)
         gq, gu, gl = np.zeros_like(self.q), np.empty_like(self.q), np.empty_like(self.lam)
-        glam = np.zeros_like(self.lam)
+        glam, keep = np.zeros_like(self.lam), np.empty(self.q.shape, dtype=np.int64)
         for code in reversed(self.trail):
             np.multiply(gxbar, 2.0, out=gx_new)
             gx_new += gx
@@ -247,7 +247,7 @@ class _Pdhg:
             grad(gx_new, out=gu)
             gu *= tau
             np.subtract(gq, gu, out=gu)
-            box_clip_vjp(code, gu, out=gl)
+            box_clip_vjp(code, gu, out=gl, keep=keep)
             gq, gu = gu, gq
             glam += gl
             grad_adjoint(gq, out=gxbar)
@@ -349,7 +349,7 @@ class _Pd3o:
         gp = np.array(g, dtype=self.image.dtype)
         gw, gxbar, ggh = np.empty_like(gp), np.zeros_like(gp), np.zeros_like(gp)
         gq, gu, gl = np.zeros_like(self.q), np.empty_like(self.q), np.empty_like(self.lam)
-        glam = np.zeros_like(self.lam)
+        glam, keep = np.zeros_like(self.lam), np.empty(self.q.shape, dtype=np.int64)
         for code, pos, curv in reversed(self.trail):
             # gw = gp' masked to the positive set, gp' = gp + 2 gxbar + the
             # curvature term of gh' on ggh' = ggh - tau gxbar (built in gp)
@@ -366,7 +366,7 @@ class _Pd3o:
             grad(gw, out=gu)
             gu *= tau
             np.subtract(gq, gu, out=gu)
-            box_clip_vjp(code, gu, out=gl)
+            box_clip_vjp(code, gu, out=gl, keep=keep)
             gq, gu = gu, gq
             glam += gl
             grad_adjoint(gq, out=gxbar)

@@ -7,12 +7,15 @@ reference at the end: the elementwise nodes the tests build scalar losses
 from (``mul``, ``reduce_sum``), the solver primitives as tape nodes, the
 unrolled solvers recorded node by node from them (the reference for the
 solvers' hand-written reverse sweeps), and the finite-difference check of
-taped gradients.
+taped gradients.  ``radon_matrix_summed`` keeps the Radon system matrix's
+earlier assembly, one full-size block per angle summed pairwise, as the
+reference for the stacked one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from tvmap import autodiff as ad
 from tvmap.autodiff import Tape, Var, _needs, _same_tape
@@ -22,6 +25,53 @@ from tvmap.tensors import grad as grad_field_fn
 from tvmap.tensors import grad_adjoint as grad_adjoint_fn
 from tvmap.tensors import grad_norm_exact
 from tvmap.training import weight_field_taped
+
+
+def radon_matrix_summed(op) -> sparse.csr_matrix:
+    """The system matrix of :class:`tvmap.operators.RadonOp` ``op`` as it was
+    first assembled: one COO block of the full matrix shape per angle, summed
+    with ``sum(blocks)`` (time quadratic in the angle count)."""
+    n, h = op.n, op.pixel
+    step = h / 2.0
+    n_samples = int(np.ceil(op.diag / step))
+    u = -op.diag / 2.0 + (np.arange(n_samples) + 0.5) * step
+    t = -op.diag / 2.0 + (np.arange(op.n_bins) + 0.5) * op.bin_spacing
+    blocks = []
+    for j, theta in enumerate(op.angles):
+        c, s = np.cos(theta), np.sin(theta)
+        # sample coordinates for all (bin, sample) pairs of this angle
+        px = t[:, None] * c - u[None, :] * s
+        py = t[:, None] * s + u[None, :] * c
+        fx = (px + op.side / 2.0) / h - 0.5
+        fy = (py + op.side / 2.0) / h - 0.5
+        ix = np.floor(fx).astype(np.int64)
+        iy = np.floor(fy).astype(np.int64)
+        wx = fx - ix
+        wy = fy - iy
+        rows = np.broadcast_to(
+            (j * op.n_bins + np.arange(op.n_bins))[:, None], fx.shape
+        )
+        data, rr, cc = [], [], []
+        for dx, dy, w in (
+            (0, 0, (1 - wx) * (1 - wy)),
+            (1, 0, wx * (1 - wy)),
+            (0, 1, (1 - wx) * wy),
+            (1, 1, wx * wy),
+        ):
+            gx, gy = ix + dx, iy + dy
+            ok = (gx >= 0) & (gx < n) & (gy >= 0) & (gy < n) & (w > 0)
+            data.append((w[ok] * step).ravel())
+            rr.append(rows[ok].ravel())
+            cc.append((gx[ok] * n + gy[ok]).ravel())
+        blocks.append(
+            sparse.coo_matrix(
+                (np.concatenate(data), (np.concatenate(rr), np.concatenate(cc))),
+                shape=(op.angles.size * op.n_bins, n * n),
+            )
+        )
+    mat = sparse.csr_matrix(sum(blocks))
+    mat.sum_duplicates()
+    return mat
 
 
 def _difference_rows(shape):

@@ -117,6 +117,16 @@ def test_gridsearch_cli(tmp_path, capsys):
     assert len(scores.splitlines()) == 4
 
 
+@pytest.mark.parametrize("mode_flag", [["--mode", "xyt"], []])  # the config's mode is xyt
+def test_gridsearch_rejects_grid_t_in_mode_xyt(tmp_path, capsys, mode_flag):
+    _, path = tiny_config(tmp_path, mode="xyt")
+    code = main(["gridsearch", "--config", str(path), *mode_flag,
+                 "--grid", "0.1,0.2", "--grid-t", "0.5", "--T", "2"])
+    assert code == 2
+    assert "--grid-t" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_eval_pipeline(tmp_path):
     cfg, path = tiny_config(tmp_path)
     assert main(["train", "--config", str(path)]) == 0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvmap.cli import main
 from tvmap.fileio import format_float, read_tensor, write_csv, write_pgm_frames, write_tensor
 
 
@@ -82,6 +83,40 @@ def test_nonfinite_rejected(tmp_path):
         fh.write(arr.tobytes())
     with pytest.raises(ValueError):
         read_tensor(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=3),
+    cplx=st.booleans(),
+    cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    extra=st.binary(min_size=1, max_size=24),
+    extend=st.booleans(),
+)
+def test_truncated_or_extended_file_rejected(tmp_path_factory, shape, cplx, cut, extra,
+                                             extend):
+    # any strict prefix of a valid file (header or payload cut short) and any
+    # valid file with bytes after its payload: ValueError naming the file
+    arr = np.arange(float(np.prod(shape))).reshape(shape) * (1 + 1j if cplx else 1)
+    path = tmp_path_factory.mktemp("t") / "bad.tnsr"
+    write_tensor(path, arr)
+    raw = path.read_bytes()
+    path.write_bytes(raw + extra if extend else raw[: int(cut * len(raw))])
+    with pytest.raises(ValueError, match="bad.tnsr"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("case, raw", [
+    ("header", b"TNSR\x01"),
+    ("dims", b"TNSR\x01\x00\x02" + b"\x03\x00\x00\x00"),
+    ("payload", b"TNSR\x01\x00\x01" + b"\x02\x00\x00\x00" + bytes(8)),
+    ("trailing", b"TNSR\x01\x00\x01" + b"\x01\x00\x00\x00" + bytes(9)),
+])
+def test_malformed_tensor_exits_2_naming_file(tmp_path, capsys, case, raw):
+    path = tmp_path / f"{case}.tnsr"
+    path.write_bytes(raw)
+    assert main(["preview", str(path)]) == 2
+    assert f"{case}.tnsr" in capsys.readouterr().err
 
 
 def test_pgm_frames(tmp_path, rng):

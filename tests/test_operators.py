@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from tvmap.operators import (
     synth_coil_maps,
 )
 from tvmap.metrics import nrmse
+
+from oracles import radon_matrix_summed
 
 
 class DiagOp(LinearOperator):
@@ -199,6 +203,31 @@ def test_radon_disk_profiles_match_under_grid_symmetry():
     sino = op.forward(disk)
     dev = np.max(np.abs(sino[0] - sino[1]))
     assert dev <= 1e-6 * max(np.max(np.abs(sino)), 1e-300)
+
+
+def _csr_arrays(m):
+    return [(a.dtype.str, a.tobytes()) for a in (m.data, m.indices, m.indptr)] + [m.shape]
+
+
+@pytest.mark.parametrize("n, n_angles, n_bins", [(9, 7, 9), (12, 10, 17), (16, 2, 23)])
+def test_radon_matrix_matches_summed_assembly(n, n_angles, n_bins):
+    # odd n, bins != n, and two angles; byte equality of both stored matrices
+    op = RadonOp(n, equispaced_angles(n_angles), n_bins)
+    want = radon_matrix_summed(op)
+    assert _csr_arrays(op._matrix) == _csr_arrays(want)
+    assert _csr_arrays(op._matrix_t) == _csr_arrays(want.T.tocsr())
+
+
+def test_radon_assembly_peak_memory_near_held_matrices():
+    tracemalloc.start()
+    try:
+        op = RadonOp(32, equispaced_angles(45), 47)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for m in (op._matrix, op._matrix_t)
+               for a in (m.data, m.indices, m.indptr))
+    assert peak <= 1.5 * held
 
 
 def test_fbp_zero_sinogram():

@@ -225,6 +225,45 @@ def test_box_clip_vjp_out_matches_allocating_form(rng, shape, dtype):
     assert _same_bytes(g, want_in) and _same_bytes(lam_buf, want_lam)
 
 
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, 1.0, -1.0,
+            np.array([0x7FF8_0000_0000_0123]).view(np.float64)[0]]  # NaN, payload 0x123
+
+
+def _with_specials(rng, shape):
+    """Standard-normal draws with :data:`SPECIALS` in the first and in the
+    last entries."""
+    x = rng.standard_normal(shape)
+    x.flat[: len(SPECIALS)] = SPECIALS
+    x.flat[-len(SPECIALS):] = SPECIALS
+    return x
+
+
+def test_clip_code_matches_casting_subtract(rng):
+    u = _with_specials(rng, (3, 3, 6, 5))
+    lam = np.ones(u.shape)  # the specials +-1 sit on the boundary
+    want = np.subtract(u > lam, u < -lam, dtype=np.int8)
+    assert _same_bytes(box_clip_code(u, lam), want)
+
+
+@pytest.mark.parametrize("given_keep", [False, True])
+def test_box_clip_vjp_masking_keeps_every_bit(rng, given_keep):
+    # inside the box (the first specials) g passes bit for bit; outside it
+    # (the last ones) it becomes +0.0, as a masked copyto writes it
+    shape = (3, 3, 6, 5)
+    code = rng.integers(-1, 2, size=shape).astype(np.int8)
+    code.flat[: len(SPECIALS)] = 0
+    code.flat[-len(SPECIALS):] = [1, -1] * 3 + [1]
+    g = _with_specials(rng, shape)
+    want = g.copy()
+    np.copyto(want, 0.0, where=code != 0)
+    keep = np.full(shape, 0x5A5A, dtype=np.int64) if given_keep else None
+    with np.errstate(invalid="ignore"):  # the bound gradient meets 0 * inf
+        g_in, _ = box_clip_vjp(code, g, out=np.empty(shape), keep=keep)
+    assert g_in is g and _same_bytes(g, want)
+    assert np.signbit(g.flat[1]) and np.isnan(g.flat[len(SPECIALS) - 1])
+    assert not np.signbit(g.flat[-len(SPECIALS):]).any()
+
+
 @pytest.mark.parametrize("shape, dtype", OUT_CASES)
 def test_l2_conjugate_prox_out_matches_allocating_form(rng, shape, dtype):
     p, ax, z = (_draw(rng, shape, dtype) for _ in range(3))
