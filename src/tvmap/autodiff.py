@@ -1,16 +1,17 @@
 """Tape-based reverse-mode differentiation for the parameter-map network.
 
 The engine records only the primitives the network and the training loss
-are built from: ``add`` and ``scale``, the activations, ``mse``, the
-real/imaginary split, channel concatenation and the convolution, pooling
-and upsampling layers (the tests keep further elementwise nodes in
-``tests/oracles.py``).  Every recorded node stores its forward value and a
-vector-Jacobian closure; ``Tape.backward`` walks the nodes in strict reverse
-creation order, so gradient accumulation is deterministic.  Two nodes are
-recorded by training instead: the expansion of the network's channels into
-the weight field (:func:`tvmap.tensors.expand_map` and its adjoint), and
-the ``T`` unrolled iterations as one node whose VJP is the iteration's
-hand-written reverse sweep (see :func:`tvmap.training.reconstruct_taped`).
+are built from: ``scale``, the activations, ``mse``, channel concatenation
+and the convolution, pooling and upsampling layers (the tests keep further
+elementwise nodes in ``tests/oracles.py``).  Every recorded node stores its
+forward value and a vector-Jacobian closure; ``Tape.backward`` walks the
+nodes in strict reverse creation order, so gradient accumulation is
+deterministic.  Two nodes are recorded by training instead: the expansion
+of the network's channels into the weight field
+(:func:`tvmap.tensors.expand_map` and its adjoint), and the ``T`` unrolled
+iterations as one node whose VJP is the iteration's hand-written reverse
+sweep (see :func:`tvmap.training.reconstruct_taped`).  The network's input
+channels are one constant node, since nothing differentiates the image.
 
 Complex values are treated as pairs of reals: the gradient ``g`` of a scalar
 loss with respect to a complex array ``v`` is the complex array with
@@ -18,10 +19,12 @@ loss with respect to a complex array ``v`` is the complex array with
 separately.
 
 One training item of an 8x32x32 denoising problem with the two-stage,
-8-filter network and ``T = 64`` records 39 nodes holding 8.0 MiB
-(``Tape.nbytes``); the solve node's closure holds a further 1.5 MiB trail
-(24 KiB per iteration) that ``nbytes`` does not count.  The traced peak of
-the whole item, forward and backward, is 19.5 MiB.
+8-filter network and ``T = 64`` records 37 nodes holding 7.96 MiB
+(``Tape.nbytes``): the 14 weight leaves, the input, 18 network nodes, the
+expansion, the solve, the target and the MSE.  The solve node's closure
+holds a further 1.5 MiB trail (24 KiB per iteration) that ``nbytes`` does
+not count.  The traced peak of the whole item, forward and backward, is
+19.2 MiB.
 """
 
 from __future__ import annotations
@@ -135,13 +138,6 @@ def _needs(*vars_) -> bool:
     return any(v.requires_grad for v in vars_)
 
 
-def add(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    return tape._emit(
-        a.value + b.value, (a.idx, b.idx), lambda u: (u, u), _needs(a, b)
-    )
-
-
 def scale(a: Var, c: float) -> Var:
     c = float(c)
     return a.tape._emit(c * a.value, (a.idx,), lambda u: (c * u,), a.requires_grad)
@@ -179,15 +175,6 @@ def mse(a: Var, b: Var) -> Var:
         return g, -g
 
     return tape._emit(value, (a.idx, b.idx), vjp, _needs(a, b))
-
-
-def split_reim(x: Var) -> Var:
-    """Complex image (nt, nx, ny) to a real 2-channel stack."""
-    xv = x.value
-    value = np.stack([xv.real, xv.imag])
-    return x.tape._emit(
-        value, (x.idx,), lambda u: (u[0] + 1j * u[1],), x.requires_grad
-    )
 
 
 def concat_channels(a: Var, b: Var) -> Var:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import GradOp, LinearOperator, identity_op
+from .operators import LinearOperator, identity_op
 from .solvers import Problem, StepParams, pdhg_solve, pdhg_step_params, reference_solve
-from .tensors import constant_map, grad, ndirs
+from .tensors import constant_map, grad, grad_norm_exact, ndirs
 
 
 def dense_matrix(apply_fn, in_shape, out_size: int) -> np.ndarray:
@@ -153,7 +153,7 @@ def lipschitz_probe(
     lam_min_ata = float(np.linalg.eigvalsh(a_mat.T @ a_mat)[0])
     if lam_min_ata <= 0:
         raise ValueError("A^T A is singular; the bound needs injective A")
-    grad_norm = GradOp(shape).norm()
+    grad_norm = grad_norm_exact(shape)
     diff = float(np.linalg.norm((np.asarray(lam1) - np.asarray(lam2)).ravel()))
     rhs = 2.0 * grad_norm / (lam_min_ata * 1.0) * diff
     if lhs > rhs + 1e-12:

@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint over iteration budgets")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--t-test", required=True, help="comma-separated iteration counts")
+    p.add_argument("--t-test", help="comma-separated iteration counts "
+                   "(default: the config's t_test)")
 
     p = sub.add_parser("certify", help="run the solver theory certificates")
     p.add_argument("--rate", action="store_true")
@@ -115,7 +116,8 @@ def run(argv=None) -> int:
         print(f"checkpoint at {ckpt}")
     elif args.command == "eval":
         cfg = ExperimentConfig.load(args.config)
-        out = ex.cmd_eval(cfg, args.checkpoint, _ints(args.t_test))
+        t_list = _ints(args.t_test) if args.t_test is not None else None
+        out = ex.cmd_eval(cfg, args.checkpoint, t_list)
         print(f"metrics in {out}")
     elif args.command == "certify":
         if not (args.rate or args.lipschitz):

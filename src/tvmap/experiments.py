@@ -41,7 +41,7 @@ from .phantoms import add_gaussian, ct_poisson_log, ellipse_ct, moving_disks
 from .prox import KlParams
 from .qmri import InversionSeries, concentric_region_labels, fit_t1, synth_qmri_series
 from .solvers import Problem, grid_candidates, grid_search_scalar, solve_problem
-from .tensors import SharingMode
+from .tensors import SharingMode, ndirs
 from .training import TrainConfig, evaluate, train
 
 SPLIT_OFFSETS = {"train": 0, "val": 100000, "test": 200000}
@@ -176,6 +176,13 @@ def cmd_solve(
     prob = _build_item(cfg, "test", item)
     if map_path is not None:
         lam_field = fileio.read_tensor(map_path)
+        shape = prob.init_image().shape
+        want = (ndirs(shape),) + shape
+        if lam_field.shape != want:
+            raise ValueError(f"{map_path}: weight field shape {lam_field.shape}, "
+                             f"test item {item} needs {want}")
+        if np.iscomplexobj(lam_field) or not np.all(np.isfinite(lam_field) & (lam_field > 0)):
+            raise ValueError(f"{map_path}: weight field must be real, finite and strictly positive")
     elif lam is not None:
         lam_field = float(lam)
     else:
@@ -293,12 +300,34 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
     return out / "checkpoint"
 
 
-def cmd_eval(cfg: ExperimentConfig, ckpt_dir, t_list: list[int]) -> Path:
-    """Evaluate a checkpoint on the test split for each iteration budget."""
+def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, mode: SharingMode,
+                           cfg: ExperimentConfig, image: np.ndarray) -> None:
+    """Raise, naming the checkpoint, if its network or sharing mode does not
+    fit the config's test images."""
+    want = net_config(cfg)
+    for name in ("rank", "in_channels", "out_channels"):
+        have, need = getattr(net_cfg, name), getattr(want, name)
+        if have != need:
+            raise ValueError(f"checkpoint {ckpt_dir}: {name} = {have}, "
+                             f"the {cfg.task} config needs {need}")
+    if mode.channels > 1 and image.shape[0] == 1:
+        raise ValueError(f"checkpoint {ckpt_dir}: mode {mode.value} needs a dynamic "
+                         f"image, the {cfg.task} config's test images have nt = 1")
+    div = net_cfg.pool_divisor()
+    if any(s % div for s in (image.shape[1:] if net_cfg.rank == 2 else image.shape)):
+        raise ValueError(f"checkpoint {ckpt_dir}: stages = {net_cfg.stages} needs image "
+                         f"sizes divisible by {div}, the test images are {image.shape}")
+
+
+def cmd_eval(cfg: ExperimentConfig, ckpt_dir, t_list: list[int] | None = None) -> Path:
+    """Evaluate a checkpoint on the test split for each iteration budget
+    (default: the config's ``t_test``)."""
+    t_list = [cfg.t_test] if t_list is None else t_list
     weights, net_cfg, mode = load_checkpoint(ckpt_dir)
     items = build_split(cfg, "test")
     if not items:
         raise ValueError("eval needs test items, the config has test_count = 0")
+    _check_checkpoint_fits(ckpt_dir, net_cfg, mode, cfg, items[0].init_image())
     out = Path(cfg.outdir) / "eval"
     out.mkdir(parents=True, exist_ok=True)
     rows = []

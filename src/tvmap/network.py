@@ -130,22 +130,14 @@ def _check_input(x0: np.ndarray, cfg: UNetConfig) -> None:
         )
 
 
-def net_forward_taped(tape: ad.Tape, x0_var: ad.Var, weight_vars, cfg: UNetConfig) -> ad.Var:
+def net_forward_taped(tape: ad.Tape, x0: np.ndarray, weight_vars, cfg: UNetConfig) -> ad.Var:
     """Record the network on ``tape``; returns the positive channel maps with
-    shape (out_channels, nt, nx, ny)."""
-    x0 = x0_var.value
+    shape (out_channels, nt, nx, ny).  The input channels, ``x0`` or its
+    (re, im) parts, with the time axis dropped for a rank-2 network, are
+    recorded as one constant: nothing differentiates the image."""
     _check_input(x0, cfg)
-    if np.iscomplexobj(x0):
-        h = ad.split_reim(x0_var)
-    else:
-        h = tape._emit(
-            x0_var.value[None], (x0_var.idx,), lambda u: (u[0],), x0_var.requires_grad
-        )
-    if cfg.rank == 2:
-        # drop the singleton time axis for 2-d convolutions
-        h = tape._emit(
-            h.value[:, 0], (h.idx,), lambda u: (u[:, None],), h.requires_grad
-        )
+    chans = np.stack([x0.real, x0.imag]) if np.iscomplexobj(x0) else x0[None]
+    h = tape.constant(chans[:, 0] if cfg.rank == 2 else chans)
 
     layer = 0
 
@@ -159,17 +151,16 @@ def net_forward_taped(tape: ad.Tape, x0_var: ad.Var, weight_vars, cfg: UNetConfi
         return out
 
     skips = []
-    h_cur = h
     for s in range(cfg.stages):
-        h_cur = conv_block(h_cur, cfg.convs_per_stage)
+        h = conv_block(h, cfg.convs_per_stage)
         if s < cfg.stages - 1:
-            skips.append(h_cur)
-            h_cur = ad.avg_pool2(h_cur)
+            skips.append(h)
+            h = ad.avg_pool2(h)
     for s in range(cfg.stages - 2, -1, -1):
-        h_cur = ad.concat_channels(ad.upsample_nearest2(h_cur), skips[s])
-        h_cur = conv_block(h_cur, cfg.convs_per_stage)
+        h = ad.concat_channels(ad.upsample_nearest2(h), skips[s])
+        h = conv_block(h, cfg.convs_per_stage)
     kw, bw = weight_vars[layer]
-    head = ad.conv(h_cur, kw, bw)
+    head = ad.conv(h, kw, bw)
     out = ad.scale(ad.softplus(head), cfg.scale)
     if cfg.rank == 2:
         out = tape._emit(
@@ -188,6 +179,5 @@ def weight_leaves(tape: ad.Tape, weights: NetWeights, requires_grad: bool = True
 def net_forward(x0: np.ndarray, weights: NetWeights, cfg: UNetConfig) -> np.ndarray:
     """Plain evaluation of the channel maps (throwaway tape)."""
     tape = ad.Tape()
-    x0_var = tape.leaf(np.ascontiguousarray(x0), requires_grad=False)
     wv = weight_leaves(tape, weights, requires_grad=False)
-    return net_forward_taped(tape, x0_var, wv, cfg).value
+    return net_forward_taped(tape, x0, wv, cfg).value

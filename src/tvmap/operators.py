@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConvergenceError
-from .tensors import COMPLEX, REAL, grad, grad_adjoint, ndirs
+from .tensors import COMPLEX, REAL
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -61,19 +61,6 @@ class IdentityOp(LinearOperator):
 
 def identity_op(shape) -> IdentityOp:
     return IdentityOp(shape)
-
-
-class GradOp(LinearOperator):
-    """The difference stack as an operator, mostly for norm estimation."""
-
-    def __init__(self, shape):
-        super().__init__(shape, (ndirs(tuple(shape)),) + tuple(shape))
-
-    def forward(self, x):
-        return grad(x)
-
-    def adjoint(self, g):
-        return grad_adjoint(g)
 
 
 class MriEncoder(LinearOperator):

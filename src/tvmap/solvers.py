@@ -126,19 +126,10 @@ class SolveReport:
 
 
 def stacked_norm_bound(A: LinearOperator) -> float:
-    """Certified upper bound on |[A; grad]|: the estimated |A| (cushioned)
-    and the exact gradient norm combine as sqrt(|A|^2 + |grad|^2).  Cached on
-    the operator instance; for A = I the bound is tight."""
-    cached = getattr(A, "_stacked_norm_bound", None)
-    if cached is None:
-        cached = float(
-            np.sqrt(
-                (A.norm() * NORM_CUSHION) ** 2
-                + grad_norm_exact(A.domain_shape) ** 2
-            )
-        )
-        A._stacked_norm_bound = cached
-    return cached
+    """Certified upper bound on |[A; grad]|: the estimated |A| (cushioned,
+    cached by the operator) and the exact gradient norm combine as
+    sqrt(|A|^2 + |grad|^2).  For A = I the bound is tight."""
+    return float(np.sqrt((A.norm() * NORM_CUSHION) ** 2 + grad_norm_exact(A.domain_shape) ** 2))
 
 
 def pdhg_step_params(A: LinearOperator) -> StepParams:
@@ -238,7 +229,8 @@ class _Pdhg:
         gx_new, gxbar = np.empty_like(gx), np.zeros_like(gx)
         gp, gp_step = np.zeros_like(self.p), np.empty_like(self.p)
         gq, gu, gl = np.zeros_like(self.q), np.empty_like(self.q), np.empty_like(self.lam)
-        glam, keep = np.zeros_like(self.lam), np.empty(self.q.shape, dtype=np.int64)
+        pairs = (2,) if np.iscomplexobj(self.q) else ()  # complex codes hold (re, im) pairs
+        glam, keep = np.zeros_like(self.lam), np.empty(self.q.shape + pairs, dtype=np.int64)
         for code in reversed(self.trail):
             np.multiply(gxbar, 2.0, out=gx_new)
             gx_new += gx

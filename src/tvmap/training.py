@@ -8,9 +8,14 @@ the whole unrolled solve as a single node, whose VJP is the iteration's
 hand-written reverse sweep (:meth:`tvmap.solvers._Pdhg.reverse`).
 
 The training objective is the mean squared error of the ``T``-step
-reconstruction: :func:`loss_taped` records it for gradients and
-:func:`loss_value` evaluates it for validation.  Weight decay is not part of
-it; :func:`adam_step` applies it decoupled from the gradient.
+reconstruction.  :func:`loss_taped` records one item's on its own tape: the
+weight leaves, the input channels as one constant, the network, the
+expansion and solve nodes, the target and the MSE, 37 nodes for the
+two-stage network with two convolutions per stage (38 for CT, whose rank-2
+network adds the time axis back).  :func:`batch_gradient` averages the
+items' leaf gradients, and :func:`loss_value` evaluates the objective for
+validation.  Weight decay is not part of it; :func:`adam_step` applies it
+decoupled from the gradient.
 
 The items of a batch, of a validation pass and of an evaluation are mapped
 over processes with :func:`tvmap.parallel.pmap` and combined in item order,
@@ -98,15 +103,12 @@ def reconstruct(
 
 def weight_field_taped(
     tape: ad.Tape, x0: np.ndarray, weight_vars, net_cfg: UNetConfig, mode: SharingMode
-) -> tuple[ad.Var, ad.Var]:
+) -> ad.Var:
     """Record :func:`estimate_weight_field` on ``tape``, before its check:
-    the network node by node and the channel expansion as one node.
-    Returns the constant ``x0`` node and the weight-field node."""
-    x0_var = tape.constant(np.ascontiguousarray(x0))
-    chans = net_forward_taped(tape, x0_var, weight_vars, net_cfg)
-    lam = tape._emit(expand_map(chans.value, mode), (chans.idx,),
-                     lambda u: (expand_map_adjoint(u, mode),), chans.requires_grad)
-    return x0_var, lam
+    the network node by node and the channel expansion as one node."""
+    chans = net_forward_taped(tape, x0, weight_vars, net_cfg)
+    return tape._emit(expand_map(chans.value, mode), (chans.idx,),
+                      lambda u: (expand_map_adjoint(u, mode),), chans.requires_grad)
 
 
 def reconstruct_taped(
@@ -123,7 +125,7 @@ def reconstruct_taped(
     """Differentiable twin of :func:`reconstruct` on an explicit tape: the
     network is recorded node by node, the ``T`` solver iterations as one
     node whose VJP walks the iteration's trail backwards."""
-    _, lam = weight_field_taped(tape, x0, weight_vars, net_cfg, mode)
+    lam = weight_field_taped(tape, x0, weight_vars, net_cfg, mode)
     it = unroll(A, z, _checked_field(lam.value), x0, T, kl, trail=[])
     # one node for the whole solve; its VJP is the iteration's reverse sweep
     return tape._emit(it.image, (lam.idx,), lambda u: (it.reverse(u),), lam.requires_grad)
@@ -131,26 +133,18 @@ def reconstruct_taped(
 
 def loss_taped(
     tape: ad.Tape,
-    batch: list[Problem],
+    prob: Problem,
     weight_vars,
     net_cfg: UNetConfig,
     cfg: TrainConfig,
     T: int | None = None,
 ) -> ad.Var:
-    """Mean reconstruction MSE over the batch, recorded on one tape (the
+    """Reconstruction MSE of one item, recorded on ``tape`` (the
     differentiable training objective)."""
-    if not batch:
-        raise ValueError("empty batch")
     T = cfg.t_train if T is None else T
-    total = None
-    for prob in batch:
-        x0 = prob.init_image()
-        rec = reconstruct_taped(
-            tape, x0, prob.z, prob.A, weight_vars, net_cfg, cfg.mode, T, kl=prob.kl
-        )
-        item = ad.mse(rec, tape.constant(prob.x_true))
-        total = item if total is None else ad.add(total, item)
-    return ad.scale(total, 1.0 / len(batch))
+    rec = reconstruct_taped(tape, prob.init_image(), prob.z, prob.A, weight_vars, net_cfg,
+                            cfg.mode, T, kl=prob.kl)
+    return ad.mse(rec, tape.constant(prob.x_true))
 
 
 def loss_value(
@@ -188,15 +182,10 @@ def batch_gradient(
     def item_gradient(prob: Problem) -> tuple[float, np.ndarray]:
         tape = ad.Tape()
         wv = weight_leaves(tape, weights)
-        item = loss_taped(tape, [prob], wv, net_cfg, cfg)
+        item = loss_taped(tape, prob, wv, net_cfg, cfg)
         grads = tape.backward(item)
-        parts = []
-        for kw, bw in wv:
-            gk = grads.get(kw.idx)
-            gb = grads.get(bw.idx)
-            parts.append((gk if gk is not None else np.zeros_like(kw.value)).ravel())
-            parts.append((gb if gb is not None else np.zeros_like(bw.value)).ravel())
-        return float(item.value), np.concatenate(parts)
+        flat = np.concatenate([grads[v.idx].ravel() for pair in wv for v in pair])
+        return float(item.value), flat
 
     per_item = pmap(item_gradient, batch)
     grad_flat = np.zeros(weights.flat().size)

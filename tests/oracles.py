@@ -4,10 +4,11 @@ Everything here is deliberately written from first principles (hand-built
 difference stencils, exhaustive/coordinate minimization) and does not reuse
 the library's solver or gradient code paths.  The exception is the taped
 reference at the end: the elementwise nodes the tests build scalar losses
-from (``mul``, ``reduce_sum``), the solver primitives as tape nodes, the
+from (``add``, ``mul``, ``reduce_sum``), the solver primitives as tape nodes, the
 unrolled solvers recorded node by node from them (the reference for the
 solvers' hand-written reverse sweeps), and the finite-difference check of
-taped gradients.  ``radon_matrix_summed`` keeps the Radon system matrix's
+taped gradients.  ``GradOp`` wraps the difference stack as an operator for
+the operator tests.  ``radon_matrix_summed`` keeps the Radon system matrix's
 earlier assembly, one full-size block per angle summed pairwise, as the
 reference for the stacked one.
 """
@@ -19,12 +20,28 @@ from scipy import sparse
 
 from tvmap import autodiff as ad
 from tvmap.autodiff import Tape, Var, _needs, _same_tape
+from tvmap.operators import LinearOperator
 from tvmap.prox import EXP_CLAMP
 from tvmap.solvers import pd3o_step_params, pdhg_step_params
 from tvmap.tensors import grad as grad_field_fn
 from tvmap.tensors import grad_adjoint as grad_adjoint_fn
-from tvmap.tensors import grad_norm_exact
+from tvmap.tensors import grad_norm_exact, ndirs
 from tvmap.training import weight_field_taped
+
+
+class GradOp(LinearOperator):
+    """The difference stack as an operator: a sample operator for the adjoint
+    and power-iteration tests (the solvers use the exact norm,
+    :func:`tvmap.tensors.grad_norm_exact`)."""
+
+    def __init__(self, shape):
+        super().__init__(shape, (ndirs(tuple(shape)),) + tuple(shape))
+
+    def forward(self, x):
+        return grad_field_fn(x)
+
+    def adjoint(self, g):
+        return grad_adjoint_fn(g)
 
 
 def radon_matrix_summed(op) -> sparse.csr_matrix:
@@ -174,6 +191,13 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         g[idx] = (f(xp) - f(xm)) / (2 * eps)
         it.iternext()
     return g
+
+
+def add(a: Var, b: Var) -> Var:
+    tape = _same_tape(a, b)
+    return tape._emit(
+        a.value + b.value, (a.idx, b.idx), lambda u: (u, u), _needs(a, b)
+    )
 
 
 def mul(a: Var, b: Var) -> Var:
@@ -384,7 +408,8 @@ def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, k
     """``training.reconstruct_taped`` with every solver iteration recorded
     node by node on the tape; the network and the channel expansion are
     training's own (:func:`tvmap.training.weight_field_taped`)."""
-    x0_var, lam = weight_field_taped(tape, x0, weight_vars, net_cfg, mode)
+    x0_var = tape.constant(x0)
+    lam = weight_field_taped(tape, x0, weight_vars, net_cfg, mode)
     if kl is not None:
         return _taped_pd3o(tape, x0_var, z, A, lam, kl, T)
     return _taped_pdhg(tape, x0_var, z, A, lam, T)

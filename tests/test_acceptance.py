@@ -19,7 +19,6 @@ from tvmap.experiments import build_split, net_config
 from tvmap.metrics import psnr
 from tvmap.network import UNetConfig, init_weights, weight_leaves, zero_weights
 from tvmap.operators import (
-    GradOp,
     MriEncoder,
     RadonOp,
     equispaced_angles,
@@ -220,7 +219,7 @@ def test_criterion_05_gradient_check():
 
         def build(tape, leaves):
             wv = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(len(leaves) // 2)]
-            return loss_taped(tape, [prob], wv, ncfg, tcfg)
+            return loss_taped(tape, prob, wv, ncfg, tcfg)
 
         worst = max(worst, finite_diff_check(build, arrays, trials=6, seed=seed))
         coords += 6

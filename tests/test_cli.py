@@ -97,6 +97,21 @@ def test_eval_rejects_empty_test_split(tmp_path, capsys):
     assert not (tmp_path / "run" / "eval").exists()
 
 
+@pytest.mark.parametrize("field, words", [
+    (np.full((2, 4, 8, 8), 0.1), "needs (3, 4, 8, 8)"),  # a static image's field
+    (np.zeros((3, 4, 8, 8)), "strictly positive"),
+    (np.full((3, 4, 8, 8), np.nan), "finite"),
+])
+def test_solve_rejects_map_naming_the_file(tmp_path, capsys, field, words):
+    _, path = tiny_config(tmp_path)
+    map_path = tmp_path / "lam.tnsr"
+    write_tensor(map_path, field)
+    assert main(["solve", "--config", str(path), "--map", str(map_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(map_path) in err and words in err
+    assert not (tmp_path / "run" / "solve").exists()
+
+
 def test_solve_rejects_conflicting_flags(tmp_path):
     cfg, path = tiny_config(tmp_path)
     lam_path = tmp_path / "lam.tnsr"
@@ -139,6 +154,38 @@ def test_train_eval_pipeline(tmp_path):
     metrics = (tmp_path / "run" / "eval" / "metrics.csv").read_text().splitlines()
     assert metrics[0] == "t_test,item,psnr,nrmse,ssim"
     assert len(metrics) == 1 + 2 * cfg.test_count
+
+
+def test_eval_t_test_defaults_to_config(tmp_path):
+    cfg, path = tiny_config(tmp_path, epochs=1)  # t_test = 8
+    assert main(["train", "--config", str(path)]) == 0
+    ckpt = str(tmp_path / "run" / "checkpoint")
+    metrics = tmp_path / "run" / "eval" / "metrics.csv"
+    assert main(["eval", "--config", str(path), "--checkpoint", ckpt]) == 0
+    default = metrics.read_bytes()
+    rows = default.decode().splitlines()[1:]
+    assert len(rows) == cfg.test_count and all(r.startswith("8.0,") for r in rows)
+    assert main(["eval", "--config", str(path), "--checkpoint", ckpt, "--t-test", "8"]) == 0
+    assert metrics.read_bytes() == default
+
+
+@pytest.mark.parametrize("overrides, words", [
+    (dict(task="mri", coils=2, accel=2.0), "in_channels = 1, the mri config needs 2"),
+    (dict(task="ct"), "rank = 3, the ct config needs 2"),
+    (dict(nt=1), "mode xy_t needs a dynamic image"),
+    (dict(nt=3), "stages = 2 needs image sizes divisible by 2"),
+])
+def test_eval_rejects_checkpoint_for_other_config(tmp_path, capsys, overrides, words):
+    _, path = tiny_config(tmp_path, epochs=1)  # denoise, 4 frames, mode xy_t
+    assert main(["train", "--config", str(path)]) == 0
+    ckpt = str(tmp_path / "run" / "checkpoint")
+    other = tmp_path / "other"
+    other.mkdir()
+    _, other_path = tiny_config(other, **overrides)
+    assert main(["eval", "--config", str(other_path), "--checkpoint", ckpt]) == 2
+    err = capsys.readouterr().err
+    assert ckpt in err and words in err
+    assert not (other / "run" / "eval").exists()
 
 
 def _eval_edited_checkpoint(tmp_path, edit) -> int:

@@ -5,7 +5,6 @@ import pytest
 
 from tvmap.errors import ConvergenceError
 from tvmap.operators import (
-    GradOp,
     LinearOperator,
     MriEncoder,
     RadonOp,
@@ -19,7 +18,7 @@ from tvmap.operators import (
 )
 from tvmap.metrics import nrmse
 
-from oracles import radon_matrix_summed
+from oracles import GradOp, radon_matrix_summed
 
 
 class DiagOp(LinearOperator):

@@ -264,6 +264,27 @@ def test_box_clip_vjp_masking_keeps_every_bit(rng, given_keep):
     assert not np.signbit(g.flat[-len(SPECIALS):]).any()
 
 
+@pytest.mark.parametrize("given_out", [False, True])
+def test_complex_box_clip_vjp_keeps_every_bit(rng, given_out):
+    # each part of a complex gradient is masked on its own, as the (re, im)
+    # pairs of its float64 view: inside the box 1 + inf j and signed zeros
+    # pass bit for bit, outside it a part becomes +0.0
+    shape = (3, 3, 6, 5)
+    parts = _with_specials(rng, shape + (2,))
+    parts.flat[8:10] = [1.0, np.inf]
+    g = parts.view(np.complex128).reshape(shape)
+    code = rng.integers(-1, 2, size=shape + (2,)).astype(np.int8)
+    code.flat[:10] = 0
+    code.flat[-len(SPECIALS):] = [1, -1] * 3 + [1]
+    want = parts.copy()
+    np.copyto(want, 0.0, where=code != 0)
+    with np.errstate(invalid="ignore"):  # the bound gradient meets 0 * inf
+        g_in, _ = box_clip_vjp(code, g.copy(), out=np.empty(shape) if given_out else None)
+    assert _same_bytes(g_in.view(np.float64).reshape(want.shape), want)
+    assert g_in.flat[4].real == 1.0 and g_in.flat[4].imag == np.inf
+    assert np.signbit(g_in.flat[0].imag)
+
+
 @pytest.mark.parametrize("shape, dtype", OUT_CASES)
 def test_l2_conjugate_prox_out_matches_allocating_form(rng, shape, dtype):
     p, ax, z = (_draw(rng, shape, dtype) for _ in range(3))

@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import rof_denoise_oracle
+from oracles import GradOp, rof_denoise_oracle
 from tvmap.operators import (
-    GradOp,
     LinearOperator,
     MriEncoder,
     RadonOp,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,7 @@ def test_loss_taped_matches_loss_value(rng):
     tcfg = TrainConfig(t_train=6, mode=SharingMode.XY_T, weight_decay=1e-3)
     tape = ad.Tape()
     wv = weight_leaves(tape, w)
-    taped = loss_taped(tape, [prob], wv, cfg, tcfg)
+    taped = loss_taped(tape, prob, wv, cfg, tcfg)
     assert float(taped.value) == pytest.approx(loss_value([prob], w, cfg, tcfg), rel=1e-12)
 
 
@@ -154,7 +156,7 @@ def test_loss_gradient_matches_fd(rng):
 
     def build(tape, leaves):
         wv = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(len(leaves) // 2)]
-        return loss_taped(tape, [prob], wv, cfg, tcfg)
+        return loss_taped(tape, prob, wv, cfg, tcfg)
 
     err = finite_diff_check(build, arrays, trials=30, seed=0)
     assert err <= 1e-5
@@ -318,7 +320,7 @@ def test_mri_loss_gradient_matches_fd(rng):
 
     def build(tape, leaves):
         wv = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(len(leaves) // 2)]
-        return loss_taped(tape, [prob], wv, cfg, tcfg)
+        return loss_taped(tape, prob, wv, cfg, tcfg)
 
     # bottleneck kernels here have near-dead coordinates (|g| ~ 1e-9), below
     # what eps = 1e-6 differences resolve; the larger steps are exact enough
@@ -350,7 +352,7 @@ def test_ct_loss_gradient_matches_fd():
 
     def build(tape, leaves):
         wv = [(leaves[2 * i], leaves[2 * i + 1]) for i in range(len(leaves) // 2)]
-        return loss_taped(tape, [prob], wv, cfg, tcfg)
+        return loss_taped(tape, prob, wv, cfg, tcfg)
 
     # gradients this small sit below what eps = 1e-6 differences resolve
     err = finite_diff_check(build, arrays, trials=30, seed=0, eps=1e-5)
@@ -385,8 +387,8 @@ def test_reverse_sweep_matches_taped_reference(rng, case):
     codes = [entry[0] if prob.kl is not None else entry for entry in trail]
     assert any(np.any(c != 0) for c in codes)
     if case == "mri":
-        assert all(c.shape == (2,) + lam.shape for c in codes)
-        assert any(np.any(c[1] != 0) for c in codes)
+        assert all(c.shape == lam.shape + (2,) for c in codes)
+        assert any(np.any(c[..., 1] != 0) for c in codes)
     if case == "ct":
         assert any(not np.all(pos) for _, pos, _ in trail)
     ours, g_ours = _weight_gradients(reconstruct_taped, prob, cfg, w, mode, T)
@@ -395,6 +397,28 @@ def test_reverse_sweep_matches_taped_reference(rng, case):
     for a, b in zip(g_ours, g_ref):
         # entries near zero from cancellation are compared on the leaf's scale
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("case, n_nodes", [("xy_t", 37), ("mri", 37), ("ct", 38)])
+def test_item_tape_holds_input_once_and_ends_at_mse(rng, case, n_nodes):
+    prob, cfg, mode, _ = _sweep_case(case, rng)
+    cfg = replace(cfg, convs_per_stage=2)  # the benchmark network's 7 convolutions
+    tape = ad.Tape()
+    wv = weight_leaves(tape, init_weights(cfg, seed=1))
+    loss = loss_taped(tape, prob, wv, cfg, TrainConfig(t_train=2, mode=mode))
+    # the input channels: one constant right after the weights, read by the first conv
+    first = 2 * len(wv)
+    x0 = prob.init_image()
+    chans = np.stack([x0.real, x0.imag]) if np.iscomplexobj(x0) else x0[None]
+    node = tape.nodes[first]
+    assert node.parents == () and not node.requires_grad
+    assert np.array_equal(node.value, chans[:, 0] if cfg.rank == 2 else chans)
+    assert tape.nodes[first + 1].parents == (first, 0, 1)
+    # the only other constant is the target, and the MSE of the solve is last
+    last = len(tape.nodes) - 1
+    assert [i for i in range(first + 1, last + 1) if not tape.nodes[i].parents] == [last - 1]
+    assert loss.idx == last and tape.nodes[last].parents == (last - 2, last - 1)
+    assert len(tape.nodes) == n_nodes
 
 
 def test_taped_solve_is_one_node_and_trail_is_linear_in_T(rng):
