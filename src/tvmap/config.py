@@ -148,6 +148,9 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.task in ("ct",) and self.nt != 1:
             self.nt = 1
+        if self.task == "qmri" and self.ny != self.nx:
+            raise ValueError(f"task = qmri needs a square phantom, ny = nx; got nx = {self.nx}, "
+                             f"ny = {self.ny}")
         if self.mode not in ("xyt", "xy_t", "x_y_t"):
             raise ValueError(f"unknown sharing mode {self.mode!r}")
         for key in ("train_count", "val_count", "test_count"):
@@ -178,15 +181,9 @@ class ExperimentConfig:
             for sec_name, keys in self._SECTIONS.items()
         }
 
-    def to_text(self) -> str:
-        return render_sections(self.to_sections())
-
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_text(Path(path).read_text())
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
 
     def item_seed(self, purpose: int, index: int):
         return [int(self.seed), int(purpose), int(index)]

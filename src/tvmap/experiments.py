@@ -40,8 +40,8 @@ from .operators import (
 from .phantoms import add_gaussian, ct_poisson_log, ellipse_ct, moving_disks
 from .prox import KlParams
 from .qmri import InversionSeries, concentric_region_labels, fit_t1, synth_qmri_series
-from .solvers import Problem, grid_candidates, grid_search_scalar, solve_problem
-from .tensors import SharingMode, ndirs
+from .solvers import Problem, as_weight_field, grid_candidates, grid_search_scalar, solve_problem
+from .tensors import SharingMode
 from .training import TrainConfig, evaluate, train
 
 SPLIT_OFFSETS = {"train": 0, "val": 100000, "test": 200000}
@@ -176,13 +176,10 @@ def cmd_solve(
     prob = _build_item(cfg, "test", item)
     if map_path is not None:
         lam_field = fileio.read_tensor(map_path)
-        shape = prob.init_image().shape
-        want = (ndirs(shape),) + shape
-        if lam_field.shape != want:
-            raise ValueError(f"{map_path}: weight field shape {lam_field.shape}, "
-                             f"test item {item} needs {want}")
-        if np.iscomplexobj(lam_field) or not np.all(np.isfinite(lam_field) & (lam_field > 0)):
-            raise ValueError(f"{map_path}: weight field must be real, finite and strictly positive")
+        try:
+            lam_field = as_weight_field(lam_field, prob.init_image().shape)
+        except ValueError as exc:
+            raise ValueError(f"{map_path}: {exc}") from exc
     elif lam is not None:
         lam_field = float(lam)
     else:

@@ -108,11 +108,6 @@ def init_weights(cfg: UNetConfig, seed: int) -> NetWeights:
     return NetWeights(kernels, biases)
 
 
-def zero_weights(cfg: UNetConfig) -> NetWeights:
-    w = init_weights(cfg, seed=0)
-    return NetWeights([np.zeros_like(k) for k in w.kernels], [np.zeros_like(b) for b in w.biases])
-
-
 def _check_input(x0: np.ndarray, cfg: UNetConfig) -> None:
     if cfg.rank == 2:
         if x0.shape[0] != 1:

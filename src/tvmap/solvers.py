@@ -2,25 +2,26 @@
 scalar grid-search baselines.
 
 Each solver's iteration is written once, as the ``step`` of :class:`_Pdhg`
-and :class:`_Pd3o`; the fixed-``T`` solvers, :func:`reference_solve` and the
-training path only drive it.  Both solvers are bit-for-bit deterministic.
+and :class:`_Pd3o`, around the weighted-TV dual step both share
+(:class:`_PrimalDual`, reversed by :class:`_TvAdjoint`).  One driver,
+:func:`_run`, runs every solve: it checks the iterate for finiteness every
+``CHECK_EVERY`` steps and after the last one, and holds the reference
+solves' stopping rule.  Both solvers are bit-for-bit deterministic.
 
-Buffers.  Each :class:`_Pdhg` / :class:`_Pd3o` instance allocates its state
-once (``image``, ``prev``, ``xbar``, the duals ``p`` and ``q``, the
-gradient-field scratch ``u``) and ``step`` writes every temporary into
-those, through the ``out=`` forms of the kernels: the new iterate goes into
-the spent ``prev`` and the two swap, and ``xbar`` doubles as scratch once
-read.  Each in-place sequence performs the floating-point operations of
-the formula it replaces, operands at most commuted, so the results are
-bit-identical to evaluating the formula with fresh arrays.  ``reverse``
-allocates its adjoint state once per call in the same way, and
-:func:`unroll` frees the step-only buffers before handing the iteration to
-the tape.  Nothing is cached on the operator or the module, so concurrent
-solves (threaded grid search) share no buffer.  Two rules keep callers safe:
-``step`` never writes into the caller's ``x0`` or ``z`` (denoising passes
-``x0 = z``), and never into an operator's result, since the identity
-returns its argument.  ``SolveReport.image`` and ``dual_q`` are the
-iteration's own buffers, handed over when the solve ends.
+Buffers.  Each iteration allocates its state once (``image``, ``prev``,
+``xbar``, the duals, the gradient-field scratch ``u``) and ``step`` writes
+every temporary into those, through the ``out=`` forms of the kernels: the
+new iterate goes into the spent ``prev`` and the two swap, and ``xbar``
+doubles as scratch once read.  Each in-place sequence performs the
+floating-point operations of the formula it replaces, operands at most
+commuted, so the results are bit-identical to evaluating the formula with
+fresh arrays.  ``reverse`` allocates its adjoint state once per call in the
+same way, and :func:`unroll` frees the step-only buffers before handing the
+iteration to the tape.  Nothing is cached on the operator or the module.
+Two rules keep callers safe: ``step`` never writes into the caller's ``x0`` or
+``z`` (denoising passes ``x0 = z``), and never into an operator's result,
+since the identity returns its argument.  ``SolveReport.image`` and
+``dual_q`` are the iteration's own buffers, handed over when the solve ends.
 
 Training differentiates ``T`` unrolled iterations with respect to the weight
 field.  With the box-clip pattern of every iteration fixed, an iteration is
@@ -35,6 +36,7 @@ A, A^T, grad and grad^T once each per iteration, and returns dL/dlam.  At
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +74,8 @@ from .tensors import (
 # step-size inequalities hold for the true norm and not just the estimate.
 NORM_CUSHION = 1.0 + 1e-3
 
-# reference_solve tests its stopping rule, and PDHG its iterate for
-# finiteness, after every CHECK_EVERY iterations.
+# The driver checks the iterate for finiteness, and the reference solves'
+# stopping rule, after every CHECK_EVERY iterations and after the last one.
 CHECK_EVERY = 50
 
 
@@ -93,14 +95,11 @@ class Problem:
         return self.A.adjoint(self.z)
 
 
-@dataclass
-class StepParams:
+class StepParams(NamedTuple):
+    """Dual and primal step sizes (checked by :class:`_PrimalDual`)."""
+
     sigma: float
     tau: float
-
-    def __post_init__(self):
-        if self.sigma <= 0 or self.tau <= 0:
-            raise ValueError("sigma and tau must be positive")
 
 
 @dataclass
@@ -138,12 +137,26 @@ def pdhg_step_params(A: LinearOperator) -> StepParams:
     return StepParams(sigma=1.0 / L, tau=1.0 / L)
 
 
-def _as_field(lam, shape) -> np.ndarray:
+def pd3o_step_params(A: LinearOperator, kl: KlParams, grad_norm: float) -> StepParams:
+    """tau = 0.9 * 2 / Lip(grad h), sigma = 1 / (tau |grad|^2)."""
+    lip = kl_lipschitz(A, kl)
+    tau = 0.9 * 2.0 / lip
+    return StepParams(sigma=1.0 / (tau * grad_norm**2), tau=tau)
+
+
+def as_weight_field(lam, shape) -> np.ndarray:
+    """``lam`` as the weight field of an image of ``shape``: a scalar gives a
+    constant field, an array must be real, of shape (ndirs, *shape), finite
+    and strictly positive."""
+    if np.iscomplexobj(lam):
+        raise ValueError("weight field must be real")
     if np.isscalar(lam):
         return constant_map(float(lam), shape)
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (ndirs(shape),) + tuple(shape):
-        raise ValueError(f"weight field shape {lam.shape} does not fit image {shape}")
+    want = (ndirs(shape),) + tuple(shape)
+    if lam.shape != want:
+        raise ValueError(f"weight field shape {lam.shape} does not fit image shape "
+                         f"{tuple(shape)}, which needs {want}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("weight field must be finite")
     if np.any(lam <= 0):
@@ -151,70 +164,116 @@ def _as_field(lam, shape) -> np.ndarray:
     return lam
 
 
-def _check_finite(it) -> None:
-    if not np.isfinite(it.image).all():
-        raise NumericalError(f"non-finite iterate at iteration {it.done}", iteration=it.done)
+class _PrimalDual:
+    """The half both iterations share: the weight field ``lam`` (and
+    ``neg_lam`` = -lam for the clip), the step sizes, which must satisfy
+    sigma, tau > 0 and sigma * tau * L^2 <= 1 with L bounding the dual
+    operator (|[A; grad]| for PDHG, |grad| for PD3O), the iterate ``image``
+    and the one before the last step ``prev``, ``xbar``, the TV dual ``q``
+    and its scratch ``u``, and the ``trail``; the TV dual step q' = clip(q + sigma grad xbar) and the
+    descent along -tau grad^T q'.  A subclass adds its fidelity: its steps,
+    its ``_fidelity`` value and its own ``_STEP_ONLY`` buffers."""
 
+    _STEP_ONLY = ("prev", "xbar", "u", "neg_lam")
 
-class _Pdhg:
-    """The PDHG iteration for 0.5|Ax - z|^2 + |lam grad x|_1; each
-    :meth:`step` runs one: dual L2 step, dual clip step, primal descent step,
-    extrapolation xbar = 2 x' - x.  Starts from p = 0, q = 0, xbar = x0.
-    ``image`` is the current iterate, ``prev``
-    the one before the last step.  The iterate is checked for finiteness
-    every ``CHECK_EVERY`` steps, and again after the last one by whoever
-    runs the steps.  With a ``trail`` list, each step appends its clip code
-    for :meth:`reverse`.
-    """
-
-    def __init__(self, A, z, lam, x0, step=None, trail=None):
-        self.lam = _as_field(lam, x0.shape)
+    def __init__(self, A, z, lam, x0, dtype, step, L, trail):
+        self.lam = as_weight_field(lam, x0.shape)
         self.neg_lam = -self.lam
-        if step is None:
-            step = pdhg_step_params(A)
-        L = stacked_norm_bound(A)
-        if step.sigma * step.tau * L * L > 1.0 + 1e-9:
-            raise ValueError("step sizes violate sigma * tau * L^2 <= 1")
-        self.A, self.z, self.params = A, z, step
-        dtype = np.result_type(x0, z)
+        sigma, tau = step
+        if not (sigma > 0 and tau > 0 and sigma * tau * L * L <= 1.0 + 1e-9):
+            raise ValueError("step sizes violate sigma, tau > 0 and sigma * tau * L^2 <= 1")
+        self.A, self.z, self.sigma, self.tau, self.trail = A, z, sigma, tau, trail
         self.image = np.array(x0, dtype=dtype)
         self.prev = self.image.copy()
         self.xbar = self.image.copy()
-        self.p = np.zeros(z.shape, dtype=np.result_type(z, dtype))
-        self.p_next = np.empty_like(self.p)
         self.q = np.zeros(self.lam.shape, dtype=dtype)
         self.u = np.empty_like(self.q)
-        self.diag = ClampDiag()  # stays empty: no exponentials here
-        self.trail = trail
-        self.done = 0
+        self.diag = ClampDiag()
 
-    def step(self) -> None:
-        A, x, xbar, sigma, tau = self.A, self.image, self.xbar, self.params.sigma, self.params.tau
-        l2_conjugate_prox(self.p, A.forward(xbar), self.z, sigma, out=self.p_next)
-        self.p, self.p_next = self.p_next, self.p
-        u = grad(xbar, out=self.u)
-        u *= sigma
+    def _tv_dual_step(self):
+        """q' = clip(q + sigma grad xbar); returns the clip code when there
+        is a trail, else None."""
+        u = grad(self.xbar, out=self.u)
+        u *= self.sigma
         u += self.q
         box_clip(u, self.lam, out=self.q, neg_lam=self.neg_lam)
-        if self.trail is not None:
-            self.trail.append(box_clip_code(u, self.lam, neg_lam=self.neg_lam))
-        # x' = x - tau A^T p' - tau grad^T q' into the spent prev, with xbar
-        # (read by now) holding grad^T q'
-        x_new = np.multiply(A.adjoint(self.p), tau, out=self.prev)
-        np.subtract(x, x_new, out=x_new)
-        gtq = grad_adjoint(self.q, out=xbar)
-        gtq *= tau
+        return None if self.trail is None else box_clip_code(u, self.lam, neg_lam=self.neg_lam)
+
+    def _tv_descent(self, x_new) -> None:
+        """x_new -= tau grad^T q', with xbar (read by now) as scratch."""
+        gtq = grad_adjoint(self.q, out=self.xbar)
+        gtq *= self.tau
         x_new -= gtq
-        np.subtract(x_new, x, out=xbar)
-        xbar += x_new
-        self.prev, self.image = x, x_new
-        self.done += 1
-        if self.done % CHECK_EVERY == 0:
-            _check_finite(self)
 
     def drop_step_buffers(self) -> None:
         """Free the buffers only :meth:`step` uses; :meth:`reverse` still runs."""
-        self.prev = self.xbar = self.p_next = self.u = self.neg_lam = None
+        for name in self._STEP_ONLY:
+            setattr(self, name, None)
+
+    def measure(self) -> tuple[float, float]:
+        """Objective (fidelity plus weighted TV) and data residual |Ax - z|
+        at the current iterate."""
+        ax = self.A.forward(self.image)
+        r = ax - self.z
+        obj = self._fidelity(ax, r) + weighted_tv(self.image, self.lam)
+        return obj, float(np.linalg.norm(r.ravel()))
+
+
+class _TvAdjoint:
+    """The reverse of the TV dual step and descent, its adjoint state
+    allocated once per sweep: ``gq`` = dL/dq and the running dL/dlam ``glam``."""
+
+    def __init__(self, it: _PrimalDual):
+        self.sigma, self.tau = it.sigma, it.tau
+        self.gq, self.gu = np.zeros_like(it.q), np.empty_like(it.q)
+        self.gl, self.glam = np.empty_like(it.lam), np.zeros_like(it.lam)
+        pairs = (2,) if np.iscomplexobj(it.q) else ()  # complex codes hold (re, im) pairs
+        self.keep = np.empty(it.q.shape + pairs, dtype=np.int64)
+
+    def back(self, code, g_desc, gxbar) -> None:
+        """One step back from ``g_desc``, the gradient at the descent's output:
+        ``gq`` moves to the step's input, ``glam`` gains the clip's share and
+        ``gxbar`` becomes sigma grad^T dL/du."""
+        gu = grad(g_desc, out=self.gu)
+        gu *= self.tau
+        np.subtract(self.gq, gu, out=gu)
+        box_clip_vjp(code, gu, out=self.gl, keep=self.keep)
+        self.gq, self.gu = gu, self.gq
+        self.glam += self.gl
+        grad_adjoint(self.gq, out=gxbar)
+        gxbar *= self.sigma
+
+
+class _Pdhg(_PrimalDual):
+    """The PDHG iteration for 0.5|Ax - z|^2 + |lam grad x|_1; each
+    :meth:`step` runs one: dual L2 step, TV dual step, primal descent step,
+    extrapolation xbar = 2 x' - x.  Starts from p = 0, q = 0, xbar = x0.
+    With a ``trail`` list, each step appends its clip code for :meth:`reverse`.
+    """
+
+    _STEP_ONLY = _PrimalDual._STEP_ONLY + ("p_next",)
+
+    def __init__(self, A, z, lam, x0, step=None, trail=None):
+        step = pdhg_step_params(A) if step is None else step
+        super().__init__(A, z, lam, x0, np.result_type(x0, z), step, stacked_norm_bound(A),
+                         trail)
+        self.p = np.zeros(z.shape, dtype=np.result_type(z, self.image.dtype))
+        self.p_next = np.empty_like(self.p)
+
+    def step(self) -> None:
+        A, x, xbar, tau = self.A, self.image, self.xbar, self.tau
+        l2_conjugate_prox(self.p, A.forward(xbar), self.z, self.sigma, out=self.p_next)
+        self.p, self.p_next = self.p_next, self.p
+        code = self._tv_dual_step()
+        # x' = x - tau A^T p' - tau grad^T q' into the spent prev
+        x_new = np.multiply(A.adjoint(self.p), tau, out=self.prev)
+        np.subtract(x, x_new, out=x_new)
+        self._tv_descent(x_new)
+        np.subtract(x_new, x, out=xbar)
+        xbar += x_new
+        self.prev, self.image = x, x_new
+        if code is not None:
+            self.trail.append(code)
 
     def reverse(self, g: np.ndarray) -> np.ndarray:
         """dL/dlam of a loss with gradient ``g`` at the current iterate,
@@ -223,68 +282,47 @@ class _Pdhg:
         q' = clip(q + sigma grad xbar), x' = x - tau A^T p' - tau grad^T q',
         xbar' = 2 x' - x; the adjoints below run those lines backwards, with
         x0 and z held constant."""
-        A, sigma, tau = self.A, self.params.sigma, self.params.tau
+        A, sigma, tau = self.A, self.sigma, self.tau
         s = 1.0 / (1.0 + sigma)
+        tv = _TvAdjoint(self)
         gx = np.array(g, dtype=self.image.dtype)
         gx_new, gxbar = np.empty_like(gx), np.zeros_like(gx)
         gp, gp_step = np.zeros_like(self.p), np.empty_like(self.p)
-        gq, gu, gl = np.zeros_like(self.q), np.empty_like(self.q), np.empty_like(self.lam)
-        pairs = (2,) if np.iscomplexobj(self.q) else ()  # complex codes hold (re, im) pairs
-        glam, keep = np.zeros_like(self.lam), np.empty(self.q.shape + pairs, dtype=np.int64)
         for code in reversed(self.trail):
             np.multiply(gxbar, 2.0, out=gx_new)
             gx_new += gx
             np.subtract(gx_new, gxbar, out=gx)
             gp -= np.multiply(A.forward(gx_new), tau, out=gp_step)
-            grad(gx_new, out=gu)
-            gu *= tau
-            np.subtract(gq, gu, out=gu)
-            box_clip_vjp(code, gu, out=gl, keep=keep)
-            gq, gu = gu, gq
-            glam += gl
-            grad_adjoint(gq, out=gxbar)
-            gxbar *= sigma
+            tv.back(code, gx_new, gxbar)
             gxbar += np.multiply(A.adjoint(gp), sigma * s, out=gx_new)
             gp *= s
-        return glam
+        return tv.glam
 
-    def measure(self) -> tuple[float, float]:
-        """Objective and data residual |Ax - z| at the current iterate."""
-        r = self.A.forward(self.image) - self.z
-        obj = 0.5 * float(np.sum(np.abs(r) ** 2)) + weighted_tv(self.image, self.lam)
-        return obj, float(np.linalg.norm(r.ravel()))
+    def _fidelity(self, ax, r) -> float:
+        return 0.5 * float(np.sum(np.abs(r) ** 2))
 
 
-class _Pd3o:
+class _Pd3o(_PrimalDual):
     """The PD3O iteration for the KL fidelity plus weighted TV plus a
     nonnegativity constraint; each :meth:`step` runs one.  Starts from
     p = xbar0, q = 0.  ``kl = None`` (with explicit ``steps``) disables the
     smooth term: the gradient step vanishes, which reduces one iteration to a
     PDHG iteration with the nonnegativity prox.  ``image`` is the prox output
-    p, ``prev`` the one before the last step; every step checks it for
-    finiteness.  With a ``trail`` list, each step appends its clip code,
-    positivity mask and clamped curvature for :meth:`reverse`.
+    p.  With a ``trail`` list, each step appends its clip code, positivity
+    mask and clamped curvature for :meth:`reverse`.
     """
 
+    _STEP_ONLY = _PrimalDual._STEP_ONLY + ("tau_gh", "gh")
+
     def __init__(self, A, z, lam, kl, xbar0, steps=None, trail=None):
-        self.lam = _as_field(lam, xbar0.shape)
-        self.neg_lam = -self.lam
         grad_norm = grad_norm_exact(xbar0.shape)
-        sigma, tau = pd3o_step_params(A, kl, grad_norm) if steps is None else steps
-        if sigma * tau * grad_norm**2 > 1.0 + 1e-9:
-            raise ValueError("step sizes violate sigma * tau * |grad|^2 <= 1")
-        self.A, self.z, self.kl, self.sigma, self.tau = A, z, kl, sigma, tau
-        self.diag = ClampDiag()
+        steps = pd3o_step_params(A, kl, grad_norm) if steps is None else steps
+        super().__init__(A, z, lam, xbar0, np.result_type(xbar0, np.float64), steps, grad_norm,
+                         trail)
+        self.kl = kl
         self.exp_mz = None if kl is None else exp_clamped(-z * kl.mu, self.diag)
-        self.image = np.array(xbar0, dtype=np.result_type(xbar0, np.float64))
-        self.prev = self.image.copy()
-        self.xbar = self.image.copy()
         self.tau_gh = np.empty_like(self.image)
-        self.q = np.zeros(self.lam.shape, dtype=self.image.dtype)
-        self.u = np.empty_like(self.q)
         self.gh, _ = self._grad_h(self.image)
-        self.trail = trail
-        self.done = 0
 
     def _grad_h(self, p: np.ndarray, curvature: bool = False):
         """The KL gradient at ``p`` and, if ``curvature``, the clamped
@@ -301,34 +339,21 @@ class _Pd3o:
 
     def step(self) -> None:
         p, xbar, tau, tau_gh = self.image, self.xbar, self.tau, self.tau_gh
-        u = grad(xbar, out=self.u)
-        u *= self.sigma
-        u += self.q
-        box_clip(u, self.lam, out=self.q, neg_lam=self.neg_lam)
-        # p' = max(p - tau gh - tau grad^T q', 0) into the spent prev, with
-        # xbar (read by now) holding grad^T q'
+        code = self._tv_dual_step()
+        # p' = max(p - tau gh - tau grad^T q', 0) into the spent prev
         np.multiply(self.gh, tau, out=tau_gh)
         p_new = np.subtract(p, tau_gh, out=self.prev)
-        gtq = grad_adjoint(self.q, out=xbar)
-        gtq *= tau
-        p_new -= gtq
+        self._tv_descent(p_new)
         nonneg_prox(p_new, out=p_new)
-        gh_new, curv = self._grad_h(p_new, self.trail is not None)
+        gh_new, curv = self._grad_h(p_new, code is not None)
         # xbar' = 2 p' - p + tau gh - tau gh'
         np.multiply(p_new, 2.0, out=xbar)
         xbar -= p
         xbar += tau_gh
         xbar -= np.multiply(gh_new, tau, out=tau_gh)
         self.prev, self.image, self.gh = p, p_new, gh_new
-        self.done += 1
-        _check_finite(self)
-        if self.trail is not None:
-            code = box_clip_code(u, self.lam, neg_lam=self.neg_lam)
+        if code is not None:
             self.trail.append((code, p_new > 0, curv))
-
-    def drop_step_buffers(self) -> None:
-        """Free the buffers only :meth:`step` uses; :meth:`reverse` still runs."""
-        self.prev = self.xbar = self.tau_gh = self.u = self.neg_lam = self.gh = None
 
     def reverse(self, g: np.ndarray) -> np.ndarray:
         """dL/dlam of a loss with gradient ``g`` at the current iterate,
@@ -336,12 +361,11 @@ class _Pd3o:
         to q' = clip(q + sigma grad xbar), p' = max(p - tau gh - tau grad^T q', 0),
         gh' = grad_h(p'), xbar' = 2 p' - p + tau gh - tau gh'; the adjoints
         below run those lines backwards, with xbar0 and z held constant."""
-        A, sigma, tau = self.A, self.sigma, self.tau
+        A, tau = self.A, self.tau
         c = 0.0 if self.kl is None else self.kl.mu**2 * self.kl.n0
+        tv = _TvAdjoint(self)
         gp = np.array(g, dtype=self.image.dtype)
         gw, gxbar, ggh = np.empty_like(gp), np.zeros_like(gp), np.zeros_like(gp)
-        gq, gu, gl = np.zeros_like(self.q), np.empty_like(self.q), np.empty_like(self.lam)
-        glam, keep = np.zeros_like(self.lam), np.empty(self.q.shape, dtype=np.int64)
         for code, pos, curv in reversed(self.trail):
             # gw = gp' masked to the positive set, gp' = gp + 2 gxbar + the
             # curvature term of gh' on ggh' = ggh - tau gxbar (built in gp)
@@ -355,48 +379,46 @@ class _Pd3o:
             np.subtract(gw, gxbar, out=gp)
             np.subtract(gxbar, gw, out=ggh)
             ggh *= tau
-            grad(gw, out=gu)
-            gu *= tau
-            np.subtract(gq, gu, out=gu)
-            box_clip_vjp(code, gu, out=gl, keep=keep)
-            gq, gu = gu, gq
-            glam += gl
-            grad_adjoint(gq, out=gxbar)
-            gxbar *= sigma
-        return glam
+            tv.back(code, gw, gxbar)
+        return tv.glam
 
-    def measure(self) -> tuple[float, float]:
-        """Objective and data residual |Ax - z| at the current iterate."""
-        ax = self.A.forward(self.image)
-        obj = weighted_tv(self.image, self.lam)
-        if self.kl is not None:
-            obj += kl_value(ax, self.z, self.kl, self.diag)
-        return obj, float(np.linalg.norm((ax - self.z).ravel()))
+    def _fidelity(self, ax, r) -> float:
+        return 0.0 if self.kl is None else kl_value(ax, self.z, self.kl, self.diag)
 
 
 def _step_norm(it) -> float:
     return float(np.linalg.norm((it.image - it.prev).ravel()))
 
 
-def _report(it, iterations: int, **fields) -> SolveReport:
-    return SolveReport(image=it.image, iterations=iterations, dual_q=it.q, clamp=it.diag,
-                       **fields)
-
-
-def _run(it, T: int, record: bool) -> SolveReport:
-    """Exactly ``T`` steps of ``it``; ``record`` keeps the objective, step
-    norm and data residual after each."""
+def _run(it, T: int, record: bool = False, tol: float | None = None) -> SolveReport:
+    """Up to ``T`` steps of ``it``, its iterate checked for finiteness every
+    ``CHECK_EVERY`` steps and after the last one; ``record`` keeps the
+    objective, step norm and data residual after each step.  With ``tol``,
+    the run stops at the first check whose relative step norm is <= ``tol``,
+    and ``reached_tol`` holds the last ratio checked."""
+    if T < 0:
+        raise ValueError("iteration count must be >= 0")
     objective, step_norm, data_residual = [], [], []
-    for _ in range(T):
+    done, ratio = 0, np.inf
+    while done < T:
         it.step()
+        done += 1
         if record:
             obj, resid = it.measure()
             objective.append(obj)
             step_norm.append(_step_norm(it))
             data_residual.append(resid)
-    _check_finite(it)
-    return _report(it, T, objective=objective, step_norm=step_norm,
-                   data_residual=data_residual)
+        if done % CHECK_EVERY == 0 or done == T:
+            if not np.isfinite(it.image).all():
+                raise NumericalError(f"non-finite iterate at iteration {done}", iteration=done)
+            if tol is not None:
+                ratio = _step_norm(it) / max(float(np.linalg.norm(it.image.ravel())), 1e-30)
+                if ratio <= tol:
+                    break
+    return SolveReport(image=it.image, iterations=done, objective=objective,
+                       step_norm=step_norm, data_residual=data_residual, dual_q=it.q,
+                       clamp=it.diag, reached_tol=None if tol is None else ratio,
+                       converged=tol is None or ratio <= tol)
 
 
 def pdhg_solve(
@@ -410,17 +432,7 @@ def pdhg_solve(
 ) -> SolveReport:
     """Exactly ``T`` PDHG iterations (:class:`_Pdhg`) for
     0.5|Ax - z|^2 + |lam grad x|_1."""
-    if T < 0:
-        raise ValueError("iteration count must be >= 0")
     return _run(_Pdhg(A, z, lam, x0, step), T, record)
-
-
-def pd3o_step_params(A: LinearOperator, kl: KlParams, grad_norm: float) -> tuple[float, float]:
-    """tau = 0.9 * 2 / Lip(grad h), sigma = 1 / (tau |grad|^2)."""
-    lip = kl_lipschitz(A, kl)
-    tau = 0.9 * 2.0 / lip
-    sigma = 1.0 / (tau * grad_norm**2)
-    return sigma, tau
 
 
 def pd3o_solve_ct(
@@ -438,8 +450,6 @@ def pd3o_solve_ct(
 
     Returns the prox output p_T, which is nonnegative by construction.
     """
-    if T < 0:
-        raise ValueError("iteration count must be >= 0")
     return _run(_Pd3o(A, z, lam, kl, xbar0), T, record)
 
 
@@ -452,9 +462,10 @@ def solve_problem(problem: Problem, lam, T: int, record: bool = False) -> SolveR
 
 
 def _iteration(A, z, lam, x0, kl, step, trail):
-    """PD3O when ``kl`` is set, else PDHG with ``step`` (None: the default)."""
+    """PD3O when ``kl`` is set, else PDHG; ``step`` None gives the
+    iteration's default step sizes."""
     if kl is not None:
-        return _Pd3o(A, z, lam, kl, x0, trail=trail)
+        return _Pd3o(A, z, lam, kl, x0, step, trail)
     return _Pdhg(A, z, lam, x0, step, trail)
 
 
@@ -465,7 +476,7 @@ def unroll(A, z, lam, x0, T: int, kl: KlParams | None = None, trail: list | None
     more than ``image`` and what ``reverse`` reads; given a ``trail`` list,
     its ``reverse`` then differentiates the run with respect to ``lam``."""
     it = _iteration(A, z, lam, x0, kl, None, trail)
-    _run(it, T, record=False)
+    _run(it, T)
     it.drop_step_buffers()
     return it
 
@@ -478,27 +489,16 @@ def reference_solve(
     x0: np.ndarray | None = None,
     step: StepParams | None = None,
 ) -> SolveReport:
-    """Run the iteration :func:`solve_problem` picks until the relative step
-    norm, checked every ``CHECK_EVERY`` iterations, drops below ``tol`` (or
-    ``T_max`` is reached); a converged-enough stand-in for the exact
-    minimizer.  ``step`` applies to PDHG only.  ``report.reached_tol`` records
-    the final step ratio and ``report.converged`` whether the tolerance was
-    met.
+    """Run the iteration :func:`solve_problem` picks, with step sizes
+    ``step`` (None: the iteration's default), until the relative step norm,
+    checked every ``CHECK_EVERY`` iterations, drops to ``tol`` (or ``T_max``
+    is reached); a converged-enough stand-in for the exact minimizer.
+    ``report.reached_tol`` records the final step ratio and
+    ``report.converged`` whether the tolerance was met.
     """
     start = x0 if x0 is not None else problem.init_image()
     it = _iteration(problem.A, problem.z, lam, start, problem.kl, step, None)
-    done = 0
-    ratio = np.inf
-    while done < T_max:
-        block = min(CHECK_EVERY, T_max - done)
-        for _ in range(block):
-            it.step()
-        done += block
-        ratio = _step_norm(it) / max(float(np.linalg.norm(it.image.ravel())), 1e-30)
-        if ratio <= tol:
-            break
-    _check_finite(it)
-    return _report(it, done, reached_tol=ratio, converged=ratio <= tol)
+    return _run(it, T_max, tol=tol)
 
 
 def grid_candidates(mode: SharingMode, grid) -> list[tuple[float, ...]]:

@@ -8,9 +8,11 @@ from (``add``, ``mul``, ``reduce_sum``), the solver primitives as tape nodes, th
 unrolled solvers recorded node by node from them (the reference for the
 solvers' hand-written reverse sweeps), and the finite-difference check of
 taped gradients.  ``GradOp`` wraps the difference stack as an operator for
-the operator tests.  ``radon_matrix_summed`` keeps the Radon system matrix's
-earlier assembly, one full-size block per angle summed pairwise, as the
-reference for the stacked one.
+the operator tests, and ``zero_weights`` gives the all-zero network, whose
+weight map is the constant scale * log 2 (the zero-weight reduction).
+``radon_matrix_summed`` keeps the Radon system matrix's earlier assembly,
+one full-size block per angle summed pairwise, as the reference for the
+stacked one.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from scipy import sparse
 
 from tvmap import autodiff as ad
 from tvmap.autodiff import Tape, Var, _needs, _same_tape
+from tvmap.network import NetWeights, UNetConfig, init_weights
 from tvmap.operators import LinearOperator
 from tvmap.prox import EXP_CLAMP
 from tvmap.solvers import pd3o_step_params, pdhg_step_params
@@ -27,6 +30,12 @@ from tvmap.tensors import grad as grad_field_fn
 from tvmap.tensors import grad_adjoint as grad_adjoint_fn
 from tvmap.tensors import grad_norm_exact, ndirs
 from tvmap.training import weight_field_taped
+
+
+def zero_weights(cfg: UNetConfig) -> NetWeights:
+    """All-zero kernels and biases in the layout of :func:`init_weights`."""
+    w = init_weights(cfg, seed=0)
+    return NetWeights([np.zeros_like(k) for k in w.kernels], [np.zeros_like(b) for b in w.biases])
 
 
 class GradOp(LinearOperator):

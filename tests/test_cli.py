@@ -7,7 +7,7 @@ import pytest
 
 from tvmap import parallel
 from tvmap.cli import build_parser, main
-from tvmap.config import ExperimentConfig
+from tvmap.config import ExperimentConfig, render_sections
 from tvmap.fileio import read_tensor, write_tensor
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,7 +34,7 @@ def tiny_config(tmp_path, task="denoise", **overrides):
     base.update(overrides)
     cfg = ExperimentConfig(**base)
     path = tmp_path / "exp.cfg"
-    cfg.save(path)
+    path.write_text(render_sections(cfg.to_sections()))
     return cfg, path
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import zero_weights
 from tvmap import autodiff as ad
 from tvmap.network import (
     NetWeights,
@@ -9,7 +10,6 @@ from tvmap.network import (
     net_forward,
     net_forward_taped,
     weight_leaves,
-    zero_weights,
 )
 
 

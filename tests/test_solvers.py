@@ -192,15 +192,32 @@ def test_pd3o_nonfinite_guard(rng):
 
 
 @pytest.mark.parametrize("T, at", [(3, 3), (CHECK_EVERY + 10, CHECK_EVERY)])
-def test_pdhg_nonfinite_guard(rng, T, at):
-    # checked every CHECK_EVERY iterations and after the last one
+@pytest.mark.parametrize("solver", ["pdhg", "pd3o"])
+def test_nonfinite_guard_cadence(rng, solver, T, at):
+    # both solvers are checked every CHECK_EVERY iterations and after the last one
     from tvmap.errors import NumericalError
 
     z = rng.standard_normal((2, 6, 6))
     z[1, 2, 3] = np.nan
+    A, x0 = identity_op(z.shape), np.zeros_like(z)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
-        pdhg_solve(identity_op(z.shape), z, 0.1, np.zeros_like(z), T)
+        if solver == "pdhg":
+            pdhg_solve(A, z, 0.1, x0, T)
+        else:
+            pd3o_solve_ct(A, z, 0.1, KlParams(mu=1.0, n0=50.0), x0, T)
     assert exc.value.iteration == at
+
+
+@pytest.mark.parametrize("solver", ["pdhg", "pd3o"])
+def test_complex_weight_field_rejected(rng, solver):
+    # casting would keep the real part and drop the imaginary one silently
+    z = np.abs(rng.standard_normal((2, 6, 6))) + 0.5
+    lam = constant_map(0.1, z.shape) * (1.0 + 0.5j)
+    with pytest.raises(ValueError, match="real"):
+        if solver == "pdhg":
+            pdhg_solve(identity_op(z.shape), z, lam, z, 3)
+        else:
+            pd3o_solve_ct(identity_op(z.shape), z, lam, KlParams(mu=1.0, n0=50.0), z, 3)
 
 
 def test_reference_solve_pdhg_nonfinite_guard():

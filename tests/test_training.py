@@ -6,7 +6,7 @@ import pytest
 from tvmap import autodiff as ad
 from tvmap import parallel
 from tvmap.errors import NumericalError
-from tvmap.network import UNetConfig, init_weights, weight_leaves, zero_weights
+from tvmap.network import UNetConfig, init_weights, weight_leaves
 from tvmap.operators import RadonOp, equispaced_angles, identity_op
 from tvmap.prox import KlParams
 from tvmap.solvers import Problem, pd3o_solve_ct, pdhg_solve, unroll
@@ -24,7 +24,7 @@ from tvmap.training import (
     train,
 )
 
-from oracles import finite_diff_check, taped_reconstruct_reference
+from oracles import finite_diff_check, taped_reconstruct_reference, zero_weights
 
 
 def denoise_problem(rng, shape=(4, 8, 8), sigma=0.2):
