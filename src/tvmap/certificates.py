@@ -140,11 +140,10 @@ def lipschitz_probe(
     z: np.ndarray,
     lam1: np.ndarray,
     lam2: np.ndarray,
-    x0: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Compare |S*(lam1) - S*(lam2)| with its theoretical Lipschitz bound
     (2 |grad| / (lam_min(A^T A) mu_z)) |lam1 - lam2|; raises on violation."""
-    prob = Problem(A=A, z=z, x0=x0)
+    prob = Problem(A=A, z=z)
     shape = prob.init_image().shape
     ref1 = reference_solve(prob, lam1, tol=1e-12, T_max=200000)
     ref2 = reference_solve(prob, lam2, tol=1e-12, T_max=200000)

@@ -1,5 +1,10 @@
 """Command-line interface.
 
+The parser declares every option and its default once.  :func:`run` hands
+the parsed arguments to the subcommand's handler, ``experiments.cmd_<name>``,
+which reads and checks all of its options, runs the command and returns the
+line printed here.
+
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 Every command echoes its resolved configuration and seed into a manifest
 next to its outputs.
@@ -14,16 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ExperimentConfig
 from .errors import ConvergenceError, NumericalError
-
-
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,52 +82,12 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from . import experiments as ex
 
-    if args.command == "gen":
-        cfg = ExperimentConfig.load(args.config)
-        out = ex.cmd_gen(cfg)
-        print(f"wrote data to {out}")
-    elif args.command == "solve":
-        cfg = ExperimentConfig.load(args.config)
-        if args.task and args.task != cfg.task:
-            raise ValueError(f"--task {args.task} does not match config task {cfg.task}")
-        if args.lam is not None and args.map_path is not None:
-            raise ValueError("pass either --lambda or --map, not both")
-        if not 0 <= args.item < cfg.test_count:
-            raise ValueError(f"--item {args.item} is outside the test split, "
-                             f"range({cfg.test_count})")
-        out = ex.cmd_solve(cfg, lam=args.lam, map_path=args.map_path, T=args.T,
-                           item=args.item)
-        print(f"wrote reconstruction to {out}")
-    elif args.command == "gridsearch":
-        cfg = ExperimentConfig.load(args.config)
-        grid_t = _floats(args.grid_t) if args.grid_t else None
-        best, _ = ex.cmd_gridsearch(
-            cfg, _floats(args.grid), grid_t=grid_t, mode=args.mode, T=args.T,
-            split=args.split,
-        )
-        print(f"best weight: {best!r}")
-    elif args.command == "train":
-        cfg = ExperimentConfig.load(args.config)
-        ckpt = ex.cmd_train(cfg)
-        print(f"checkpoint at {ckpt}")
-    elif args.command == "eval":
-        cfg = ExperimentConfig.load(args.config)
-        t_list = _ints(args.t_test) if args.t_test is not None else None
-        out = ex.cmd_eval(cfg, args.checkpoint, t_list)
-        print(f"metrics in {out}")
-    elif args.command == "certify":
-        if not (args.rate or args.lipschitz):
-            raise ValueError("pass --rate and/or --lipschitz")
-        out = ex.cmd_certify(args.rate, args.lipschitz, args.out, seed=args.seed)
-        print((out / "certify.txt").read_text().strip())
-    elif args.command == "fit-t1":
-        out = ex.cmd_fit_t1(args.series, _floats(args.times), args.out,
-                            t1_lo=args.t1_lo, t1_hi=args.t1_hi)
-        print(f"maps in {out}")
-    elif args.command == "preview":
-        prefix = args.out if args.out else str(args.tensor).rsplit(".", 1)[0]
-        paths = ex.cmd_preview(args.tensor, prefix)
-        print(f"wrote {len(paths)} frame(s)")
+    handlers = {
+        "gen": ex.cmd_gen, "solve": ex.cmd_solve, "gridsearch": ex.cmd_gridsearch,
+        "train": ex.cmd_train, "eval": ex.cmd_eval, "certify": ex.cmd_certify,
+        "fit-t1": ex.cmd_fit_t1, "preview": ex.cmd_preview,
+    }
+    print(handlers[args.command](args))
     return 0
 
 

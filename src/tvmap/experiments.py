@@ -1,4 +1,8 @@
-"""Dataset assembly and the command implementations behind the CLI.
+"""Dataset assembly and the command handlers behind the CLI.
+
+Each ``cmd_<name>(args)`` owns one subcommand: it takes the parsed
+arguments, loads the config, converts and checks every option, runs the
+command and returns the line ``tvmap`` prints.
 
 Every command derives all randomness from the config seed (see
 :mod:`tvmap.config` for the derivation), so a command sequence is exactly
@@ -141,13 +145,18 @@ def build_split(cfg: ExperimentConfig, split: str) -> list[Problem]:
     return [_build_item(cfg, split, i) for i in range(count)]
 
 
-def _data_dir(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.outdir) / "data"
+def _numbers(text: str, kind, option: str) -> list:
+    """The comma-separated values of ``option``; it must list at least one."""
+    values = [kind(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"{option} lists no values")
+    return values
 
 
-def cmd_gen(cfg: ExperimentConfig) -> Path:
+def cmd_gen(args) -> str:
     """Write phantoms and corrupted data as TNSR1 files, plus the manifest."""
-    out = _data_dir(cfg)
+    cfg = ExperimentConfig.load(args.config)
+    out = Path(cfg.outdir) / "data"
     out.mkdir(parents=True, exist_ok=True)
     items = 0
     for split in ("train", "val", "test"):
@@ -161,27 +170,30 @@ def cmd_gen(cfg: ExperimentConfig) -> Path:
                 fileio.write_tensor(f"{stem}_coils.tnsr", prob.A.coil_maps)
             items += 1
     write_manifest(Path(cfg.outdir) / "manifest.txt", cfg, "gen", {"items": items})
-    return out
+    return f"wrote data to {out}"
 
 
-def cmd_solve(
-    cfg: ExperimentConfig,
-    lam: float | None = None,
-    map_path: str | None = None,
-    T: int | None = None,
-    item: int = 0,
-) -> Path:
-    """Reconstruct one test item with a scalar weight or a weight-field file."""
-    T = cfg.t_solve if T is None else T
+def cmd_solve(args) -> str:
+    """Reconstruct one test item with the config's weight, ``--lambda`` or a
+    ``--map`` weight-field file."""
+    cfg = ExperimentConfig.load(args.config)
+    if args.task is not None and args.task != cfg.task:
+        raise ValueError(f"--task {args.task!r} does not match config task {cfg.task!r}")
+    if args.lam is not None and args.map_path is not None:
+        raise ValueError("pass either --lambda or --map, not both")
+    item = args.item
+    if not 0 <= item < cfg.test_count:
+        raise ValueError(f"--item {item} is outside the test split, range({cfg.test_count})")
+    T = cfg.t_solve if args.T is None else args.T
     prob = _build_item(cfg, "test", item)
-    if map_path is not None:
-        lam_field = fileio.read_tensor(map_path)
+    if args.map_path is not None:
+        lam_field = fileio.read_tensor(args.map_path)
         try:
             lam_field = as_weight_field(lam_field, prob.init_image().shape)
         except ValueError as exc:
-            raise ValueError(f"{map_path}: {exc}") from exc
-    elif lam is not None:
-        lam_field = float(lam)
+            raise ValueError(f"{args.map_path}: {exc}") from exc
+    elif args.lam is not None:
+        lam_field = float(args.lam)
     else:
         lam_field = cfg.lam
     rep = solve_problem(prob, lam_field, T, record=True)
@@ -196,38 +208,34 @@ def cmd_solve(
         "nrmse": fileio.format_float(nrmse(rep.image, prob.x_true)),
     }
     write_manifest(out / "manifest.txt", cfg, "solve", extra)
-    return out
+    return f"wrote reconstruction to {out}"
 
 
-def cmd_gridsearch(
-    cfg: ExperimentConfig,
-    grid: list[float],
-    grid_t: list[float] | None = None,
-    mode: str | None = None,
-    T: int | None = None,
-    split: str = "train",
-):
+def cmd_gridsearch(args) -> str:
     """Scalar grid search over the chosen split; writes scores and the pick."""
-    mode_enum = SharingMode(mode or cfg.mode)
-    if mode_enum is SharingMode.XYT and grid_t is not None:
+    cfg = ExperimentConfig.load(args.config)
+    grid = _numbers(args.grid, float, "--grid")
+    grid_t = None if args.grid_t is None else _numbers(args.grid_t, float, "--grid-t")
+    mode = SharingMode(args.mode or cfg.mode)
+    if mode is SharingMode.XYT and grid_t is not None:
         raise ValueError("--grid-t applies only to mode xy_t; mode xyt takes one "
                          "weight per candidate, from --grid")
-    T = cfg.t_solve if T is None else T
-    problems = build_split(cfg, split)
-    if mode_enum is SharingMode.XYT:
+    T = cfg.t_solve if args.T is None else args.T
+    problems = build_split(cfg, args.split)
+    if mode is SharingMode.XYT:
         spec = grid
         header = ["lam", "mean_psnr"]
     else:
         spec = (grid, grid_t if grid_t is not None else grid)
         header = ["lam_spatial", "lam_temporal", "mean_psnr"]
-    best, scores = grid_search_scalar(problems, mode_enum, spec, T)
+    best, scores = grid_search_scalar(problems, mode, spec, T)
     out = Path(cfg.outdir) / "gridsearch"
     out.mkdir(parents=True, exist_ok=True)
-    rows = [c + (s,) for c, s in zip(grid_candidates(mode_enum, spec), scores)]
-    fileio.write_csv(out / f"scores_{mode_enum.value}.csv", header, rows)
-    extra = {"mode": mode_enum.value, "T": T, "best": repr(best), "split": split}
+    rows = [c + (s,) for c, s in zip(grid_candidates(mode, spec), scores)]
+    fileio.write_csv(out / f"scores_{mode.value}.csv", header, rows)
+    extra = {"mode": mode.value, "T": T, "best": repr(best), "split": args.split}
     write_manifest(out / "manifest.txt", cfg, "gridsearch", extra)
-    return best, scores
+    return f"best weight: {best!r}"
 
 
 def save_checkpoint(
@@ -276,8 +284,9 @@ def _read_shaped(path: Path, shape: tuple) -> np.ndarray:
     return arr
 
 
-def cmd_train(cfg: ExperimentConfig) -> Path:
+def cmd_train(args) -> str:
     """Train the parameter-map network; writes checkpoint plus history CSV."""
+    cfg = ExperimentConfig.load(args.config)
     net_cfg = net_config(cfg)
     settings = {name: getattr(cfg, key) for key, name in TRAIN_SETTINGS.items()}
     tcfg = TrainConfig(**settings | {"mode": SharingMode(cfg.mode)})
@@ -294,7 +303,7 @@ def cmd_train(cfg: ExperimentConfig) -> Path:
                      history.as_csv_rows())
     write_manifest(out / "train_manifest.txt", cfg, "train",
                    {"best_val_loss": fileio.format_float(best_val)})
-    return out / "checkpoint"
+    return f"checkpoint at {out / 'checkpoint'}"
 
 
 def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, mode: SharingMode,
@@ -307,19 +316,19 @@ def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, mode: SharingMode,
         if have != need:
             raise ValueError(f"checkpoint {ckpt_dir}: {name} = {have}, "
                              f"the {cfg.task} config needs {need}")
-    if mode.channels > 1 and image.shape[0] == 1:
-        raise ValueError(f"checkpoint {ckpt_dir}: mode {mode.value} needs a dynamic "
-                         f"image, the {cfg.task} config's test images have nt = 1")
-    div = net_cfg.pool_divisor()
-    if any(s % div for s in (image.shape[1:] if net_cfg.rank == 2 else image.shape)):
-        raise ValueError(f"checkpoint {ckpt_dir}: stages = {net_cfg.stages} needs image "
-                         f"sizes divisible by {div}, the test images are {image.shape}")
+    try:
+        mode.check_image(image.shape)
+        net_cfg.check_pooling(image.shape)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {ckpt_dir}: {exc}") from exc
 
 
-def cmd_eval(cfg: ExperimentConfig, ckpt_dir, t_list: list[int] | None = None) -> Path:
+def cmd_eval(args) -> str:
     """Evaluate a checkpoint on the test split for each iteration budget
     (default: the config's ``t_test``)."""
-    t_list = [cfg.t_test] if t_list is None else t_list
+    cfg = ExperimentConfig.load(args.config)
+    t_list = [cfg.t_test] if args.t_test is None else _numbers(args.t_test, int, "--t-test")
+    ckpt_dir = args.checkpoint
     weights, net_cfg, mode = load_checkpoint(ckpt_dir)
     items = build_split(cfg, "test")
     if not items:
@@ -330,7 +339,7 @@ def cmd_eval(cfg: ExperimentConfig, ckpt_dir, t_list: list[int] | None = None) -
     rows = []
     mean_rows = []
     for T in t_list:
-        per_item = evaluate(items, weights, net_cfg, mode, int(T))
+        per_item = evaluate(items, weights, net_cfg, mode, T)
         for i, (p, n, s) in enumerate(per_item):
             rows.append((float(T), float(i), p, n, s))
         arr = np.asarray(per_item)
@@ -340,54 +349,64 @@ def cmd_eval(cfg: ExperimentConfig, ckpt_dir, t_list: list[int] | None = None) -
     fileio.write_csv(out / "metrics_mean.csv", ["t_test", "psnr", "nrmse", "ssim"],
                      mean_rows)
     write_manifest(out / "manifest.txt", cfg, "eval",
-                   {"checkpoint": str(ckpt_dir), "t_list": ",".join(map(str, t_list))})
-    return out
+                   {"checkpoint": ckpt_dir, "t_list": ",".join(map(str, t_list))})
+    return f"metrics in {out}"
 
 
-def cmd_certify(rate: bool, lipschitz: bool, outdir, seed: int = 0) -> Path:
+def cmd_certify(args) -> str:
     """Run the executable solver certificates on built-in desk instances."""
     from .certificates import desk_lipschitz_worst, desk_rate_certificate
 
-    out = Path(outdir)
+    if not (args.rate or args.lipschitz):
+        raise ValueError("pass --rate and/or --lipschitz")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     lines = []
-    if rate:
+    if args.rate:
         cert = desk_rate_certificate(rng)
         rows = [(float(T), m, b) for T, m, b in cert.entries]
         fileio.write_csv(out / "rate_certificate.csv", ["T", "measured", "bound"], rows)
         lines.append(f"rate bound holds: {cert.holds()}")
-    if lipschitz:
+    if args.lipschitz:
         worst = desk_lipschitz_worst(rng, 100)
         lines.append(f"lipschitz probes: 100 pairs, worst lhs/rhs = {worst!r}")
     (out / "certify.txt").write_text("\n".join(lines) + "\n")
     write_manifest(out / "manifest.txt", None, "certify",
-                   {"seed": seed, "rate": rate, "lipschitz": lipschitz})
-    return out
+                   {"seed": args.seed, "rate": args.rate, "lipschitz": args.lipschitz})
+    return "\n".join(lines)
 
 
-def cmd_fit_t1(series_path, times, outdir, t1_lo: float = 0.05, t1_hi: float = 6.0) -> Path:
-    images = fileio.read_tensor(series_path)
+def cmd_fit_t1(args) -> str:
+    """Per-pixel (T1, M0) fit of a TNSR1 inversion-recovery series."""
+    times = _numbers(args.times, float, "--times")
+    images = fileio.read_tensor(args.series)
     series = InversionSeries(times=np.asarray(times, dtype=float), images=images)
-    result = fit_t1(series, t1_bounds=(t1_lo, t1_hi))
-    out = Path(outdir)
+    result = fit_t1(series, t1_bounds=(args.t1_lo, args.t1_hi))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_tensor(out / "t1.tnsr", result.t1)
     fileio.write_tensor(out / "m0.tnsr", result.m0)
     fileio.write_tensor(out / "degenerate.tnsr", result.degenerate.astype(float))
     write_manifest(out / "manifest.txt", None, "fit-t1", {
-        "series": series_path,
-        "times": ",".join(repr(float(t)) for t in times),
-        "t1_lo": repr(t1_lo), "t1_hi": repr(t1_hi),
+        "series": args.series,
+        "times": ",".join(repr(t) for t in times),
+        "t1_lo": repr(args.t1_lo), "t1_hi": repr(args.t1_hi),
     })
-    return out
+    return f"maps in {out}"
 
 
-def cmd_preview(tensor_path, out_prefix) -> list[Path]:
-    arr = fileio.read_tensor(tensor_path)
-    if arr.ndim == 4:  # field stacks preview per component
+def cmd_preview(args) -> str:
+    """One 8-bit PGM per frame of a 2-D image, a 3-D image stack or a 4-D
+    field stack (one frame per component and time)."""
+    arr = fileio.read_tensor(args.tensor)
+    if not 2 <= arr.ndim <= 4:
+        raise ValueError(f"{args.tensor}: preview needs a 2-, 3- or 4-D tensor, "
+                         f"the file holds shape {arr.shape}")
+    if arr.ndim == 4:
         arr = arr.reshape((-1,) + arr.shape[2:])
-    paths = fileio.write_pgm_frames(out_prefix, arr)
-    write_manifest(f"{out_prefix}_manifest.txt", None, "preview",
-                   {"tensor": tensor_path, "frames": len(paths)})
-    return paths
+    prefix = args.out or args.tensor.rsplit(".", 1)[0]
+    paths = fileio.write_pgm_frames(prefix, arr)
+    write_manifest(f"{prefix}_manifest.txt", None, "preview",
+                   {"tensor": args.tensor, "frames": len(paths)})
+    return f"wrote {len(paths)} frame(s)"

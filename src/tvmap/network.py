@@ -14,6 +14,10 @@ import numpy as np
 
 from . import autodiff as ad
 
+KERNEL = 3           # convolution size along each axis (the head is 1x1)
+LEAK = 0.01          # leaky-relu negative slope
+OUTPUT_SCALE = 0.1   # the softplus output is scaled by this positive factor
+
 
 @dataclass
 class UNetConfig:
@@ -21,11 +25,8 @@ class UNetConfig:
     stages: int = 2              # encoding stages (>= 1)
     convs_per_stage: int = 2
     base_filters: int = 8
-    kernel: int = 3
     out_channels: int = 2        # 1, 2 or 3, matching the sharing mode
     in_channels: int = 1         # 1 real, 2 complex (re, im)
-    alpha: float = 0.01          # leaky-relu negative slope
-    scale: float = 0.1           # positive output scale
 
     def __post_init__(self):
         if self.rank not in (2, 3):
@@ -34,8 +35,6 @@ class UNetConfig:
             raise ValueError("need at least one stage")
         if self.out_channels not in (1, 2, 3):
             raise ValueError("out_channels must be 1, 2 or 3")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
     def layer_plan(self) -> list[tuple[str, int, int, int]]:
         """(name, in_ch, out_ch, kernel) for every convolution, in order."""
@@ -46,20 +45,26 @@ class UNetConfig:
         for s in range(self.stages):
             out = f * (2**s)
             for c in range(self.convs_per_stage):
-                plan.append((f"enc{s}_conv{c}", ch, out, self.kernel))
+                plan.append((f"enc{s}_conv{c}", ch, out, KERNEL))
                 ch = out
             enc_out.append(out)
         for s in range(self.stages - 2, -1, -1):
             ch_in = ch + enc_out[s]  # upsampled deeper features + skip
             out = enc_out[s]
             for c in range(self.convs_per_stage):
-                plan.append((f"dec{s}_conv{c}", ch_in if c == 0 else out, out, self.kernel))
+                plan.append((f"dec{s}_conv{c}", ch_in if c == 0 else out, out, KERNEL))
             ch = out
         plan.append(("head", ch, self.out_channels, 1))
         return plan
 
-    def pool_divisor(self) -> int:
-        return 2 ** (self.stages - 1)
+    def check_pooling(self, shape: tuple[int, ...]) -> None:
+        """Raise unless the network can pool images of ``shape`` (nt, nx, ny)
+        ``stages - 1`` times: every pooled size, nt too at rank 3, must
+        divide by ``2 ** (stages - 1)``."""
+        div = 2 ** (self.stages - 1)
+        if any(s % div for s in (shape[1:] if self.rank == 2 else shape)):
+            raise ValueError(f"stages = {self.stages} needs image sizes divisible by {div}, "
+                             f"the image is {shape}")
 
 
 @dataclass
@@ -109,15 +114,9 @@ def init_weights(cfg: UNetConfig, seed: int) -> NetWeights:
 
 
 def _check_input(x0: np.ndarray, cfg: UNetConfig) -> None:
-    if cfg.rank == 2:
-        if x0.shape[0] != 1:
-            raise ValueError("rank-2 networks take static images (nt = 1)")
-        spatial = x0.shape[1:]
-    else:
-        spatial = x0.shape
-    div = cfg.pool_divisor()
-    if any(s % div for s in spatial):
-        raise ValueError(f"image shape {x0.shape} is not divisible by {div}")
+    if cfg.rank == 2 and x0.shape[0] != 1:
+        raise ValueError("rank-2 networks take static images (nt = 1)")
+    cfg.check_pooling(x0.shape)
     want = 2 if np.iscomplexobj(x0) else 1
     if cfg.in_channels != want:
         raise ValueError(
@@ -141,7 +140,7 @@ def net_forward_taped(tape: ad.Tape, x0: np.ndarray, weight_vars, cfg: UNetConfi
         out = inp
         for _ in range(n_convs):
             kw, bw = weight_vars[layer]
-            out = ad.leaky_relu(ad.conv(out, kw, bw), cfg.alpha)
+            out = ad.leaky_relu(ad.conv(out, kw, bw), LEAK)
             layer += 1
         return out
 
@@ -156,7 +155,7 @@ def net_forward_taped(tape: ad.Tape, x0: np.ndarray, weight_vars, cfg: UNetConfi
         h = conv_block(h, cfg.convs_per_stage)
     kw, bw = weight_vars[layer]
     head = ad.conv(h, kw, bw)
-    out = ad.scale(ad.softplus(head), cfg.scale)
+    out = ad.scale(ad.softplus(head), OUTPUT_SCALE)
     if cfg.rank == 2:
         out = tape._emit(
             out.value[:, None], (out.idx,), lambda u: (u[:, 0],), out.requires_grad

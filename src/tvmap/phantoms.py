@@ -38,14 +38,15 @@ def moving_disks(
     return video
 
 
-def ellipse_ct(n: int, n_ellipses: int = 4, seed: int = 0) -> np.ndarray:
-    """Static phantom of nested constant ellipses with values in [0, 1]."""
+def ellipse_ct(n: int, seed: int = 0) -> np.ndarray:
+    """Static phantom of a body ellipse and three random inner ellipses,
+    values in [0, 1]."""
     rng = np.random.default_rng(seed)
     gx, gy = np.meshgrid(np.linspace(-1, 1, n), np.linspace(-1, 1, n), indexing="ij")
     img = np.zeros((n, n), dtype=REAL)
     # body outline
     img[(gx / 0.85) ** 2 + (gy / 0.7) ** 2 <= 1.0] = 0.35
-    for _ in range(n_ellipses - 1):
+    for _ in range(3):
         ax_ = rng.uniform(0.12, 0.45)
         ay = rng.uniform(0.12, 0.45)
         cx = rng.uniform(-0.35, 0.35)

@@ -105,12 +105,11 @@ def fit_t1(
     series: InversionSeries,
     t1_bounds: tuple[float, float] = (0.05, 6.0),
     grid_size: int = 64,
-    refine_iters: int = 20,
 ) -> T1Map:
     """Per-pixel (T1, M0) regression on a complex inversion-recovery series.
 
     For each candidate T1 the complex M0 is closed-form; a log-spaced grid
-    scan locates the best cell and golden-section refinement polishes it.
+    scan locates the best cell and 20 golden-section steps polish it.
     All-zero pixels are flagged degenerate and pinned to the lower bound.
     """
     if series.times.size < 3:
@@ -149,7 +148,7 @@ def fit_t1(
     d = a + inv_phi * (b_hi - a)
     fc, _ = residual_at(c)
     fd, _ = residual_at(d)
-    for _ in range(refine_iters):
+    for _ in range(20):
         take_left = fc < fd
         b_hi = np.where(take_left, d, b_hi)
         a = np.where(take_left, a, c)

@@ -37,6 +37,12 @@ class SharingMode(Enum):
     def channels(self) -> int:
         return {SharingMode.XYT: 1, SharingMode.XY_T: 2, SharingMode.X_Y_T: 3}[self]
 
+    def check_image(self, shape: tuple[int, ...]) -> None:
+        """Raise unless the mode can weight images of ``shape``: the two
+        temporal modes need a time direction, a dynamic image (nt > 1)."""
+        if self is not SharingMode.XYT and ndirs(shape) != 3:
+            raise ValueError(f"mode {self.value} needs a dynamic image (nt > 1)")
+
 
 def ndirs(shape: tuple[int, ...]) -> int:
     """Number of difference directions for an image shape: 2 static, 3 dynamic."""
@@ -146,11 +152,9 @@ def expand_map(channels: np.ndarray, mode: SharingMode) -> np.ndarray:
     c = channels.shape[0]
     if c != mode.channels:
         raise ValueError(f"mode {mode.value} expects {mode.channels} channels, got {c}")
-    q = ndirs(channels.shape[1:])
+    mode.check_image(channels.shape[1:])
     if mode is SharingMode.XYT:
-        return np.stack([channels[0]] * q)
-    if q != 3:
-        raise ValueError(f"mode {mode.value} needs a dynamic image (nt > 1)")
+        return np.stack([channels[0]] * ndirs(channels.shape[1:]))
     if mode is SharingMode.XY_T:
         return np.stack([channels[0], channels[0], channels[1]])
     return channels.copy()
@@ -163,10 +167,9 @@ def expand_map_adjoint(field: np.ndarray, mode: SharingMode) -> np.ndarray:
     XYT sums all of them, XY_T maps ``(a, b, c)`` to ``(a + b, c)``, X_Y_T
     passes the three through.
     """
+    mode.check_image(field.shape[1:])
     if mode is SharingMode.XYT:
         return np.sum(field, axis=0)[None]
-    if field.shape[0] != 3:
-        raise ValueError(f"mode {mode.value} needs a dynamic image (nt > 1)")
     if mode is SharingMode.XY_T:
         return np.stack([field[0] + field[1], field[2]])
     return field.copy()

@@ -137,13 +137,11 @@ def loss_taped(
     weight_vars,
     net_cfg: UNetConfig,
     cfg: TrainConfig,
-    T: int | None = None,
 ) -> ad.Var:
-    """Reconstruction MSE of one item, recorded on ``tape`` (the
-    differentiable training objective)."""
-    T = cfg.t_train if T is None else T
+    """Reconstruction MSE of one item after ``cfg.t_train`` iterations,
+    recorded on ``tape`` (the differentiable training objective)."""
     rec = reconstruct_taped(tape, prob.init_image(), prob.z, prob.A, weight_vars, net_cfg,
-                            cfg.mode, T, kl=prob.kl)
+                            cfg.mode, cfg.t_train, kl=prob.kl)
     return ad.mse(rec, tape.constant(prob.x_true))
 
 

@@ -17,7 +17,7 @@ from tvmap.cli import main as cli_main
 from tvmap.config import ExperimentConfig, render_sections
 from tvmap.experiments import build_split, net_config
 from tvmap.metrics import psnr
-from tvmap.network import UNetConfig, init_weights, weight_leaves
+from tvmap.network import OUTPUT_SCALE, UNetConfig, init_weights, weight_leaves
 from tvmap.operators import (
     MriEncoder,
     RadonOp,
@@ -342,7 +342,7 @@ def test_criterion_10_reduction_identities():
     ncfg = UNetConfig(rank=3, stages=2, convs_per_stage=2, base_filters=4,
                       out_channels=2, in_channels=1)
     w = zero_weights(ncfg)
-    lam_scalar = ncfg.scale * np.log(2.0)
+    lam_scalar = OUTPUT_SCALE * np.log(2.0)
     learned = reconstruct(z, z, A, w, ncfg, SharingMode.XY_T, 64)
     plain = pdhg_solve(A, z, lam_scalar, z.copy(), 64)
     identical = np.array_equal(learned, plain.image)

@@ -122,6 +122,13 @@ def test_solve_rejects_conflicting_flags(tmp_path):
     assert main(["solve", "--config", str(path), "--task", "mri"]) == 2
 
 
+def test_solve_rejects_empty_task(tmp_path, capsys):
+    _, path = tiny_config(tmp_path)
+    assert main(["solve", "--config", str(path), "--task", ""]) == 2
+    assert "--task '' does not match config task 'denoise'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_gridsearch_cli(tmp_path, capsys):
     cfg, path = tiny_config(tmp_path)
     code = main(["gridsearch", "--config", str(path), "--mode", "xyt",
@@ -400,6 +407,31 @@ def test_preview_cli(tmp_path, rng):
     assert main(["preview", str(path), "--out", str(tmp_path / "prev")]) == 0
     assert (tmp_path / "prev_000.pgm").exists()
     assert (tmp_path / "prev_001.pgm").exists()
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 1, 2, 4, 4)])
+def test_preview_rejects_tensor_that_is_not_an_image(tmp_path, capsys, shape):
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, np.ones(shape))
+    assert main(["preview", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "2-, 3- or 4-D" in err
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["eval", "--config", "{cfg}", "--checkpoint", "{tmp}/ckpt", "--t-test", ","], "--t-test"),
+    (["gridsearch", "--config", "{cfg}", "--grid", ","], "--grid"),
+    (["gridsearch", "--config", "{cfg}", "--mode", "xy_t", "--grid", "0.1,0.2",
+      "--grid-t", ""], "--grid-t"),
+    (["fit-t1", "--series", "{tmp}/s.tnsr", "--times", " , ", "--out", "{tmp}/run"], "--times"),
+])
+def test_empty_list_option_rejected(tmp_path, capsys, argv, option):
+    _, path = tiny_config(tmp_path)
+    write_tensor(tmp_path / "s.tnsr", np.ones((3, 4, 4)))
+    assert main([a.format(cfg=path, tmp=tmp_path) for a in argv]) == 2
+    assert f"config error: {option} lists no values" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_config_is_config_error(tmp_path):

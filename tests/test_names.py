@@ -2,7 +2,8 @@
 a deleted helper would otherwise fail only when its line first runs.  And
 every function, method or class ``src/tvmap`` defines must be used by the
 package, ``scripts/`` or ``benchmark/``: code only a test calls belongs with
-the tests."""
+the tests.  And some caller, tests included, must pass each parameter that
+has a default: a default that every caller takes is a constant."""
 
 import ast
 import builtins
@@ -99,3 +100,70 @@ def test_unreferenced_definition_is_reported():
     }
     assert unreferenced_definitions(defining, ["from m import C\n"]) == ["m.unused", "m.C.orphan"]
     assert unreferenced_definitions(defining, ["m.unused(); C().orphan()\n"]) == []
+
+
+def unpassed_defaults(defining: dict[str, str], calling: list[str]) -> list[str]:
+    """``module.function(parameter)`` for every parameter with a default, on
+    a function or method the ``defining`` sources (module name -> source)
+    define, that no call in them or in ``calling`` passes, by keyword or by
+    position.  Calls match the function by name (a class call matches
+    ``__init__``); a call that spreads ``*args`` passes every positional
+    parameter and one that spreads ``**kwargs`` passes every parameter."""
+    params = []  # (name a call uses, "module.function(parameter)", parameter, index)
+
+    def collect(node, module, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                collect(child, module, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                called = cls if child.name == "__init__" else child.name
+                where = f"{module}.{cls}.{child.name}" if cls else f"{module}.{child.name}"
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    params.append((called, f"{where}({arg.arg})", arg.arg, i - bound))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        params.append((called, f"{where}({arg.arg})", arg.arg, None))
+                collect(child, module, None)
+            else:
+                collect(child, module, cls)
+
+    for module, source in defining.items():
+        collect(ast.parse(source), module, None)
+    passed = set()  # (name, parameter name or positional index, or "*" / "**")
+    for source in [*defining.values(), *calling]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed.update((name, i) for i in range(len(node.args)))
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    passed.add((name, "*"))
+                passed.update((name, kw.arg or "**") for kw in node.keywords)
+    return [where for called, where, arg, index in params
+            if not {(called, arg), (called, "**")} & passed
+            and (index is None or not {(called, index), (called, "*")} & passed)]
+
+
+def test_every_default_is_passed_somewhere():
+    # a parameter whose default every caller takes is a constant
+    defining = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    calling = [p.read_text() for d in ("scripts", "benchmark", "tests")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unpassed_defaults(defining, calling) == []
+
+
+def test_unpassed_default_is_reported():
+    defining = {
+        "m": "def f(a, b=1, c=2, *, d=3):\n    pass\n\n"
+             "class C:\n    def __init__(self, x=0):\n        pass\n\n"
+             "    def g(self, y=0, z=0):\n        pass\n\n"
+             "f(0, 1)\nC().g(z=1)\n",
+    }
+    assert unpassed_defaults(defining, []) == ["m.f(c)", "m.f(d)", "m.C.__init__(x)", "m.C.g(y)"]
+    assert unpassed_defaults(defining, ["f(0, 1, 2, d=4)\nC(1).g(0)\n"]) == []
+    assert unpassed_defaults(defining, ["f(*args, **kw)\nC(*a)\nC().g(**kw)\n"]) == []

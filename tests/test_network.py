@@ -4,6 +4,7 @@ import pytest
 from oracles import zero_weights
 from tvmap import autodiff as ad
 from tvmap.network import (
+    OUTPUT_SCALE,
     NetWeights,
     UNetConfig,
     init_weights,
@@ -25,11 +26,11 @@ def test_zero_weights_give_constant_softplus_output():
     x0 = np.random.default_rng(0).standard_normal((4, 8, 8))
     out = net_forward(x0, w, cfg)
     assert out.shape == (2, 4, 8, 8)
-    np.testing.assert_allclose(out, cfg.scale * np.log(2.0), atol=1e-15)
+    np.testing.assert_allclose(out, OUTPUT_SCALE * np.log(2.0), atol=1e-15)
 
 
 def test_paper_scale_value():
-    cfg = small_cfg(scale=0.1, out_channels=1)
+    cfg = small_cfg(out_channels=1)
     w = zero_weights(cfg)
     out = net_forward(np.zeros((2, 4, 4)), w, cfg)
     np.testing.assert_allclose(out, 0.1 * np.log(2.0), atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from tvmap import autodiff as ad
 from tvmap import parallel
 from tvmap.errors import NumericalError
-from tvmap.network import UNetConfig, init_weights, weight_leaves
+from tvmap.network import OUTPUT_SCALE, UNetConfig, init_weights, weight_leaves
 from tvmap.operators import RadonOp, equispaced_angles, identity_op
 from tvmap.prox import KlParams
 from tvmap.solvers import Problem, pd3o_solve_ct, pdhg_solve, unroll
@@ -52,7 +52,7 @@ def test_reconstruct_zero_weights_bit_identical_to_scalar_solver(rng):
     prob = denoise_problem(rng)
     cfg = small_cfg()
     w = zero_weights(cfg)
-    lam = cfg.scale * np.log(2.0)
+    lam = OUTPUT_SCALE * np.log(2.0)
     ours = reconstruct(prob.x0, prob.z, prob.A, w, cfg, SharingMode.XY_T, 32)
     plain = pdhg_solve(prob.A, prob.z, constant_map(lam, prob.z.shape), prob.x0, 32)
     assert np.array_equal(ours, plain.image)
