@@ -67,7 +67,7 @@ def main():
     weights, history = train(train_items, val_items, init_weights(ncfg, seed=args.seed),
                              ncfg, tcfg)
     print(f"[{time.perf_counter()-t0:6.0f}s] training done "
-          f"({len(history.rows)} history rows)")
+          f"({len(history)} history rows)")
 
     def mean_psnr(lam_fn):
         vals = []

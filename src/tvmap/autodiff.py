@@ -6,12 +6,13 @@ and the convolution, pooling and upsampling layers (the tests keep further
 elementwise nodes in ``tests/oracles.py``).  Every recorded node stores its
 forward value and a vector-Jacobian closure; ``Tape.backward`` walks the
 nodes in strict reverse creation order, so gradient accumulation is
-deterministic.  Two nodes are recorded by training instead: the expansion
+deterministic.  One node is recorded by training instead: the expansion
 of the network's channels into the weight field
-(:func:`tvmap.tensors.expand_map` and its adjoint), and the ``T`` unrolled
-iterations as one node whose VJP is the iteration's hand-written reverse
-sweep (see :func:`tvmap.training.reconstruct_taped`).  The network's input
-channels are one constant node, since nothing differentiates the image.
+(:func:`tvmap.tensors.expand_map`) and the ``T`` unrolled iterations with
+it, whose VJP is the iteration's hand-written reverse sweep followed by the
+expansion's adjoint (see :func:`tvmap.training.reconstruct_taped`).  The
+network's input channels are one constant node, since nothing
+differentiates the image.
 
 Complex values are treated as pairs of reals: the gradient ``g`` of a scalar
 loss with respect to a complex array ``v`` is the complex array with
@@ -19,9 +20,9 @@ loss with respect to a complex array ``v`` is the complex array with
 separately.
 
 One training item of an 8x32x32 denoising problem with the two-stage,
-8-filter network and ``T = 64`` records 37 nodes holding 7.96 MiB
+8-filter network and ``T = 64`` records 36 nodes holding 7.77 MiB
 (``Tape.nbytes``): the 14 weight leaves, the input, 18 network nodes, the
-expansion, the solve, the target and the MSE.  The solve node's closure
+solve, the target and the MSE.  The solve node's closure
 holds a further 1.5 MiB trail (24 KiB per iteration) that ``nbytes`` does
 not count.  The traced peak of the whole item, forward and backward, is
 19.2 MiB.
@@ -145,10 +146,7 @@ def scale(a: Var, c: float) -> Var:
 
 def leaky_relu(x: Var, alpha: float) -> Var:
     xv = x.value
-    if alpha == 0.0:
-        value = np.maximum(xv, 0.0)
-    else:
-        value = np.where(xv > 0, xv, alpha * xv)
+    value = np.where(xv > 0, xv, alpha * xv)
 
     def vjp(u):
         return (np.where(xv > 0, u, alpha * u),)

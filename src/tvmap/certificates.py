@@ -5,7 +5,9 @@ the weight field.
 Both certificates assemble the involved operators densely (brute-force
 symmetric eigensolves provide the constants), so they are restricted to
 small real-valued problems with the squared-L2 fidelity, where the fidelity
-is 1-strongly convex with 1-Lipschitz gradient.
+is 1-strongly convex with 1-Lipschitz gradient (the constants mu_z = L_z = 1
+of the bounds).  The limit points are reference solves to a relative step of
+``REF_TOL``; one that stops short of it raises :class:`ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -14,9 +16,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .operators import LinearOperator, identity_op
-from .solvers import Problem, StepParams, pdhg_solve, pdhg_step_params, reference_solve
+from .solvers import (
+    Problem,
+    SolveReport,
+    StepParams,
+    pdhg_solve,
+    pdhg_step_params,
+    reference_solve,
+)
 from .tensors import constant_map, grad, grad_norm_exact, ndirs
+
+
+# relative step norm and iteration cap of the reference solves
+REF_TOL = 1e-12
+REF_T_MAX = 200000
+
+
+def _limit(problem: Problem, lam, x0: np.ndarray | None = None,
+           step: StepParams | None = None) -> SolveReport:
+    ref = reference_solve(problem, lam, tol=REF_TOL, T_max=REF_T_MAX, x0=x0, step=step)
+    if not ref.converged:
+        raise ConvergenceError(
+            f"reference solve reached a relative step of {ref.reached_tol:.3e} in "
+            f"{ref.iterations} iterations, not {REF_TOL:.0e}", estimate=ref.reached_tol)
+    return ref
 
 
 def dense_matrix(apply_fn, in_shape, out_size: int) -> np.ndarray:
@@ -36,8 +61,6 @@ def dense_matrix(apply_fn, in_shape, out_size: int) -> np.ndarray:
 class RateCertificate:
     c_lower: float
     c_upper: float
-    mu_z: float
-    L_z: float
     lam_min_ata: float
     lam_bar: float
     c_za: float
@@ -95,16 +118,10 @@ def rate_certificate(
     if lam_min_ata <= 0:
         raise ValueError("A^T A is singular; the certificate needs injective A")
 
-    mu_z = 1.0
-    L_z = 1.0
     lam_bar = float(np.linalg.norm(np.asarray(lam).ravel()))
-    c_za = max(
-        c_upper * L_z * A.norm(), 4.0 * c_upper * lam_bar, 2.0, lam_min_ata * mu_z
-    ) / (lam_min_ata * mu_z)
+    c_za = max(c_upper * A.norm(), 4.0 * c_upper * lam_bar, 2.0, lam_min_ata) / lam_min_ata
 
-    ref = reference_solve(
-        Problem(A=A, z=z), lam, tol=1e-12, T_max=200000, x0=x0, step=step
-    )
+    ref = _limit(Problem(A=A, z=z), lam, x0=x0, step=step)
     x_star = ref.image
     p_star = A.forward(x_star) - z
     q_star = ref.dual_q
@@ -120,8 +137,6 @@ def rate_certificate(
     cert = RateCertificate(
         c_lower=c_lower,
         c_upper=c_upper,
-        mu_z=mu_z,
-        L_z=L_z,
         lam_min_ata=lam_min_ata,
         lam_bar=lam_bar,
         c_za=c_za,
@@ -145,8 +160,8 @@ def lipschitz_probe(
     (2 |grad| / (lam_min(A^T A) mu_z)) |lam1 - lam2|; raises on violation."""
     prob = Problem(A=A, z=z)
     shape = prob.init_image().shape
-    ref1 = reference_solve(prob, lam1, tol=1e-12, T_max=200000)
-    ref2 = reference_solve(prob, lam2, tol=1e-12, T_max=200000)
+    ref1 = _limit(prob, lam1)
+    ref2 = _limit(prob, lam2)
     lhs = float(np.linalg.norm((ref1.image - ref2.image).ravel()))
     a_mat = dense_matrix(A.forward, shape, int(np.prod(A.codomain_shape)))
     lam_min_ata = float(np.linalg.eigvalsh(a_mat.T @ a_mat)[0])
@@ -154,7 +169,7 @@ def lipschitz_probe(
         raise ValueError("A^T A is singular; the bound needs injective A")
     grad_norm = grad_norm_exact(shape)
     diff = float(np.linalg.norm((np.asarray(lam1) - np.asarray(lam2)).ravel()))
-    rhs = 2.0 * grad_norm / (lam_min_ata * 1.0) * diff
+    rhs = 2.0 * grad_norm / lam_min_ata * diff
     if lhs > rhs + 1e-12:
         raise AssertionError(f"Lipschitz bound violated: {lhs} > {rhs}")
     return lhs, rhs

@@ -148,9 +148,9 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.task in ("ct",) and self.nt != 1:
             self.nt = 1
-        if self.task == "qmri" and self.ny != self.nx:
-            raise ValueError(f"task = qmri needs a square phantom, ny = nx; got nx = {self.nx}, "
-                             f"ny = {self.ny}")
+        if self.task in ("ct", "qmri") and self.ny != self.nx:
+            raise ValueError(f"task = {self.task} needs a square phantom, ny = nx; "
+                             f"got nx = {self.nx}, ny = {self.ny}")
         if self.mode not in ("xyt", "xy_t", "x_y_t"):
             raise ValueError(f"unknown sharing mode {self.mode!r}")
         for key in ("train_count", "val_count", "test_count"):

@@ -259,15 +259,22 @@ def save_checkpoint(
 
 
 def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
-    """Read a checkpoint; the layer count and every kernel and bias shape
-    must match the network's :meth:`UNetConfig.layer_plan`."""
+    """Read a checkpoint; ``checkpoint.txt`` must hold every key it is read
+    by, and the layer count and every kernel and bias shape must match the
+    network's :meth:`UNetConfig.layer_plan`."""
     ckpt_dir = Path(ckpt_dir)
-    info = parse_sections((ckpt_dir / "checkpoint.txt").read_text())["checkpoint"]
-    net_cfg = UNetConfig(**{f.name: parse_value(UNetConfig, f.name, info[f.name])
-                            for f in fields(UNetConfig)})
+    path = ckpt_dir / "checkpoint.txt"
+    info = parse_sections(path.read_text()).get("checkpoint")
+    if info is None:
+        raise ValueError(f"{path}: no [checkpoint] section")
+    net_keys = [f.name for f in fields(UNetConfig)]
+    missing = [key for key in net_keys + ["n_layers", "mode"] if key not in info]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    net_cfg = UNetConfig(**{key: parse_value(UNetConfig, key, info[key]) for key in net_keys})
     plan = net_cfg.layer_plan()
     if int(info["n_layers"]) != len(plan):
-        raise ValueError(f"{ckpt_dir / 'checkpoint.txt'}: n_layers = {info['n_layers']}, "
+        raise ValueError(f"{path}: n_layers = {info['n_layers']}, "
                          f"the network has {len(plan)} layers")
     kernels, biases = [], []
     for i, (_, c_in, c_out, k) in enumerate(plan):
@@ -296,11 +303,10 @@ def cmd_train(args) -> str:
     best, history = train(train_items, val_items, w0, net_cfg, tcfg)
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    val_rows = [r for r in history.rows if not np.isnan(r[2])]
-    best_val = min(r[2] for r in val_rows)
+    best_val = min(v for _, _, v in history if not np.isnan(v))
     save_checkpoint(out / "checkpoint", best, net_cfg, cfg, best_val)
     fileio.write_csv(out / "history.csv", ["epoch", "train_loss", "val_loss"],
-                     history.as_csv_rows())
+                     [(float(e), t, v) for e, t, v in history])
     write_manifest(out / "train_manifest.txt", cfg, "train",
                    {"best_val_loss": fileio.format_float(best_val)})
     return f"checkpoint at {out / 'checkpoint'}"

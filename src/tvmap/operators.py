@@ -96,8 +96,6 @@ class MriEncoder(LinearOperator):
         )
         self.coil_maps = coil_maps
         self.masks = masks
-        self.n_coils = coil_maps.shape[0]
-        self.n_frames = n_t
         self._norm_estimate = 1.0
 
     def forward(self, x):

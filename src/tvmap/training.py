@@ -4,18 +4,18 @@ solver.
 Evaluation (:func:`reconstruct`) and gradients (:func:`reconstruct_taped`)
 run the same solver iteration, so with identical weights the two are
 bit-identical.  The taped path records the network on an autodiff tape and
-the whole unrolled solve as a single node, whose VJP is the iteration's
-hand-written reverse sweep (:meth:`tvmap.solvers._Pdhg.reverse`).
+the channel expansion with the whole unrolled solve as a single node, whose
+VJP is the iteration's hand-written reverse sweep
+(:meth:`tvmap.solvers._Pdhg.reverse`) followed by the expansion's adjoint.
 
 The training objective is the mean squared error of the ``T``-step
 reconstruction.  :func:`loss_taped` records one item's on its own tape: the
-weight leaves, the input channels as one constant, the network, the
-expansion and solve nodes, the target and the MSE, 37 nodes for the
-two-stage network with two convolutions per stage (38 for CT, whose rank-2
-network adds the time axis back).  :func:`batch_gradient` averages the
-items' leaf gradients, and :func:`loss_value` evaluates the objective for
-validation.  Weight decay is not part of it; :func:`adam_step` applies it
-decoupled from the gradient.
+weight leaves, the input channels as one constant, the network, the solve
+node, the target and the MSE, 36 nodes for the two-stage network with two
+convolutions per stage (37 for CT, whose rank-2 network adds the time axis
+back).  :func:`batch_gradient` averages the items' leaf gradients, and
+:func:`loss_value` evaluates the objective for validation.  Weight decay is
+not part of it; :func:`adam_step` applies it decoupled from the gradient.
 
 The items of a batch, of a validation pass and of an evaluation are mapped
 over processes with :func:`tvmap.parallel.pmap` and combined in item order,
@@ -24,7 +24,7 @@ so every result is the same for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,13 +76,6 @@ def _checked_field(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def estimate_weight_field(
-    x0: np.ndarray, weights: NetWeights, net_cfg: UNetConfig, mode: SharingMode
-) -> np.ndarray:
-    chans = net_forward(x0, weights, net_cfg)
-    return _checked_field(expand_map(chans, mode))
-
-
 def reconstruct(
     x0: np.ndarray,
     z: np.ndarray,
@@ -97,18 +90,8 @@ def reconstruct(
     with it held fixed.  ``T = 0`` returns ``x0`` unchanged."""
     if T == 0:
         return x0.copy()
-    lam = estimate_weight_field(x0, weights, net_cfg, mode)
+    lam = _checked_field(expand_map(net_forward(x0, weights, net_cfg), mode))
     return solve_problem(Problem(A=A, z=z, x0=x0, kl=kl), lam, T).image
-
-
-def weight_field_taped(
-    tape: ad.Tape, x0: np.ndarray, weight_vars, net_cfg: UNetConfig, mode: SharingMode
-) -> ad.Var:
-    """Record :func:`estimate_weight_field` on ``tape``, before its check:
-    the network node by node and the channel expansion as one node."""
-    chans = net_forward_taped(tape, x0, weight_vars, net_cfg)
-    return tape._emit(expand_map(chans.value, mode), (chans.idx,),
-                      lambda u: (expand_map_adjoint(u, mode),), chans.requires_grad)
 
 
 def reconstruct_taped(
@@ -123,12 +106,14 @@ def reconstruct_taped(
     kl: KlParams | None = None,
 ) -> ad.Var:
     """Differentiable twin of :func:`reconstruct` on an explicit tape: the
-    network is recorded node by node, the ``T`` solver iterations as one
-    node whose VJP walks the iteration's trail backwards."""
-    lam = weight_field_taped(tape, x0, weight_vars, net_cfg, mode)
-    it = unroll(A, z, _checked_field(lam.value), x0, T, kl, trail=[])
-    # one node for the whole solve; its VJP is the iteration's reverse sweep
-    return tape._emit(it.image, (lam.idx,), lambda u: (it.reverse(u),), lam.requires_grad)
+    network is recorded node by node, the channel expansion and the ``T``
+    solver iterations as one node whose VJP walks the iteration's trail
+    backwards and folds the field's gradient back onto the channels."""
+    chans = net_forward_taped(tape, x0, weight_vars, net_cfg)
+    it = unroll(A, z, _checked_field(expand_map(chans.value, mode)), x0, T, kl, trail=[])
+    return tape._emit(it.image, (chans.idx,),
+                      lambda u: (expand_map_adjoint(it.reverse(u), mode),),
+                      chans.requires_grad)
 
 
 def loss_taped(
@@ -225,29 +210,23 @@ def adam_step(
     return out
 
 
-@dataclass
-class TrainHistory:
-    rows: list[tuple[int, float, float]] = field(default_factory=list)  # epoch, train, val
-
-    def as_csv_rows(self):
-        return [(float(e), t, v) for e, t, v in self.rows]
-
-
 def train(
     train_items: list[Problem],
     val_items: list[Problem],
     weights: NetWeights,
     net_cfg: UNetConfig,
     cfg: TrainConfig,
-) -> tuple[NetWeights, TrainHistory]:
+) -> tuple[NetWeights, list[tuple[int, float, float]]]:
     """Shuffled mini-batch epochs with periodic validation; returns the
-    checkpoint with the lowest validation MSE and the loss history."""
+    checkpoint with the lowest validation MSE and the loss history as
+    ``(epoch, train_loss, val_loss)`` rows from epoch 0, NaN where a loss
+    was not measured."""
     if not train_items or not val_items:
         raise ValueError("need non-empty train and validation splits")
     rng = np.random.default_rng(cfg.seed)
     flat = weights.flat()
     state = AdamState.zeros(flat.size)
-    history = TrainHistory()
+    history = []
     best_flat = flat.copy()
 
     def val_loss(w: NetWeights) -> float:
@@ -259,7 +238,7 @@ def train(
     current = weights
     v0 = val_loss(current)
     best_val = v0
-    history.rows.append((0, np.nan, v0))
+    history.append((0, np.nan, v0))
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_items))
         epoch_losses = []
@@ -271,12 +250,12 @@ def train(
             current = weights.from_flat(flat)
         if epoch % cfg.validate_every == 0 or epoch == cfg.epochs:
             v = val_loss(current)
-            history.rows.append((epoch, float(np.mean(epoch_losses)), v))
+            history.append((epoch, float(np.mean(epoch_losses)), v))
             if v < best_val:
                 best_val = v
                 best_flat = flat.copy()
         else:
-            history.rows.append((epoch, float(np.mean(epoch_losses)), np.nan))
+            history.append((epoch, float(np.mean(epoch_losses)), np.nan))
     return weights.from_flat(best_flat), history
 
 

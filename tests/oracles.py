@@ -12,7 +12,10 @@ the operator tests, and ``zero_weights`` gives the all-zero network, whose
 weight map is the constant scale * log 2 (the zero-weight reduction).
 ``radon_matrix_summed`` keeps the Radon system matrix's earlier assembly,
 one full-size block per angle summed pairwise, as the reference for the
-stacked one.
+stacked one.  ``estimate_weight_field`` is the plain network-to-field map,
+and ``weight_field_taped`` records it with the channel expansion as a node
+of its own, the reference for training's one node from the channels to the
+reconstruction.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from scipy import sparse
 
 from tvmap import autodiff as ad
 from tvmap.autodiff import Tape, Var, _needs, _same_tape
-from tvmap.network import NetWeights, UNetConfig, init_weights
+from tvmap.network import NetWeights, UNetConfig, init_weights, net_forward, net_forward_taped
 from tvmap.operators import LinearOperator
 from tvmap.prox import EXP_CLAMP
 from tvmap.solvers import pd3o_step_params, pdhg_step_params
+from tvmap.tensors import SharingMode, expand_map, expand_map_adjoint, grad_norm_exact, ndirs
 from tvmap.tensors import grad as grad_field_fn
 from tvmap.tensors import grad_adjoint as grad_adjoint_fn
-from tvmap.tensors import grad_norm_exact, ndirs
-from tvmap.training import weight_field_taped
+from tvmap.training import _checked_field
 
 
 def zero_weights(cfg: UNetConfig) -> NetWeights:
@@ -413,10 +416,27 @@ def finite_diff_check(build, leaves, eps: float = 1e-6, trials: int = 20, seed: 
 
 
 
+def estimate_weight_field(
+    x0: np.ndarray, weights: NetWeights, net_cfg: UNetConfig, mode: SharingMode
+) -> np.ndarray:
+    chans = net_forward(x0, weights, net_cfg)
+    return _checked_field(expand_map(chans, mode))
+
+
+def weight_field_taped(
+    tape: ad.Tape, x0: np.ndarray, weight_vars, net_cfg: UNetConfig, mode: SharingMode
+) -> ad.Var:
+    """Record :func:`estimate_weight_field` on ``tape``, before its check:
+    the network node by node and the channel expansion as one node."""
+    chans = net_forward_taped(tape, x0, weight_vars, net_cfg)
+    return tape._emit(expand_map(chans.value, mode), (chans.idx,),
+                      lambda u: (expand_map_adjoint(u, mode),), chans.requires_grad)
+
+
 def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, kl=None):
-    """``training.reconstruct_taped`` with every solver iteration recorded
-    node by node on the tape; the network and the channel expansion are
-    training's own (:func:`tvmap.training.weight_field_taped`)."""
+    """``training.reconstruct_taped`` with the channel expansion as its own
+    node (:func:`weight_field_taped`) and every solver iteration recorded
+    node by node on the tape; the network is training's own."""
     x0_var = tape.constant(x0)
     lam = weight_field_taped(tape, x0, weight_vars, net_cfg, mode)
     if kl is not None:

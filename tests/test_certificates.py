@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from tvmap import certificates
 from tvmap.certificates import dense_matrix, lipschitz_probe, rate_certificate
+from tvmap.cli import main
+from tvmap.errors import ConvergenceError
 from tvmap.operators import identity_op
 from tvmap.solvers import StepParams
 from tvmap.tensors import constant_map, grad, ndirs
@@ -78,3 +81,23 @@ def test_lipschitz_probe_scaled_pair(rng):
     lam1 = np.abs(rng.standard_normal((2,) + shape)) * 0.3 + 0.05
     lhs, rhs = lipschitz_probe(A, z, lam1, 2.0 * lam1)
     assert lhs <= rhs
+
+
+def test_unconverged_reference_is_convergence_error(rng, monkeypatch, tmp_path, capsys):
+    # a reference solve cut at 50 iterations stands for no limit point
+    real = certificates.reference_solve
+
+    def cut(prob, lam, tol, T_max, **kw):
+        return real(prob, lam, tol=tol, T_max=50, **kw)
+
+    monkeypatch.setattr(certificates, "reference_solve", cut)
+    shape = (1, 8, 1)
+    A = identity_op(shape)
+    z = rng.standard_normal(shape)
+    with pytest.raises(ConvergenceError, match="in 50 iterations"):
+        rate_certificate(A, z, constant_map(0.3, shape), z.copy(), T_list=[2])
+    lam = constant_map(0.2, shape)
+    with pytest.raises(ConvergenceError, match="relative step of"):
+        lipschitz_probe(A, z, lam, 2.0 * lam)
+    assert main(["certify", "--rate", "--out", str(tmp_path)]) == 3
+    assert "reference solve" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvmap import parallel
+from tvmap import experiments, parallel
 from tvmap.cli import build_parser, main
 from tvmap.config import ExperimentConfig, render_sections
 from tvmap.fileio import read_tensor, write_tensor
@@ -213,6 +213,31 @@ def test_eval_rejects_checkpoint_layer_count(tmp_path, capsys):
     assert "checkpoint.txt" in err and "n_layers = 3" in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("rank = 3\n", "", "missing key(s) rank"),
+    ("[checkpoint]", "[weights]", "no [checkpoint] section"),
+], ids=["key", "section"])
+def test_eval_rejects_checkpoint_without_a_key(tmp_path, capsys, old, new, message):
+    def edit_info(ckpt):
+        info = ckpt / "checkpoint.txt"
+        assert old in info.read_text()
+        info.write_text(info.read_text().replace(old, new))
+
+    assert _eval_edited_checkpoint(tmp_path, edit_info) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.txt" in err and message in err
+
+
+def test_handler_key_error_is_not_a_config_error(monkeypatch):
+    # a KeyError is our own bug, not the user's input: it shows a traceback
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(experiments, "cmd_gen", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["gen", "--config", "unused.cfg"])
+
+
 @pytest.mark.parametrize("part", ["kernel", "bias"])
 def test_eval_rejects_checkpoint_tensor_shape(tmp_path, capsys, part):
     def swap_layer(ckpt):
@@ -286,6 +311,15 @@ def test_readme_command_lines_parse():
     commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
     subparsers = next(a for a in parser._actions if a.dest == "command")
     assert commands == set(subparsers.choices)
+
+
+def test_readme_configs_load():
+    # every fenced README block with a [run] header is a config that loads
+    blocks = README.read_text().split("```")[1::2]
+    configs = [b for b in blocks if "[run]" in b.splitlines()]
+    assert configs
+    for text in configs:
+        ExperimentConfig.from_text(text)
 
 
 @pytest.mark.parametrize(

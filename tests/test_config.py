@@ -114,3 +114,9 @@ def test_qmri_rejects_non_square_phantom():
     with pytest.raises(ValueError, match="nx = 8, ny = 12"):
         ExperimentConfig(task="qmri", seed=1, nx=8, ny=12)
     assert ExperimentConfig(task="mri", seed=1, nx=8, ny=12).ny == 12
+
+
+def test_ct_rejects_non_square_phantom():
+    # the CT phantom and the Radon grid are nx x nx; ny would go unread
+    with pytest.raises(ValueError, match="task = ct needs a square phantom"):
+        ExperimentConfig(task="ct", seed=1, nx=16, ny=40)
