@@ -63,10 +63,9 @@ def render_sections(sections: dict[str, dict[str, str]]) -> str:
     return "\n".join(out)
 
 
-def parse_value(cls, key: str, raw: str):
-    """Type the text ``raw`` of the dataclass field ``cls.key`` by its
-    annotation: int, float, a tuple of comma-separated floats, or str as given."""
-    kind = get_type_hints(cls)[key]
+def parse_value(kind, key: str, raw: str):
+    """Type the text ``raw`` of ``key`` as ``kind`` (a dataclass field's
+    annotation): int, float, a tuple of comma-separated floats, or str as given."""
     try:
         if kind is tuple:
             return tuple(float(v) for v in raw.split(",") if v.strip())
@@ -151,6 +150,8 @@ class ExperimentConfig:
         if self.task in ("ct", "qmri") and self.ny != self.nx:
             raise ValueError(f"task = {self.task} needs a square phantom, ny = nx; "
                              f"got nx = {self.nx}, ny = {self.ny}")
+        if self.task == "qmri" and not self.times:
+            raise ValueError("task = qmri needs inversion times, times lists none")
         if self.mode not in ("xyt", "xy_t", "x_y_t"):
             raise ValueError(f"unknown sharing mode {self.mode!r}")
         for key in ("train_count", "val_count", "test_count"):
@@ -173,7 +174,8 @@ class ExperimentConfig:
             raise ValueError("missing mandatory key 'task' in [run]")
         if "seed" not in values:
             raise ValueError("missing mandatory key 'seed' in [run]")
-        return cls(**{key: parse_value(cls, key, raw) for key, raw in values.items()})
+        kinds = get_type_hints(cls)
+        return cls(**{key: parse_value(kinds[key], key, raw) for key, raw in values.items()})
 
     def to_sections(self) -> dict[str, dict[str, str]]:
         return {
@@ -183,7 +185,10 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_text(Path(path).read_text())
+        try:
+            return cls.from_text(Path(path).read_text())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def item_seed(self, purpose: int, index: int):
         return [int(self.seed), int(purpose), int(index)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -264,24 +265,29 @@ def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
     network's :meth:`UNetConfig.layer_plan`."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "checkpoint.txt"
-    info = parse_sections(path.read_text()).get("checkpoint")
-    if info is None:
-        raise ValueError(f"{path}: no [checkpoint] section")
-    net_keys = [f.name for f in fields(UNetConfig)]
-    missing = [key for key in net_keys + ["n_layers", "mode"] if key not in info]
-    if missing:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    net_cfg = UNetConfig(**{key: parse_value(UNetConfig, key, info[key]) for key in net_keys})
-    plan = net_cfg.layer_plan()
-    if int(info["n_layers"]) != len(plan):
-        raise ValueError(f"{path}: n_layers = {info['n_layers']}, "
-                         f"the network has {len(plan)} layers")
+    try:
+        info = parse_sections(path.read_text()).get("checkpoint")
+        if info is None:
+            raise ValueError("no [checkpoint] section")
+        kinds = get_type_hints(UNetConfig) | {"n_layers": int}
+        missing = [key for key in [*kinds, "mode"] if key not in info]
+        if missing:
+            raise ValueError(f"missing key(s) {', '.join(missing)}")
+        values = {key: parse_value(kind, key, info[key]) for key, kind in kinds.items()}
+        n_layers = values.pop("n_layers")
+        net_cfg = UNetConfig(**values)
+        plan = net_cfg.layer_plan()
+        if n_layers != len(plan):
+            raise ValueError(f"n_layers = {n_layers}, the network has {len(plan)} layers")
+        mode = SharingMode(info["mode"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     kernels, biases = [], []
     for i, (_, c_in, c_out, k) in enumerate(plan):
         kernels.append(_read_shaped(ckpt_dir / f"w{i:02d}_kernel.tnsr",
                                     (c_out, c_in) + (k,) * net_cfg.rank))
         biases.append(_read_shaped(ckpt_dir / f"w{i:02d}_bias.tnsr", (c_out,)))
-    return NetWeights(kernels, biases), net_cfg, SharingMode(info["mode"])
+    return NetWeights(kernels, biases), net_cfg, mode
 
 
 def _read_shaped(path: Path, shape: tuple) -> np.ndarray:
@@ -387,6 +393,10 @@ def cmd_fit_t1(args) -> str:
     """Per-pixel (T1, M0) fit of a TNSR1 inversion-recovery series."""
     times = _numbers(args.times, float, "--times")
     images = fileio.read_tensor(args.series)
+    if images.ndim != 3 or len(images) != len(times):
+        raise ValueError(f"{args.series}: fit-t1 needs an (n_times, nx, ny) series, one "
+                         f"image per --times value ({len(times)}); the file holds shape "
+                         f"{images.shape}")
     series = InversionSeries(times=np.asarray(times, dtype=float), images=images)
     result = fit_t1(series, t1_bounds=(args.t1_lo, args.t1_hi))
     out = Path(args.out)

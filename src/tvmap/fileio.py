@@ -94,8 +94,6 @@ def write_pgm_frames(prefix, arr: np.ndarray) -> list[Path]:
 
 def format_float(v) -> str:
     """Shortest round-trip decimal form; used for every CSV value."""
-    if v == float("inf"):
-        return "inf"
     return repr(float(v))
 
 

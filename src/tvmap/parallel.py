@@ -1,14 +1,14 @@
 """Order-preserving fork-join map for independent work items.
 
 :func:`pmap` splits the items into contiguous blocks, one per process.  The
-caller computes the first block itself; each other block runs in a child made
-by ``os.fork``, which pickles its results into a pipe and leaves with
-``os._exit``.  Results are merged in item order, so the output is identical
-for any worker count, and an exception is raised again in the caller with
-its type.  Children inherit the caller's memory, so ``fn`` may be any
-closure; only results travel back.  Each child may run on every usable
-CPU but the one the caller runs on when it forks; the caller's CPU mask is
-never changed.  A ``pmap`` called from inside another (from its ``fn``, in the caller or in a
+caller computes the first block itself; each other block runs in a
+``multiprocessing`` "fork" process, which sends its results back down a pipe.
+Results are merged in item order, so the output is identical for any worker
+count, and an exception is raised again in the caller with its type.
+Children inherit the caller's memory, so ``fn`` may be any closure; only
+results travel back.  Each child may run on every usable CPU but the one the
+caller runs on when it starts them; the caller's CPU mask is never changed.
+A ``pmap`` called from inside another (from its ``fn``, in the caller or in a
 child) runs serially, and so does every map where ``os.fork`` or
 ``os.sched_getaffinity`` is missing, which leaves forking to Linux.
 
@@ -16,9 +16,8 @@ Why processes and not threads: on a 2-vCPU machine with one BLAS thread, two
 threads doing numpy elementwise work on separate arrays ran 0.8-1.15x as fast
 as one, and two concurrent 8x128x128 PDHG solves 1.00-1.41x, while two
 processes ran a 4-item training batch (8x32x32, T = 64) in 238 ms against
-411 ms for one.  A bare ``fork`` plus ``waitpid`` costs about 7 ms.  Left on
-OpenBLAS's default of one thread per CPU, the two processes took 1473 ms
-against 395 ms, which is why :func:`pmap` pins the BLAS.
+411 ms for one.  Left on OpenBLAS's default of one thread per CPU, the two
+processes took 1473 ms against 395 ms, which is why :func:`pmap` pins the BLAS.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import ctypes
 import functools
 import os
 import pickle
-import signal
-import sys
 import traceback
 from contextlib import contextmanager
 
@@ -90,27 +87,32 @@ def pmap(fn, items, workers: int = 0) -> list:
 
 def _fork_join(fn, items: list, n: int) -> list:
     """``items`` in ``n`` contiguous blocks: the first computed here, each
-    other in a forked child; every child is reaped on every path."""
+    other in a forked child; every child is joined and closed on every path,
+    and killed first where the map failed before its results were read."""
+    import multiprocessing  # loaded by the first map that forks
+
+    ctx = multiprocessing.get_context("fork")
     cuts = [len(items) * k // n for k in range(n + 1)]
     blocks = [items[a:b] for a, b in zip(cuts, cuts[1:])]
-    _flush_std_streams()  # or a child would write the caller's buffered text again
     cpu = _current_cpu()
-    pending: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    children = []  # (process, read end of its pipe)
     try:
         for block in blocks[1:]:
-            pending.append(_fork(fn, block, cpu, [fd for _, fd in pending]))
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(fn, block, cpu, send_end))
+            child.start()  # flushes the caller's stdout and stderr first
+            send_end.close()
+            children.append((child, recv_end))
         results = [fn(it) for it in blocks[0]]
-        while pending:
-            results += _join(*pending.pop(0))
+        for child, recv_end in children:
+            results += _join(child, recv_end)
         return results
     finally:
-        for pid, fd in pending:
-            os.close(fd)
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+        for child, recv_end in children:
+            child.kill()  # does nothing to a child already joined
+            recv_end.close()
+            child.join()
+            child.close()
 
 
 @contextmanager
@@ -156,14 +158,6 @@ def _openblas_thread_controls() -> list:
     return controls
 
 
-def _flush_std_streams() -> None:
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except (AttributeError, ValueError):
-            pass
-
-
 def _current_cpu() -> int | None:
     """The CPU the calling thread runs on; None where libc cannot tell."""
     try:
@@ -175,47 +169,18 @@ def _current_cpu() -> int | None:
     return cpu if cpu >= 0 else None
 
 
-def _fork(fn, block, cpu: int | None, siblings: list[int]) -> tuple[int, int]:
-    """Start a child computing ``block`` off the caller's ``cpu``;
-    ``siblings`` are the read ends of the pipes of the children started
-    before, which the new child closes."""
-    r, w = os.pipe()
+def _child(fn, block, cpu: int | None, conn) -> None:
+    """Compute ``block`` and send the outcome down ``conn``, off the caller's
+    ``cpu``: where the kernel does not balance load across CPUs (a cpuset
+    with sched_load_balance 0), a forked child often stays on its parent's
+    CPU, both at half speed."""
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        os.sched_setaffinity(0, others)
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        _child(fn, block, cpu, w, siblings + [r])  # never returns
-    os.close(w)
-    return pid, r
-
-
-def _child(fn, block, cpu: int | None, fd: int, inherited: list[int]) -> None:
-    """Compute ``block`` on any usable CPU but the caller's ``cpu`` and write
-    the pickled outcome to ``fd``; always leaves the process, whatever fails."""
-    status = 1
-    try:
-        for other in inherited:
-            os.close(other)
-        # Where the kernel does not balance load across CPUs (a cpuset with
-        # sched_load_balance 0), a forked child often stays on its parent's
-        # CPU, both at half speed.
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-        try:
-            results = [fn(it) for it in block]
-            payload = pickle.dumps((True, results, None), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:
-            payload = pickle.dumps((False, _portable(exc), traceback.format_exc()))
-        with os.fdopen(fd, "wb") as pipe:
-            pipe.write(payload)
-        _flush_std_streams()
-        status = 0
-    finally:
-        os._exit(status)
+        conn.send((True, [fn(it) for it in block], None))
+    except BaseException as exc:
+        conn.send((False, _portable(exc), traceback.format_exc()))
 
 
 def _portable(exc: BaseException) -> bytes | None:
@@ -228,23 +193,23 @@ def _portable(exc: BaseException) -> bytes | None:
         return None
 
 
-def _join(pid: int, fd: int) -> list:
-    """The results of child ``pid``, read to the end of its pipe; the child
-    is reaped before anything is raised."""
+def _join(child, conn) -> list:
+    """The results of ``child``, received before it is joined (it may be
+    waiting to send them); it has exited before anything is raised."""
     try:
-        with os.fdopen(fd, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0 or not payload:
-        raise RuntimeError(f"pmap worker {pid} died (exit status {code}) without a result")
-    ok, value, tb = pickle.loads(payload)
+        ok, value, tb = conn.recv()
+    except (EOFError, OSError):  # the pipe closed before a whole message came
+        ok = None
+    child.join()
+    if ok is None:
+        raise RuntimeError(f"pmap worker {child.pid} died (exit status {child.exitcode}) "
+                           "without a result")
     if ok:
         return value
     if value is None:
-        raise RuntimeError(f"pmap worker {pid} raised an exception that cannot be sent "
+        raise RuntimeError(f"pmap worker {child.pid} raised an exception that cannot be sent "
                            f"back:\n{tb}")
     exc = pickle.loads(value)
     if hasattr(exc, "add_note"):  # Python >= 3.11
-        exc.add_note(f"raised in pmap worker {pid}:\n{tb}")
+        exc.add_note(f"raised in pmap worker {child.pid}:\n{tb}")
     raise exc

@@ -228,6 +228,34 @@ def test_eval_rejects_checkpoint_without_a_key(tmp_path, capsys, old, new, messa
     assert "checkpoint.txt" in err and message in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("n_layers = 4", "n_layers = four", "cannot parse n_layers = 'four'"),
+    ("mode = xy_t", "mode = foo", "'foo' is not a valid SharingMode"),
+    ("rank = 3", "rank = 5", "rank must be 2 or 3"),
+    ("[checkpoint]\n", "[checkpoint]\nno pair here\n", "line 2: expected 'key = value'"),
+], ids=["n_layers", "mode", "rank", "line"])
+def test_eval_checkpoint_error_names_the_file(tmp_path, capsys, old, new, message):
+    def edit_info(ckpt):
+        info = ckpt / "checkpoint.txt"
+        assert old in info.read_text()
+        info.write_text(info.read_text().replace(old, new))
+
+    assert _eval_edited_checkpoint(tmp_path, edit_info) == 2
+    info = tmp_path / "run" / "checkpoint" / "checkpoint.txt"
+    assert f"config error: {info}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("nx = 8", "nx = eight", "cannot parse nx = 'eight'"),
+    ("nx = 8", "nx = 8\nwidth = 8", "unknown key 'width' in [phantom]"),
+], ids=["value", "key"])
+def test_config_error_names_the_file(tmp_path, capsys, old, new, message):
+    _, path = tiny_config(tmp_path)
+    path.write_text(path.read_text().replace(old, new))
+    assert main(["gen", "--config", str(path)]) == 2
+    assert f"config error: {path}: {message}" in capsys.readouterr().err
+
+
 def test_handler_key_error_is_not_a_config_error(monkeypatch):
     # a KeyError is our own bug, not the user's input: it shows a traceback
     def broken(args):
@@ -402,6 +430,16 @@ def test_qmri_gen_and_fit_cli(tmp_path):
     assert np.all(t1 > 0)
 
 
+def test_qmri_config_without_times_rejected(tmp_path, capsys):
+    _, path = tiny_config(tmp_path, task="qmri", coils=2)
+    text = path.read_text()
+    times = next(line for line in text.splitlines() if line.startswith("times ="))
+    path.write_text(text.replace(times, "times ="))
+    assert main(["gen", "--config", str(path)]) == 2
+    assert "times lists none" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_ct_solve_cli(tmp_path):
     cfg, path = tiny_config(tmp_path, task="ct")
     assert main(["solve", "--config", str(path), "--lambda", "0.002", "--T", "6"]) == 0
@@ -432,6 +470,18 @@ def test_fit_t1_cli(tmp_path):
                  "--out", str(out)]) == 0
     t1 = read_tensor(out / "t1.tnsr")
     assert np.max(np.abs(t1 - truth.t1) / truth.t1) <= 5e-3
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 4, 4), (3, 1, 4, 4)])
+def test_fit_t1_rejects_series_that_is_not_one_image_per_time(tmp_path, capsys, shape):
+    path = tmp_path / "series.tnsr"
+    write_tensor(path, np.ones(shape))
+    out = tmp_path / "maps"
+    assert main(["fit-t1", "--series", str(path), "--times", "0.1,0.2,0.3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: fit-t1 needs an (n_times, nx, ny) series" in err
+    assert str(shape) in err and not out.exists()
 
 
 def test_preview_cli(tmp_path, rng):

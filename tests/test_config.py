@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from tvmap.config import ExperimentConfig, parse_sections, render_sections, write_manifest
@@ -120,3 +122,9 @@ def test_ct_rejects_non_square_phantom():
     # the CT phantom and the Radon grid are nx x nx; ny would go unread
     with pytest.raises(ValueError, match="task = ct needs a square phantom"):
         ExperimentConfig(task="ct", seed=1, nx=16, ny=40)
+
+
+def test_sections_list_every_field_once_in_order():
+    # a field missing here could not be loaded and would be left out of manifests
+    listed = [key for keys in ExperimentConfig._SECTIONS.values() for key in keys]
+    assert listed == [f.name for f in fields(ExperimentConfig)]

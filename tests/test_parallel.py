@@ -1,5 +1,6 @@
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -203,3 +204,39 @@ def test_nesting_flag_cleared_after_failure():
 def test_serial_where_fork_is_missing(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert pmap(lambda _: os.getpid(), range(4), 2) == [os.getpid()] * 4
+
+
+@forks
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_maps_leave_no_descriptor_open():
+    def raises(i):
+        if i == 1:
+            raise ValueError("child")
+        return i
+
+    def dies(i):
+        if i == 1:
+            os._exit(1)
+        return i
+
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert pmap(_item, range(4), 2)[3][0] == 3
+        with pytest.raises(ValueError, match="child"):
+            pmap(raises, range(2), 2)
+        with pytest.raises(RuntimeError, match="died"):
+            pmap(dies, range(2), 2)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@forks
+def test_buffered_and_child_output_printed_once(capfd, monkeypatch):
+    with open(os.dup(1), "w") as stream:  # block-buffered, unlike capfd's own
+        monkeypatch.setattr(sys, "stdout", stream)
+        print("before the map")  # still in the buffer when the map starts
+        pmap(lambda i: print(f"item {i} in {os.getpid()}"), range(4), 2)
+    lines = capfd.readouterr().out.splitlines()
+    assert sorted(line.split(" in ")[0] for line in lines) == [
+        "before the map", "item 0", "item 1", "item 2", "item 3"]
+    pids = {line.split(" in ")[1] for line in lines if " in " in line}
+    assert len(pids) == 2  # the children printed too
