@@ -20,11 +20,6 @@ from tvmap.tensors import SharingMode, expand_map
 from tvmap.training import TrainConfig, evaluate, train
 
 
-def scalar_field(value, mode, shape):
-    chans = np.full((mode.channels,) + tuple(shape), float(value))
-    return expand_map(chans, mode)
-
-
 def pair_field(spatial, temporal, shape):
     chans = np.stack([np.full(shape, float(spatial)), np.full(shape, float(temporal))])
     return expand_map(chans, SharingMode.XY_T)
@@ -77,7 +72,7 @@ def main():
         return float(np.mean(vals))
 
     p_noisy = float(np.mean([psnr(p.z, p.x_true) for p in test_items]))
-    p_xyt = mean_psnr(lambda s: scalar_field(lam_xyt, SharingMode.XYT, s))
+    p_xyt = mean_psnr(lambda s: lam_xyt)
     p_pair = mean_psnr(lambda s: pair_field(*lam_pair, s))
     rows = evaluate(test_items, weights, ncfg, SharingMode.XY_T, args.t_eval)
     p_net = float(np.mean([r[0] for r in rows]))

@@ -3,7 +3,11 @@
 The engine records only the primitives the network and the training loss
 are built from: ``scale``, the activations, ``mse``, channel concatenation
 and the convolution, pooling and upsampling layers (the tests keep further
-elementwise nodes in ``tests/oracles.py``).  Every recorded node stores its
+elementwise nodes in ``tests/oracles.py``).  The network records a conv
+and a leaky ReLU per ``conv`` step of its layer plan
+(:meth:`tvmap.network.UNetConfig.layer_plan`), a pooling per ``pool``, an
+upsampling and a concatenation per ``join``, a conv for the ``head``, then
+the softplus and the scale.  Every recorded node stores its
 forward value and a vector-Jacobian closure; ``Tape.backward`` walks the
 nodes in strict reverse creation order, so gradient accumulation is
 deterministic.  One node is recorded by training instead: the expansion

@@ -71,14 +71,14 @@ class RateCertificate:
         return all(measured <= bound for _, measured, bound in self.entries)
 
 
-def _dense_setup(A: LinearOperator, shape):
-    n = int(np.prod(shape))
-    m = int(np.prod(A.codomain_shape))
-    qn = ndirs(tuple(shape)) * n
-    a_mat = dense_matrix(A.forward, shape, m)
-    g_mat = dense_matrix(lambda v: grad(v), shape, qn)
-    k_mat = np.vstack([a_mat, g_mat])
-    return a_mat, k_mat, n, m, qn
+def _injective_dense(A: LinearOperator, shape) -> tuple[np.ndarray, float]:
+    """The dense matrix of ``A`` on images of ``shape`` and lambda_min(A^T A);
+    raises unless ``A`` is injective."""
+    a_mat = dense_matrix(A.forward, shape, int(np.prod(A.codomain_shape)))
+    lam_min_ata = float(np.linalg.eigvalsh(a_mat.T @ a_mat)[0])
+    if lam_min_ata <= 0:
+        raise ValueError("A^T A is singular; the certificate needs injective A")
+    return a_mat, lam_min_ata
 
 
 def rate_certificate(
@@ -103,7 +103,10 @@ def rate_certificate(
         base = pdhg_step_params(A)
         # back off from the boundary so M is safely positive definite
         step = StepParams(sigma=0.9 * base.sigma, tau=0.9 * base.tau)
-    a_mat, k_mat, n, m, qn = _dense_setup(A, shape)
+    a_mat, lam_min_ata = _injective_dense(A, shape)
+    m, n = a_mat.shape
+    qn = ndirs(tuple(shape)) * n
+    k_mat = np.vstack([a_mat, dense_matrix(lambda v: grad(v), shape, qn)])
     dim = n + m + qn
     m_mat = np.zeros((dim, dim))
     m_mat[:n, :n] = np.eye(n) / step.tau
@@ -114,9 +117,6 @@ def rate_certificate(
     if eigs[0] <= 0:
         raise ValueError("M is not positive definite; reduce the step sizes")
     c_lower, c_upper = float(np.sqrt(eigs[0])), float(np.sqrt(eigs[-1]))
-    lam_min_ata = float(np.linalg.eigvalsh(a_mat.T @ a_mat)[0])
-    if lam_min_ata <= 0:
-        raise ValueError("A^T A is singular; the certificate needs injective A")
 
     lam_bar = float(np.linalg.norm(np.asarray(lam).ravel()))
     c_za = max(c_upper * A.norm(), 4.0 * c_upper * lam_bar, 2.0, lam_min_ata) / lam_min_ata
@@ -163,10 +163,7 @@ def lipschitz_probe(
     ref1 = _limit(prob, lam1)
     ref2 = _limit(prob, lam2)
     lhs = float(np.linalg.norm((ref1.image - ref2.image).ravel()))
-    a_mat = dense_matrix(A.forward, shape, int(np.prod(A.codomain_shape)))
-    lam_min_ata = float(np.linalg.eigvalsh(a_mat.T @ a_mat)[0])
-    if lam_min_ata <= 0:
-        raise ValueError("A^T A is singular; the bound needs injective A")
+    _, lam_min_ata = _injective_dense(A, shape)
     grad_norm = grad_norm_exact(shape)
     diff = float(np.linalg.norm((np.asarray(lam1) - np.asarray(lam2)).ravel()))
     rhs = 2.0 * grad_norm / lam_min_ata * diff

@@ -152,9 +152,12 @@ class ExperimentConfig:
                              f"got nx = {self.nx}, ny = {self.ny}")
         if self.task == "qmri" and not self.times:
             raise ValueError("task = qmri needs inversion times, times lists none")
+        if self.task == "qmri" and not all(b > a for a, b in zip((0.0, *self.times), self.times)):
+            raise ValueError("task = qmri needs positive, strictly increasing inversion "
+                             f"times, got times = {format_value(self.times)}")
         if self.mode not in ("xyt", "xy_t", "x_y_t"):
             raise ValueError(f"unknown sharing mode {self.mode!r}")
-        for key in ("train_count", "val_count", "test_count"):
+        for key in ("seed", "train_count", "val_count", "test_count"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 

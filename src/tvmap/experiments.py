@@ -133,12 +133,9 @@ def _build_item(cfg: ExperimentConfig, split: str, index: int) -> Problem:
         kl = KlParams(mu=cfg.mu, n0=cfg.n0)
         z = ct_poisson_log(op, x_true, kl, seed=cfg.item_seed(SEED_NOISE, item))
         return Problem(A=op, z=z, x_true=x_true, x0=fbp(op, z), kl=kl)
-    if cfg.task == "qmri":
-        series, _truth = synth_qmri_series(
-            concentric_region_labels(cfg.nx), QMRI_TISSUES, times=cfg.times, noise_sigma=0.0
-        )
-        return _mri_problem(cfg, item, series.images)  # (n_times, nx, ny), complex
-    raise ValueError(f"unknown task {cfg.task!r}")
+    # qmri: ExperimentConfig admits no other task
+    series, _ = synth_qmri_series(concentric_region_labels(cfg.nx), QMRI_TISSUES, cfg.times)
+    return _mri_problem(cfg, item, series.images)  # (n_times, nx, ny), complex
 
 
 def build_split(cfg: ExperimentConfig, split: str) -> list[Problem]:
@@ -157,11 +154,12 @@ def _numbers(text: str, kind, option: str) -> list:
 def cmd_gen(args) -> str:
     """Write phantoms and corrupted data as TNSR1 files, plus the manifest."""
     cfg = ExperimentConfig.load(args.config)
+    splits = {split: build_split(cfg, split) for split in ("train", "val", "test")}
     out = Path(cfg.outdir) / "data"
     out.mkdir(parents=True, exist_ok=True)
     items = 0
-    for split in ("train", "val", "test"):
-        for i, prob in enumerate(build_split(cfg, split)):
+    for split, problems in splits.items():
+        for i, prob in enumerate(problems):
             stem = out / f"{split}_{i:03d}"
             fileio.write_tensor(f"{stem}_true.tnsr", prob.x_true)
             fileio.write_tensor(f"{stem}_z.tnsr", prob.z)
@@ -262,7 +260,7 @@ def save_checkpoint(
 def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
     """Read a checkpoint; ``checkpoint.txt`` must hold every key it is read
     by, and the layer count and every kernel and bias shape must match the
-    network's :meth:`UNetConfig.layer_plan`."""
+    convolutions of the network's :meth:`UNetConfig.layer_plan`."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "checkpoint.txt"
     try:
@@ -276,14 +274,14 @@ def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
         values = {key: parse_value(kind, key, info[key]) for key, kind in kinds.items()}
         n_layers = values.pop("n_layers")
         net_cfg = UNetConfig(**values)
-        plan = net_cfg.layer_plan()
-        if n_layers != len(plan):
-            raise ValueError(f"n_layers = {n_layers}, the network has {len(plan)} layers")
+        convs = net_cfg.convs()
+        if n_layers != len(convs):
+            raise ValueError(f"n_layers = {n_layers}, the network has {len(convs)} layers")
         mode = SharingMode(info["mode"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     kernels, biases = [], []
-    for i, (_, c_in, c_out, k) in enumerate(plan):
+    for i, (_, c_in, c_out, k) in enumerate(convs):
         kernels.append(_read_shaped(ckpt_dir / f"w{i:02d}_kernel.tnsr",
                                     (c_out, c_in) + (k,) * net_cfg.rank))
         biases.append(_read_shaped(ckpt_dir / f"w{i:02d}_bias.tnsr", (c_out,)))
@@ -346,8 +344,6 @@ def cmd_eval(args) -> str:
     if not items:
         raise ValueError("eval needs test items, the config has test_count = 0")
     _check_checkpoint_fits(ckpt_dir, net_cfg, mode, cfg, items[0].init_image())
-    out = Path(cfg.outdir) / "eval"
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     mean_rows = []
     for T in t_list:
@@ -357,6 +353,8 @@ def cmd_eval(args) -> str:
         arr = np.asarray(per_item)
         mean_rows.append((float(T), float(np.mean(arr[:, 0])),
                           float(np.mean(arr[:, 1])), float(np.mean(arr[:, 2]))))
+    out = Path(cfg.outdir) / "eval"
+    out.mkdir(parents=True, exist_ok=True)
     fileio.write_csv(out / "metrics.csv", ["t_test", "item", "psnr", "nrmse", "ssim"], rows)
     fileio.write_csv(out / "metrics_mean.csv", ["t_test", "psnr", "nrmse", "ssim"],
                      mean_rows)
@@ -371,18 +369,17 @@ def cmd_certify(args) -> str:
 
     if not (args.rate or args.lipschitz):
         raise ValueError("pass --rate and/or --lipschitz")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    lines = []
-    if args.rate:
-        cert = desk_rate_certificate(rng)
-        rows = [(float(T), m, b) for T, m, b in cert.entries]
-        fileio.write_csv(out / "rate_certificate.csv", ["T", "measured", "bound"], rows)
-        lines.append(f"rate bound holds: {cert.holds()}")
+    cert = desk_rate_certificate(rng) if args.rate else None
+    lines = [] if cert is None else [f"rate bound holds: {cert.holds()}"]
     if args.lipschitz:
         worst = desk_lipschitz_worst(rng, 100)
         lines.append(f"lipschitz probes: 100 pairs, worst lhs/rhs = {worst!r}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if cert is not None:
+        rows = [(float(T), m, b) for T, m, b in cert.entries]
+        fileio.write_csv(out / "rate_certificate.csv", ["T", "measured", "bound"], rows)
     (out / "certify.txt").write_text("\n".join(lines) + "\n")
     write_manifest(out / "manifest.txt", None, "certify",
                    {"seed": args.seed, "rate": args.rate, "lipschitz": args.lipschitz})

@@ -2,6 +2,10 @@
 softplus output, scaled by a positive factor, becomes the per-voxel
 regularization weight channels.
 
+:meth:`UNetConfig.layer_plan`, every step of the forward with each
+convolution's channels, is the one topology: :func:`net_forward_taped`
+walks it once; :func:`init_weights` and the checkpoint reader read its convs.
+
 The network is expressed entirely in autodiff primitives so the same code
 serves plain evaluation (throwaway tape) and end-to-end training.
 """
@@ -31,31 +35,38 @@ class UNetConfig:
     def __post_init__(self):
         if self.rank not in (2, 3):
             raise ValueError("rank must be 2 or 3")
-        if self.stages < 1:
-            raise ValueError("need at least one stage")
+        for key in ("stages", "convs_per_stage", "base_filters"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.out_channels not in (1, 2, 3):
             raise ValueError("out_channels must be 1, 2 or 3")
 
-    def layer_plan(self) -> list[tuple[str, int, int, int]]:
-        """(name, in_ch, out_ch, kernel) for every convolution, in order."""
-        f = self.base_filters
-        plan = []
-        ch = self.in_channels
-        enc_out = []
+    def layer_plan(self) -> list[tuple]:
+        """Every step of the forward, in order: ``("conv", in_ch, out_ch,
+        KERNEL)`` a convolution and a leaky ReLU; ``("pool",)`` keep the input
+        as a skip, then pool; ``("join",)`` upsample, then append the last
+        skip kept; ``("head", in_ch, out_ch, 1)`` the final convolution."""
+        plan, ch, skips = [], self.in_channels, []
         for s in range(self.stages):
-            out = f * (2**s)
-            for c in range(self.convs_per_stage):
-                plan.append((f"enc{s}_conv{c}", ch, out, KERNEL))
+            if s:
+                plan.append(("pool",))
+                skips.append(ch)
+            out = self.base_filters * 2**s
+            for _ in range(self.convs_per_stage):
+                plan.append(("conv", ch, out, KERNEL))
                 ch = out
-            enc_out.append(out)
-        for s in range(self.stages - 2, -1, -1):
-            ch_in = ch + enc_out[s]  # upsampled deeper features + skip
-            out = enc_out[s]
-            for c in range(self.convs_per_stage):
-                plan.append((f"dec{s}_conv{c}", ch_in if c == 0 else out, out, KERNEL))
-            ch = out
+        while skips:
+            plan.append(("join",))
+            ch, out = ch + skips[-1], skips.pop()
+            for _ in range(self.convs_per_stage):
+                plan.append(("conv", ch, out, KERNEL))
+                ch = out
         plan.append(("head", ch, self.out_channels, 1))
         return plan
+
+    def convs(self) -> list[tuple[str, int, int, int]]:
+        """The ``conv`` and ``head`` steps of :meth:`layer_plan`, in order."""
+        return [step for step in self.layer_plan() if step[0] in ("conv", "head")]
 
     def check_pooling(self, shape: tuple[int, ...]) -> None:
         """Raise unless the network can pool images of ``shape`` (nt, nx, ny)
@@ -102,14 +113,13 @@ def init_weights(cfg: UNetConfig, seed: int) -> NetWeights:
     bias of -1 so training starts from weak regularization."""
     rng = np.random.default_rng(seed)
     kernels, biases = [], []
-    plan = cfg.layer_plan()
-    for _, c_in, c_out, k in plan:
+    for _, c_in, c_out, k in cfg.convs():
         shape = (c_out, c_in) + (k,) * cfg.rank
         fan_in = c_in * k**cfg.rank
         bound = np.sqrt(1.0 / fan_in)
         kernels.append(rng.uniform(-bound, bound, size=shape))
         biases.append(np.zeros(c_out))
-    biases[-1] = np.full(plan[-1][2], -1.0)
+    biases[-1] = np.full(cfg.out_channels, -1.0)
     return NetWeights(kernels, biases)
 
 
@@ -133,29 +143,18 @@ def net_forward_taped(tape: ad.Tape, x0: np.ndarray, weight_vars, cfg: UNetConfi
     chans = np.stack([x0.real, x0.imag]) if np.iscomplexobj(x0) else x0[None]
     h = tape.constant(chans[:, 0] if cfg.rank == 2 else chans)
 
-    layer = 0
-
-    def conv_block(inp, n_convs):
-        nonlocal layer
-        out = inp
-        for _ in range(n_convs):
-            kw, bw = weight_vars[layer]
-            out = ad.leaky_relu(ad.conv(out, kw, bw), LEAK)
-            layer += 1
-        return out
-
-    skips = []
-    for s in range(cfg.stages):
-        h = conv_block(h, cfg.convs_per_stage)
-        if s < cfg.stages - 1:
+    weights, skips = iter(weight_vars), []
+    for step in cfg.layer_plan():
+        if step[0] == "pool":
             skips.append(h)
             h = ad.avg_pool2(h)
-    for s in range(cfg.stages - 2, -1, -1):
-        h = ad.concat_channels(ad.upsample_nearest2(h), skips[s])
-        h = conv_block(h, cfg.convs_per_stage)
-    kw, bw = weight_vars[layer]
-    head = ad.conv(h, kw, bw)
-    out = ad.scale(ad.softplus(head), OUTPUT_SCALE)
+        elif step[0] == "join":
+            h = ad.concat_channels(ad.upsample_nearest2(h), skips.pop())
+        else:
+            h = ad.conv(h, *next(weights))
+            if step[0] == "conv":
+                h = ad.leaky_relu(h, LEAK)
+    out = ad.scale(ad.softplus(h), OUTPUT_SCALE)
     if cfg.rank == 2:
         out = tape._emit(
             out.value[:, None], (out.idx,), lambda u: (u[:, 0],), out.requires_grad

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .phantoms import add_gaussian
 from .tensors import COMPLEX, REAL
 
 PAPER_INVERSION_TIMES = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -95,9 +96,7 @@ def synth_qmri_series(
     for i, t in enumerate(times):
         images[i] = signal_model(m0_map, t1_map, t)
     if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(images.shape) + 1j * rng.standard_normal(images.shape)
-        images = images + noise_sigma * noise / np.sqrt(2.0)
+        images = add_gaussian(images, noise_sigma, seed, complex_noise=True)
     return InversionSeries(times=times, images=images), T1Map(t1=t1_map, m0=m0_map)
 
 

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvmap import experiments, parallel
+from tvmap import certificates, experiments, parallel
 from tvmap.cli import build_parser, main
 from tvmap.config import ExperimentConfig, render_sections
 from tvmap.fileio import read_tensor, write_tensor
+from tvmap.network import init_weights
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -438,6 +439,44 @@ def test_qmri_config_without_times_rejected(tmp_path, capsys):
     assert main(["gen", "--config", str(path)]) == 2
     assert "times lists none" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("task, old, new, words", [
+    ("denoise", "seed = 77", "seed = -3", "seed must be >= 0"),
+    ("qmri", None, "times = 0.5,0.1,0.2", "times = 0.5,0.1,0.2"),
+    ("mri", "accel = 4.0", "accel = 0.5", "acceleration R must be >= 1"),
+])
+def test_gen_error_leaves_no_directory(tmp_path, capsys, task, old, new, words):
+    _, path = tiny_config(tmp_path, task=task, coils=2)
+    text = path.read_text()
+    old = old or next(line for line in text.splitlines() if line.startswith("times ="))
+    path.write_text(text.replace(old, new))
+    assert main(["gen", "--config", str(path)]) == 2
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_numerical_failure_writes_nothing(tmp_path, capsys):
+    # a head bias whose softplus underflows to a zero weight field
+    cfg, path = tiny_config(tmp_path)
+    net_cfg = experiments.net_config(cfg)
+    weights = init_weights(net_cfg, seed=1)
+    weights.biases[-1][:] = -1e4
+    ckpt = tmp_path / "ckpt"
+    experiments.save_checkpoint(ckpt, weights, net_cfg, cfg, 0.0)
+    assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
+    assert "not finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_certify_error_leaves_no_directory(tmp_path, monkeypatch):
+    def fail(rng):
+        raise ValueError("M is not positive definite; reduce the step sizes")
+
+    monkeypatch.setattr(certificates, "desk_rate_certificate", fail)
+    out = tmp_path / "certify"
+    assert main(["certify", "--rate", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_ct_solve_cli(tmp_path):

@@ -101,6 +101,24 @@ def test_negative_split_count_rejected(key):
     assert getattr(ExperimentConfig(task="denoise", seed=1, **{key: 0}), key) == 0
 
 
+def test_negative_seed_rejected():
+    # numpy's seed sequence would reject it later, naming neither the key nor the file
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        ExperimentConfig.from_text(MINIMAL.replace("seed = 42", "seed = -3"))
+    assert ExperimentConfig(task="denoise", seed=0).seed == 0
+
+
+@pytest.mark.parametrize("times", ["0.5,0.1,0.2", "-1,0.1,0.2", "0,0.1,0.2", "0.1,0.1,0.2",
+                                   "nan,0.1,0.2"])
+def test_qmri_times_must_be_positive_and_increasing(times):
+    section = f"[qmri]\ntimes = {times}\n"
+    with pytest.raises(ValueError, match="times = "):
+        ExperimentConfig.from_text(MINIMAL.replace("denoise", "qmri") + section)
+    # other tasks read no inversion times
+    assert ExperimentConfig.from_text(MINIMAL + section).task == "denoise"
+    assert ExperimentConfig(task="qmri", seed=1, times=(0.1, 0.2, 0.3)).times == (0.1, 0.2, 0.3)
+
+
 def test_render_sections_format():
     text = render_sections({"a": {"x": "1"}, "b": {"y": "2"}})
     assert text == "[a]\nx = 1\n\n[b]\ny = 2\n"

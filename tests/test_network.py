@@ -95,7 +95,7 @@ def test_init_reproducible_and_final_bias():
 def test_init_kernel_bounds():
     cfg = small_cfg()
     w = init_weights(cfg, seed=4)
-    for (name, c_in, c_out, k), kern in zip(cfg.layer_plan(), w.kernels):
+    for (name, c_in, c_out, k), kern in zip(cfg.convs(), w.kernels):
         bound = np.sqrt(1.0 / (c_in * k**cfg.rank))
         assert np.max(np.abs(kern)) <= bound
 
@@ -113,7 +113,7 @@ def test_flat_roundtrip():
 def test_layer_plan_channels():
     cfg = UNetConfig(rank=2, stages=2, convs_per_stage=2, base_filters=8,
                      out_channels=1, in_channels=1)
-    plan = cfg.layer_plan()
+    plan = cfg.convs()
     assert plan[0][1:] == (1, 8, 3)
     assert plan[1][1:] == (8, 8, 3)
     assert plan[2][1:] == (8, 16, 3)
@@ -121,6 +121,23 @@ def test_layer_plan_channels():
     assert plan[4][1:] == (24, 8, 3)   # upsampled 16 + skip 8
     assert plan[5][1:] == (8, 8, 3)
     assert plan[-1][1:] == (8, 1, 1)
+
+
+@pytest.mark.parametrize("key", ["stages", "convs_per_stage", "base_filters"])
+def test_config_needs_one_of_each(key):
+    # zero convs per stage would leave a head-only network, zero filters empty convs
+    with pytest.raises(ValueError, match=f"{key} must be >= 1, got 0"):
+        UNetConfig(**{key: 0})
+
+
+def test_layer_plan_steps():
+    # each stage after the first pools first; the decoder joins the skips back
+    cfg = UNetConfig(rank=3, stages=3, convs_per_stage=1, base_filters=4,
+                     out_channels=2, in_channels=2)
+    assert cfg.layer_plan() == [
+        ("conv", 2, 4, 3), ("pool",), ("conv", 4, 8, 3), ("pool",), ("conv", 8, 16, 3),
+        ("join",), ("conv", 24, 8, 3), ("join",), ("conv", 12, 4, 3), ("head", 4, 2, 1),
+    ]
 
 
 @pytest.mark.parametrize("rank, shape", [(2, (1, 8, 8)), (3, (4, 8, 8))])
