@@ -3,9 +3,9 @@
 ``box_clip`` is the dual prox of the weighted l1 term (a pointwise projection
 onto [-lam, lam], applied to real and imaginary parts separately for complex
 inputs), ``box_clip_code`` and ``box_clip_vjp`` record and reverse it for
-training, ``l2_conjugate_prox`` the dual step of the squared-L2 fidelity, and
-the ``kl_*`` functions evaluate the log-transformed Poisson fidelity, its
-sinogram-space gradient factor and a Lipschitz bound for it.
+training, and the ``kl_*`` functions evaluate the log-transformed Poisson
+fidelity, its sinogram-space gradient factor and a Lipschitz bound for it.
+The dual step of the squared-L2 fidelity is written into the PDHG step.
 """
 
 from __future__ import annotations
@@ -119,23 +119,6 @@ def box_clip_vjp(code: np.ndarray, g: np.ndarray, out: np.ndarray | None = None,
     bits = parts.view(np.int64)
     np.bitwise_and(bits, keep, out=bits)
     return g, g_lam
-
-
-def l2_conjugate_prox(p: np.ndarray, ax: np.ndarray, z: np.ndarray, sigma: float,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Dual update of the squared-L2 fidelity: (p + sigma (ax - z)) / (1 + sigma).
-
-    Given ``out`` (overlapping none of ``p``, ``ax`` and ``z``), writes the
-    update into it and returns it."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if p.shape != ax.shape or ax.shape != z.shape:
-        raise ValueError("p, ax and z must share one shape")
-    out = np.subtract(ax, z, out=out)
-    out *= sigma
-    out += p
-    out /= 1.0 + sigma
-    return out
 
 
 def nonneg_prox(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

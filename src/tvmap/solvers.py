@@ -9,19 +9,26 @@ and :class:`_Pd3o`, around the weighted-TV dual step both share
 solves' stopping rule.  Both solvers are bit-for-bit deterministic.
 
 Buffers.  Each iteration allocates its state once (``image``, ``prev``,
-``xbar``, the duals, the gradient-field scratch ``u``) and ``step`` writes
-every temporary into those, through the ``out=`` forms of the kernels: the
-new iterate goes into the spent ``prev`` and the two swap, and ``xbar``
-doubles as scratch once read.  Each in-place sequence performs the
-floating-point operations of the formula it replaces, operands at most
-commuted, so the results are bit-identical to evaluating the formula with
-fresh arrays.  ``reverse`` allocates its adjoint state once per call in the
-same way, and :func:`unroll` frees the step-only buffers before handing the
-iteration to the tape.  Nothing is cached on the operator or the module.
-Two rules keep callers safe: ``step`` never writes into the caller's ``x0`` or
-``z`` (denoising passes ``x0 = z``), and never into an operator's result,
-since the identity returns its argument.  ``SolveReport.image`` and
-``dual_q`` are the iteration's own buffers, handed over when the solve ends.
+``xbar``, the duals, the gradient-field scratch ``u``, the clip box
+``bound`` and ``neg_bound``) and ``step`` writes every temporary into
+those, through the ``out=`` forms of the kernels: the new iterate goes into
+the spent ``prev`` and the two swap, and ``xbar`` doubles as scratch once
+read.  The duals are held divided by sigma, the TV dual q as ``r`` and the
+PDHG data dual p as ``s``, with the clip box lam / sigma: the dual steps
+then apply no step size, and the descent applies tau sigma once, which
+spares six image-sized passes per PDHG step.  ``s`` is updated in place,
+so PDHG holds one data dual.  Each in-place sequence performs the
+floating-point operations of the scaled formula it replaces, operands at
+most commuted, so the results are bit-identical to evaluating that formula
+with fresh arrays.  ``reverse`` allocates its adjoint state once per call
+in the same way, and :func:`unroll` frees the step-only buffers before
+handing the iteration to the tape.  Nothing is cached on the operator or
+the module.  Two rules keep callers safe: ``step`` never writes into the
+caller's ``x0`` or ``z`` (denoising passes ``x0 = z``), and never into an
+operator's result, since the identity returns its argument.
+``SolveReport.image`` and ``dual_q`` are the iteration's own buffers,
+handed over when the solve ends; ``dual_q`` is ``r`` multiplied by sigma in
+place, the unscaled q.
 
 Training differentiates ``T`` unrolled iterations with respect to the weight
 field.  With the box-clip pattern of every iteration fixed, an iteration is
@@ -56,7 +63,6 @@ from .prox import (
     kl_grad_sino,
     kl_lipschitz,
     kl_value,
-    l2_conjugate_prox,
     nonneg_prox,
 )
 from .tensors import (
@@ -165,45 +171,42 @@ def as_weight_field(lam, shape) -> np.ndarray:
 
 
 class _PrimalDual:
-    """The half both iterations share: the weight field ``lam`` (and
-    ``neg_lam`` = -lam for the clip), the step sizes, which must satisfy
-    sigma, tau > 0 and sigma * tau * L^2 <= 1 with L bounding the dual
-    operator (|[A; grad]| for PDHG, |grad| for PD3O), the iterate ``image``
-    and the one before the last step ``prev``, ``xbar``, the TV dual ``q``
-    and its scratch ``u``, and the ``trail``; the TV dual step q' = clip(q + sigma grad xbar) and the
-    descent along -tau grad^T q'.  A subclass adds its fidelity: its steps,
-    its ``_fidelity`` value and its own ``_STEP_ONLY`` buffers."""
+    """The half both iterations share: the weight field ``lam``, the step
+    sizes, which must satisfy sigma, tau > 0 and sigma * tau * L^2 <= 1 with
+    L bounding the dual operator (|[A; grad]| for PDHG, |grad| for PD3O),
+    the iterate ``image`` and the one before the last step ``prev``,
+    ``xbar``, the TV dual held scaled as ``r`` = q / sigma with its scratch
+    ``u`` and its clip box ``bound`` = lam / sigma, ``neg_bound`` = -bound,
+    and the ``trail``; and the TV dual step r' = clip(r + grad xbar), which
+    is q' = clip(q + sigma grad xbar) divided by sigma.  :func:`_run` hands
+    ``r`` over as ``dual_q``, multiplied by sigma in place.  A subclass adds
+    its fidelity: its steps (PDHG updates its data dual s = p / sigma in
+    place), its ``_fidelity`` value and its own ``_STEP_ONLY`` buffers."""
 
-    _STEP_ONLY = ("prev", "xbar", "u", "neg_lam")
+    _STEP_ONLY = ("prev", "xbar", "u", "bound", "neg_bound")
 
     def __init__(self, A, z, lam, x0, dtype, step, L, trail):
         self.lam = as_weight_field(lam, x0.shape)
-        self.neg_lam = -self.lam
         sigma, tau = step
         if not (sigma > 0 and tau > 0 and sigma * tau * L * L <= 1.0 + 1e-9):
             raise ValueError("step sizes violate sigma, tau > 0 and sigma * tau * L^2 <= 1")
         self.A, self.z, self.sigma, self.tau, self.trail = A, z, sigma, tau, trail
+        self.bound = self.lam / sigma
+        self.neg_bound = -self.bound
         self.image = np.array(x0, dtype=dtype)
         self.prev = self.image.copy()
         self.xbar = self.image.copy()
-        self.q = np.zeros(self.lam.shape, dtype=dtype)
-        self.u = np.empty_like(self.q)
+        self.r = np.zeros(self.lam.shape, dtype=dtype)
+        self.u = np.empty_like(self.r)
         self.diag = ClampDiag()
 
     def _tv_dual_step(self):
-        """q' = clip(q + sigma grad xbar); returns the clip code when there
-        is a trail, else None."""
+        """r' = clip(r + grad xbar); returns the clip code when there is a
+        trail, else None."""
         u = grad(self.xbar, out=self.u)
-        u *= self.sigma
-        u += self.q
-        box_clip(u, self.lam, out=self.q, neg_lam=self.neg_lam)
-        return None if self.trail is None else box_clip_code(u, self.lam, neg_lam=self.neg_lam)
-
-    def _tv_descent(self, x_new) -> None:
-        """x_new -= tau grad^T q', with xbar (read by now) as scratch."""
-        gtq = grad_adjoint(self.q, out=self.xbar)
-        gtq *= self.tau
-        x_new -= gtq
+        u += self.r
+        box_clip(u, self.bound, out=self.r, neg_lam=self.neg_bound)
+        return None if self.trail is None else box_clip_code(u, self.bound, neg_lam=self.neg_bound)
 
     def drop_step_buffers(self) -> None:
         """Free the buffers only :meth:`step` uses; :meth:`reverse` still runs."""
@@ -221,14 +224,16 @@ class _PrimalDual:
 
 class _TvAdjoint:
     """The reverse of the TV dual step and descent, its adjoint state
-    allocated once per sweep: ``gq`` = dL/dq and the running dL/dlam ``glam``."""
+    allocated once per sweep: ``gq`` = dL/dq and the running dL/dlam ``glam``.
+    It runs on the unscaled q = sigma r; the clip codes the step takes of
+    ``u`` against lam / sigma are the codes of q's clip against lam."""
 
     def __init__(self, it: _PrimalDual):
         self.sigma, self.tau = it.sigma, it.tau
-        self.gq, self.gu = np.zeros_like(it.q), np.empty_like(it.q)
+        self.gq, self.gu = np.zeros_like(it.r), np.empty_like(it.r)
         self.gl, self.glam = np.empty_like(it.lam), np.zeros_like(it.lam)
-        pairs = (2,) if np.iscomplexobj(it.q) else ()  # complex codes hold (re, im) pairs
-        self.keep = np.empty(it.q.shape + pairs, dtype=np.int64)
+        pairs = (2,) if np.iscomplexobj(it.r) else ()  # complex codes hold (re, im) pairs
+        self.keep = np.empty(it.r.shape + pairs, dtype=np.int64)
 
     def back(self, code, g_desc, gxbar) -> None:
         """One step back from ``g_desc``, the gradient at the descent's output:
@@ -248,29 +253,31 @@ class _Pdhg(_PrimalDual):
     """The PDHG iteration for 0.5|Ax - z|^2 + |lam grad x|_1; each
     :meth:`step` runs one: dual L2 step, TV dual step, primal descent step,
     extrapolation xbar = 2 x' - x.  Starts from p = 0, q = 0, xbar = x0.
+    The L2 dual is held scaled as ``s`` = p / sigma, so the dual steps need
+    no sigma and the descent applies tau sigma once: with
+    w = tau sigma (A^T s' + grad^T r'), x' = x - w and xbar' = x' - w.
     With a ``trail`` list, each step appends its clip code for :meth:`reverse`.
     """
-
-    _STEP_ONLY = _PrimalDual._STEP_ONLY + ("p_next",)
 
     def __init__(self, A, z, lam, x0, step=None, trail=None):
         step = pdhg_step_params(A) if step is None else step
         super().__init__(A, z, lam, x0, np.result_type(x0, z), step, stacked_norm_bound(A),
                          trail)
-        self.p = np.zeros(z.shape, dtype=np.result_type(z, self.image.dtype))
-        self.p_next = np.empty_like(self.p)
+        self.s = np.zeros(z.shape, dtype=np.result_type(z, self.image.dtype))
 
     def step(self) -> None:
-        A, x, xbar, tau = self.A, self.image, self.xbar, self.tau
-        l2_conjugate_prox(self.p, A.forward(xbar), self.z, self.sigma, out=self.p_next)
-        self.p, self.p_next = self.p_next, self.p
+        A, x, xbar, s, sigma = self.A, self.image, self.xbar, self.s, self.sigma
+        # s' = (s + A xbar - z) / (1 + sigma), which is p' / sigma
+        s += A.forward(xbar)
+        s -= self.z
+        s *= 1.0 / (1.0 + sigma)
         code = self._tv_dual_step()
-        # x' = x - tau A^T p' - tau grad^T q' into the spent prev
-        x_new = np.multiply(A.adjoint(self.p), tau, out=self.prev)
-        np.subtract(x, x_new, out=x_new)
-        self._tv_descent(x_new)
-        np.subtract(x_new, x, out=xbar)
-        xbar += x_new
+        # w into xbar, read by now; x' into the spent prev
+        w = grad_adjoint(self.r, out=xbar)
+        w += A.adjoint(s)
+        w *= self.tau * sigma
+        x_new = np.subtract(x, w, out=self.prev)
+        np.subtract(x_new, w, out=xbar)
         self.prev, self.image = x, x_new
         if code is not None:
             self.trail.append(code)
@@ -287,7 +294,7 @@ class _Pdhg(_PrimalDual):
         tv = _TvAdjoint(self)
         gx = np.array(g, dtype=self.image.dtype)
         gx_new, gxbar = np.empty_like(gx), np.zeros_like(gx)
-        gp, gp_step = np.zeros_like(self.p), np.empty_like(self.p)
+        gp, gp_step = np.zeros_like(self.s), np.empty_like(self.s)
         for code in reversed(self.trail):
             np.multiply(gxbar, 2.0, out=gx_new)
             gx_new += gx
@@ -340,10 +347,13 @@ class _Pd3o(_PrimalDual):
     def step(self) -> None:
         p, xbar, tau, tau_gh = self.image, self.xbar, self.tau, self.tau_gh
         code = self._tv_dual_step()
-        # p' = max(p - tau gh - tau grad^T q', 0) into the spent prev
+        # p' = max(p - tau gh - tau sigma grad^T r', 0) into the spent prev,
+        # with xbar (read by now) as scratch
         np.multiply(self.gh, tau, out=tau_gh)
         p_new = np.subtract(p, tau_gh, out=self.prev)
-        self._tv_descent(p_new)
+        gtr = grad_adjoint(self.r, out=xbar)
+        gtr *= tau * self.sigma
+        p_new -= gtr
         nonneg_prox(p_new, out=p_new)
         gh_new, curv = self._grad_h(p_new, code is not None)
         # xbar' = 2 p' - p + tau gh - tau gh'
@@ -395,7 +405,8 @@ def _run(it, T: int, record: bool = False, tol: float | None = None) -> SolveRep
     ``CHECK_EVERY`` steps and after the last one; ``record`` keeps the
     objective, step norm and data residual after each step.  With ``tol``,
     the run stops at the first check whose relative step norm is <= ``tol``,
-    and ``reached_tol`` holds the last ratio checked."""
+    and ``reached_tol`` holds the last ratio checked.  ``dual_q`` is ``it.r``
+    multiplied by sigma in place, so ``it`` takes no further step."""
     if T < 0:
         raise ValueError("iteration count must be >= 0")
     objective, step_norm, data_residual = [], [], []
@@ -416,7 +427,8 @@ def _run(it, T: int, record: bool = False, tol: float | None = None) -> SolveRep
                 if ratio <= tol:
                     break
     return SolveReport(image=it.image, iterations=done, objective=objective,
-                       step_norm=step_norm, data_residual=data_residual, dual_q=it.q,
+                       step_norm=step_norm, data_residual=data_residual,
+                       dual_q=np.multiply(it.r, it.sigma, out=it.r),
                        clamp=it.diag, reached_tol=None if tol is None else ratio,
                        converged=tol is None or ratio <= tol)
 

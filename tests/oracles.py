@@ -10,6 +10,8 @@ solvers' hand-written reverse sweeps), and the finite-difference check of
 taped gradients.  ``GradOp`` wraps the difference stack as an operator for
 the operator tests, and ``zero_weights`` gives the all-zero network, whose
 weight map is the constant scale * log 2 (the zero-weight reduction).
+``l2_conjugate_prox`` is the textbook dual step of the squared-L2 fidelity,
+the reference for the PDHG step's update of its dual held divided by sigma.
 ``radon_matrix_summed`` keeps the Radon system matrix's earlier assembly,
 one full-size block per angle summed pairwise, as the reference for the
 stacked one.  ``estimate_weight_field`` is the plain network-to-field map,
@@ -212,6 +214,13 @@ def add(a: Var, b: Var) -> Var:
     )
 
 
+def sub(a: Var, b: Var) -> Var:
+    tape = _same_tape(a, b)
+    return tape._emit(
+        a.value - b.value, (a.idx, b.idx), lambda u: (u, -u), _needs(a, b)
+    )
+
+
 def mul(a: Var, b: Var) -> Var:
     """Elementwise product; complex factors backpropagate conjugated."""
     tape = _same_tape(a, b)
@@ -336,6 +345,39 @@ def box_clip_ad(q: Var, lam: Var) -> Var:
     return tape._emit(value, (q.idx, lam.idx), vjp, _needs(q, lam))
 
 
+def div_const(a: Var, c: float) -> Var:
+    """a / c for a constant c (the clip box lam / sigma of the scaled dual)."""
+    c = float(c)
+    return a.tape._emit(a.value / c, (a.idx,), lambda u: (u / c,), a.requires_grad)
+
+
+def l2_conjugate_prox(p: np.ndarray, ax: np.ndarray, z: np.ndarray, sigma: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Dual update of the squared-L2 fidelity: (p + sigma (ax - z)) / (1 + sigma),
+    the textbook form of the solver's step on the scaled dual s = p / sigma.
+
+    Given ``out`` (overlapping none of ``p``, ``ax`` and ``z``), writes the
+    update into it and returns it."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if p.shape != ax.shape or ax.shape != z.shape:
+        raise ValueError("p, ax and z must share one shape")
+    out = np.subtract(ax, z, out=out)
+    out *= sigma
+    out += p
+    out /= 1.0 + sigma
+    return out
+
+
+def l2_dual_step_scaled(s: Var, ax: Var, z: np.ndarray, sigma: float) -> Var:
+    """(s + ax - z) * (1 / (1 + sigma)), the PDHG step's update of the scaled
+    data dual s = p / sigma; z is data, not differentiated."""
+    tape = _same_tape(s, ax)
+    c = 1.0 / (1.0 + float(sigma))
+    value = (s.value + ax.value - z) * c
+    return tape._emit(value, (s.idx, ax.idx), lambda u: (c * u, c * u), _needs(s, ax))
+
+
 def l2_conj_step(p: Var, ax: Var, z: np.ndarray, sigma: float) -> Var:
     """(p + sigma (ax - z)) / (1 + sigma); z is data, not differentiated."""
     tape = _same_tape(p, ax)
@@ -445,20 +487,20 @@ def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, k
 
 
 def _taped_pdhg(tape, x0_var, z, A, lam, T):
-    step = pdhg_step_params(A)
-    sigma, tau = step.sigma, step.tau
+    # the solver's arithmetic op for op, on its duals s = p / sigma and
+    # r = q / sigma clipped to lam / sigma
+    sigma, tau = pdhg_step_params(A)
+    bound = div_const(lam, sigma)
     x = x0_var
     xbar = x0_var
-    p = tape.constant(np.zeros_like(z))
-    q = tape.constant(np.zeros_like(lam.value, dtype=x0_var.value.dtype))
+    s = tape.constant(np.zeros_like(z))
+    r = tape.constant(np.zeros_like(lam.value, dtype=x0_var.value.dtype))
     for _ in range(T):
-        ax = apply_forward(A, xbar)
-        p = l2_conj_step(p, ax, z, sigma)
-        q = box_clip_ad(add_scaled(q, sigma, grad_field(xbar)), lam)
-        x_new = add_scaled2(
-            x, -tau, apply_adjoint(A, p), -tau, grad_field_adjoint(q)
-        )
-        xbar = extrapolate(x_new, x, 1.0)
+        s = l2_dual_step_scaled(s, apply_forward(A, xbar), z, sigma)
+        r = box_clip_ad(add(grad_field(xbar), r), bound)
+        w = ad.scale(add(grad_field_adjoint(r), apply_adjoint(A, s)), tau * sigma)
+        x_new = sub(x, w)
+        xbar = sub(x_new, w)
         x = x_new
     return x
 
@@ -475,14 +517,16 @@ def _taped_pd3o(tape, x0_var, z, A, lam, kl, T):
         diff = rsub_const(exp_mz, exp_clamped_ad(ad.scale(ap, -mu)))
         return apply_adjoint(A, ad.scale(diff, mu * n0))
 
+    # the TV dual on the solver's scale, r = q / sigma clipped to lam / sigma
+    bound = div_const(lam, sigma)
     p = x0_var
     xbar = x0_var
-    q = tape.constant(np.zeros_like(lam.value))
+    r = tape.constant(np.zeros_like(lam.value))
     gh = grad_h(p)
     for _ in range(T):
-        q = box_clip_ad(add_scaled(q, sigma, grad_field(xbar)), lam)
+        r = box_clip_ad(add(grad_field(xbar), r), bound)
         p_new = ad.leaky_relu(
-            add_scaled2(p, -tau, gh, -tau, grad_field_adjoint(q)), 0.0
+            add_scaled2(p, -tau, gh, -(tau * sigma), grad_field_adjoint(r)), 0.0
         )
         gh_new = grad_h(p_new)
         xbar = pd3o_combine(p_new, p, gh, gh_new, tau)

@@ -364,7 +364,7 @@ def test_criterion_10_reduction_identities():
         x_new = nonneg_prox(x - tau * grad_adjoint(q))
         xbar = x_new + 1.0 * (x_new - x)
         it.step()
-        p_s, xb_s, q_s = it.image, it.xbar, it.q
+        p_s, xb_s, q_s = it.image, it.xbar, it.sigma * it.r
         max_dev = max(
             max_dev,
             float(np.max(np.abs(p_s - x_new))),

@@ -18,12 +18,13 @@ from oracles import (
     grad_field,
     grad_field_adjoint,
     l2_conj_step,
+    l2_conjugate_prox,
     mul,
     reduce_sum,
 )
 from tvmap import autodiff as ad
 from tvmap.operators import identity_op
-from tvmap.prox import box_clip, l2_conjugate_prox
+from tvmap.prox import box_clip
 from tvmap.tensors import constant_map, grad, grad_adjoint
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, quad_vertex_min
+from oracles import fd_gradient, l2_conjugate_prox, quad_vertex_min
 from tvmap.operators import RadonOp, equispaced_angles
 from tvmap.prox import (
     ClampDiag,
@@ -15,7 +15,6 @@ from tvmap.prox import (
     kl_grad_sino,
     kl_lipschitz,
     kl_value,
-    l2_conjugate_prox,
     nonneg_prox,
 )
 

@@ -1,9 +1,11 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import GradOp, rof_denoise_oracle
+from oracles import GradOp, l2_conjugate_prox, rof_denoise_oracle
+from tvmap import solvers
 from tvmap.operators import (
     LinearOperator,
     MriEncoder,
@@ -19,6 +21,7 @@ from tvmap.solvers import (
     CHECK_EVERY,
     _Pd3o,
     _Pdhg,
+    _run,
     Problem,
     SolveReport,
     StepParams,
@@ -30,7 +33,7 @@ from tvmap.solvers import (
     solve_problem,
     unroll,
 )
-from tvmap.tensors import SharingMode, constant_map, grad, grad_adjoint, weighted_tv
+from tvmap.tensors import SharingMode, constant_map, grad, grad_adjoint, ndirs, weighted_tv
 
 
 def two_pixel_problem():
@@ -92,7 +95,8 @@ def test_pdhg_fixed_point():
     x_star = ref.image
     p_star = A.forward(x_star) - z
     it = _Pdhg(A, z, 0.5, x_star)
-    it.p, it.q = p_star, ref.dual_q
+    # the iteration holds its duals divided by sigma
+    it.s, it.r = p_star / it.sigma, ref.dual_q / it.sigma
     it.step()
     assert np.max(np.abs(it.image - x_star)) <= 1e-10
 
@@ -172,7 +176,7 @@ def test_pd3o_with_zero_h_matches_pdhg_nonneg_states(rng):
         x_new = nonneg_prox(x - tau * grad_adjoint(q))
         xbar = x_new + 1.0 * (x_new - x)
         it.step()
-        p_snap, xbar_snap, q_snap = it.image, it.xbar, it.q
+        p_snap, xbar_snap, q_snap = it.image, it.xbar, it.sigma * it.r
         np.testing.assert_allclose(p_snap, x_new, rtol=0, atol=1e-13)
         np.testing.assert_allclose(xbar_snap, xbar, rtol=0, atol=1e-13)
         np.testing.assert_allclose(q_snap, q, rtol=0, atol=1e-13)
@@ -454,7 +458,8 @@ def test_pdhg_step_allocates_no_temporaries(rng):
 
 
 def test_iterations_clip_against_minus_lam(rng):
-    # step clips with the neg_lam each iteration computes once; it must stay -lam
+    # step clips the scaled dual against the bound = lam / sigma and the
+    # neg_bound each iteration computes once; it must stay -bound
     shape = (3, 8, 8)
     z = rng.random(shape)
     lam = rng.random((3,) + shape) + 0.01
@@ -462,4 +467,99 @@ def test_iterations_clip_against_minus_lam(rng):
                _Pd3o(identity_op(shape), z, lam, None, z, steps=(0.1, 0.1))):
         for _ in range(3):
             it.step()
-        assert np.array_equal(it.neg_lam, -it.lam)
+        assert np.array_equal(it.bound, it.lam / it.sigma)
+        assert np.array_equal(it.neg_bound, -it.bound)
+
+
+def _rel_dev(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+@pytest.mark.parametrize("kind", ["identity", "mri", "radon_kl"])
+def test_scaled_duals_match_textbook_iteration(rng, kind):
+    # the step runs on s = p / sigma and r = q / sigma; state by state it
+    # follows the textbook recursion, and the report hands over q itself;
+    # the weight field is small enough for the clip to bind in places
+    A, z, x0, kl = _caller_problem(kind, rng)
+    lam = 0.02 + 0.2 * rng.random((ndirs(A.domain_shape),) + A.domain_shape)
+    it = _Pd3o(A, z, lam, kl, x0) if kl is not None else _Pdhg(A, z, lam, x0)
+    sigma, tau = it.sigma, it.tau
+    x, xbar = x0.copy(), x0.copy()
+    p = np.zeros_like(it.s) if kl is None else None
+    q = np.zeros_like(it.r)
+    if kl is not None:
+        exp_mz = np.exp(-kl.mu * z)
+
+        def grad_h(v):
+            return A.adjoint(kl.mu * kl.n0 * (exp_mz - np.exp(-kl.mu * A.forward(v))))
+
+        gh = grad_h(x)
+    clipped = 0
+    for _ in range(20):
+        u = q + sigma * grad(xbar)
+        clipped += int(np.count_nonzero(np.abs(u.real) > lam))
+        q = box_clip(u, lam)
+        if kl is None:
+            p = l2_conjugate_prox(p, A.forward(xbar), z, sigma)
+            x_new = x - tau * A.adjoint(p) - tau * grad_adjoint(q)
+            xbar = 2.0 * x_new - x
+        else:
+            x_new = nonneg_prox(x - tau * gh - tau * grad_adjoint(q))
+            gh_new = grad_h(x_new)
+            xbar = 2.0 * x_new - x + tau * gh - tau * gh_new
+            gh = gh_new
+        x = x_new
+        it.step()
+        assert _rel_dev(it.image, x) <= 1e-13
+        assert _rel_dev(it.xbar, xbar) <= 1e-13
+        assert _rel_dev(sigma * it.r, q) <= 1e-13
+        if kl is None:
+            assert _rel_dev(sigma * it.s, p) <= 1e-13
+    assert clipped > 0
+    if kl is None:
+        rep = pdhg_solve(A, z, lam, x0, 20)
+    else:
+        rep = pd3o_solve_ct(A, z, lam, kl, x0, 20)
+    assert np.array_equal(rep.image, it.image)
+    assert _rel_dev(rep.dual_q, q) <= 1e-13
+
+
+class _CountingOp(LinearOperator):
+    """Counts the forward and adjoint applications of ``op`` in ``calls``."""
+
+    def __init__(self, op, calls: Counter):
+        super().__init__(op.domain_shape, op.codomain_shape)
+        self.op, self.calls = op, calls
+        self._norm_estimate = op.norm()
+
+    def forward(self, x):
+        self.calls["A.forward"] += 1
+        return self.op.forward(x)
+
+    def adjoint(self, y):
+        self.calls["A.adjoint"] += 1
+        return self.op.adjoint(y)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("kind", ["identity", "mri", "radon_kl"])
+def test_step_applies_each_operator_once(rng, monkeypatch, kind, record):
+    """A step applies A, A^T, grad and grad^T once each: the counts behind
+    the benchmark's ``*_calls_per_recon``.  A recorded step applies A once
+    more, to x for the objective.  That extra forward is still open: the
+    step has A xbar only, so ``record=True`` costs one matvec per step."""
+    A, z, x0, kl = _caller_problem(kind, rng)
+    calls = Counter()
+    A = _CountingOp(A, calls)
+    for name in ("grad", "grad_adjoint"):
+        def counted(*args, _fn=getattr(solvers, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, counted)
+    it = _Pd3o(A, z, 0.05, kl, x0) if kl is not None else _Pdhg(A, z, 0.05, x0)
+    calls.clear()
+    T = 3
+    _run(it, T, record)
+    assert calls == {"A.forward": (2 if record else 1) * T, "A.adjoint": T,
+                     "grad": T, "grad_adjoint": T}
