@@ -16,7 +16,9 @@ of the network's channels into the weight field
 it, whose VJP is the iteration's hand-written reverse sweep followed by the
 expansion's adjoint (see :func:`tvmap.training.reconstruct_taped`).  The
 network's input channels are one constant node, since nothing
-differentiates the image.
+differentiates the image.  Values enter a tape as leaves, whose gradients
+``Tape.backward`` returns, or as constants, which no gradient reaches; the
+weights are leaves also on the plain forward's tape, where none runs.
 
 Complex values are treated as pairs of reals: the gradient ``g`` of a scalar
 loss with respect to a complex array ``v`` is the complex array with
@@ -75,8 +77,8 @@ class Tape:
         self.nodes.append(Node(value, tuple(parents), vjp, requires_grad))
         return Var(self, len(self.nodes) - 1)
 
-    def leaf(self, value, requires_grad: bool = True) -> Var:
-        return self._emit(value, requires_grad=requires_grad)
+    def leaf(self, value) -> Var:
+        return self._emit(value, requires_grad=True)
 
     def constant(self, value) -> Var:
         return self._emit(value, requires_grad=False)

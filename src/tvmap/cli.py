@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="reconstruct one test item")
     p.add_argument("--config", required=True)
-    p.add_argument("--task", help="must match the config when given")
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--map", dest="map_path", help="TNSR1 weight-field file")
     p.add_argument("--T", type=int)

@@ -176,8 +176,6 @@ def cmd_solve(args) -> str:
     """Reconstruct one test item with the config's weight, ``--lambda`` or a
     ``--map`` weight-field file."""
     cfg = ExperimentConfig.load(args.config)
-    if args.task is not None and args.task != cfg.task:
-        raise ValueError(f"--task {args.task!r} does not match config task {cfg.task!r}")
     if args.lam is not None and args.map_path is not None:
         raise ValueError("pass either --lambda or --map, not both")
     item = args.item

@@ -7,7 +7,10 @@ convolution's channels, is the one topology: :func:`net_forward_taped`
 walks it once; :func:`init_weights` and the checkpoint reader read its convs.
 
 The network is expressed entirely in autodiff primitives so the same code
-serves plain evaluation (throwaway tape) and end-to-end training.
+serves plain evaluation and end-to-end training: both record the weights
+as leaves (:func:`weight_leaves`) and the input as a constant, and plain
+evaluation reads the output off a throwaway tape that no backward sweep
+reads.
 """
 
 from __future__ import annotations
@@ -162,15 +165,12 @@ def net_forward_taped(tape: ad.Tape, x0: np.ndarray, weight_vars, cfg: UNetConfi
     return out
 
 
-def weight_leaves(tape: ad.Tape, weights: NetWeights, requires_grad: bool = True):
-    return [
-        (tape.leaf(k, requires_grad), tape.leaf(b, requires_grad))
-        for k, b in zip(weights.kernels, weights.biases)
-    ]
+def weight_leaves(tape: ad.Tape, weights: NetWeights):
+    return [(tape.leaf(k), tape.leaf(b)) for k, b in zip(weights.kernels, weights.biases)]
 
 
 def net_forward(x0: np.ndarray, weights: NetWeights, cfg: UNetConfig) -> np.ndarray:
-    """Plain evaluation of the channel maps (throwaway tape)."""
+    """Plain evaluation of the channel maps, recorded on a throwaway tape
+    that no backward sweep reads."""
     tape = ad.Tape()
-    wv = weight_leaves(tape, weights, requires_grad=False)
-    return net_forward_taped(tape, x0, wv, cfg).value
+    return net_forward_taped(tape, x0, weight_leaves(tape, weights), cfg).value

@@ -15,6 +15,8 @@ from scipy import sparse
 from .errors import ConvergenceError
 from .tensors import COMPLEX, REAL
 
+OP_NORM_TOL, OP_NORM_MAX_ITER = 1e-6, 20000  # op_norm's accuracy and budget
+
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a.ravel(), b.ravel()))
@@ -239,13 +241,13 @@ def fbp(op: RadonOp, sino: np.ndarray) -> np.ndarray:
     return back * scale
 
 
-def op_norm(op: LinearOperator, tol: float = 1e-6, max_iter: int = 20000) -> float:
+def op_norm(op: LinearOperator) -> float:
     """Largest singular value of ``op`` by power iteration on ``A^H A``.
 
     Deterministic fixed-seed start; stops when the symmetric-eigenvalue
-    residual bound certifies relative accuracy ``tol``.  Raises
-    :class:`ConvergenceError` (carrying the last estimate) if the budget runs
-    out first.
+    residual bound certifies relative accuracy ``OP_NORM_TOL``.  Raises
+    :class:`ConvergenceError` (carrying the last estimate) if
+    ``OP_NORM_MAX_ITER`` iterations run out first.
     """
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(op.domain_shape)
@@ -254,17 +256,17 @@ def op_norm(op: LinearOperator, tol: float = 1e-6, max_iter: int = 20000) -> flo
         raise ValueError("operator domain is empty")
     v = v / nv
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(OP_NORM_MAX_ITER):
         w = op.adjoint(op.forward(v))
         est = float(np.real(_vdot(v, w)))
         if est <= 0:
             raise ValueError("operator appears to be zero")
         resid = np.linalg.norm((w - est * v).ravel())
-        if resid <= tol * est:
+        if resid <= OP_NORM_TOL * est:
             return float(np.sqrt(est))
         v = w / np.linalg.norm(w.ravel())
     raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations",
+        f"power iteration did not reach tol={OP_NORM_TOL} in {OP_NORM_MAX_ITER} iterations",
         estimate=float(np.sqrt(est)),
     )
 

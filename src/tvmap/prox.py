@@ -6,6 +6,10 @@ inputs), ``box_clip_code`` and ``box_clip_vjp`` record and reverse it for
 training, and the ``kl_*`` functions evaluate the log-transformed Poisson
 fidelity, its sinogram-space gradient factor and a Lipschitz bound for it.
 The dual step of the squared-L2 fidelity is written into the PDHG step.
+
+The clip kernels run in every solver iteration or its reverse, and require
+the buffers the iteration allocates once per solve: outputs, the negated
+bound and the reverse's mask.
 """
 
 from __future__ import annotations
@@ -38,35 +42,28 @@ class ClampDiag:
     entries: int = 0
 
 
-def box_clip(q: np.ndarray, lam, out: np.ndarray | None = None,
-             neg_lam=None) -> np.ndarray:
-    """Entrywise projection of ``q`` onto the box [-lam, lam].
-
-    Complex inputs are projected per real component, consistent with the
-    anisotropic |Re| + |Im| form of the penalty.  ``neg_lam``, if given,
-    must equal ``-lam``; a caller clipping many times computes it once.
-    Given ``out`` (shaped and typed like ``q``; it may be ``q`` itself),
-    writes the projection into it and returns it.
+def box_clip(q: np.ndarray, lam, out: np.ndarray, neg_lam) -> np.ndarray:
+    """Entrywise projection of ``q`` onto the box [-lam, lam], written into
+    ``out`` (shaped and typed like ``q``; it may be ``q`` itself), which is
+    returned.  ``neg_lam`` must equal ``-lam``; the solver makes it once per
+    solve.  Complex inputs are projected per real component, consistent with
+    the anisotropic |Re| + |Im| form of the penalty.
     """
     lam = np.asarray(lam)
     if lam.ndim and lam.shape != q.shape:
         raise ValueError(f"bound shape {lam.shape} != field shape {q.shape}")
-    if neg_lam is None:
-        neg_lam = -lam
     if not np.iscomplexobj(q):
         return _clip(q, lam, neg_lam, out)
-    if out is None:
-        return _clip(q.real, lam, neg_lam) + 1j * _clip(q.imag, lam, neg_lam)
     _clip(q.real, lam, neg_lam, out.real)
     _clip(q.imag, lam, neg_lam, out.imag)
     return out
 
 
-def _clip(u: np.ndarray, lam, neg_lam, out: np.ndarray | None = None) -> np.ndarray:
+def _clip(u: np.ndarray, lam, neg_lam, out: np.ndarray) -> np.ndarray:
     # np.clip(u, neg_lam, lam), byte for byte when lam > 0 (signed zeros and
     # NaNs included); two two-operand ufuncs took a third of clip's time on
     # a 3x8x32x32 field
-    out = np.minimum(u, lam, out=out)
+    np.minimum(u, lam, out=out)
     return np.maximum(out, neg_lam, out=out)
 
 
@@ -76,33 +73,29 @@ def _clip_code(u: np.ndarray, lam, neg_lam) -> np.ndarray:
     return np.subtract(np.greater(u, lam).view(np.int8), np.less(u, neg_lam).view(np.int8))
 
 
-def box_clip_code(u: np.ndarray, lam, neg_lam=None) -> np.ndarray:
+def box_clip_code(u: np.ndarray, lam, neg_lam) -> np.ndarray:
     """Which side of the box [-lam, lam] each entry of ``u`` left it by: the
     int8 ``sign(u) [|u| > lam]``, so boundary entries count as inside.
     Complex inputs get one code per real component, as (re, im) pairs on a
     trailing axis of length 2, the layout of the array's float64 view.
-    ``neg_lam``, if given, must equal ``-lam``, as in :func:`box_clip`."""
-    if neg_lam is None:
-        neg_lam = -np.asarray(lam)
+    ``neg_lam`` must equal ``-lam``, as in :func:`box_clip`."""
     if np.iscomplexobj(u):
         return np.stack([_clip_code(u.real, lam, neg_lam), _clip_code(u.imag, lam, neg_lam)],
                         axis=-1)
     return _clip_code(u, lam, neg_lam)
 
 
-def box_clip_vjp(code: np.ndarray, g: np.ndarray, out: np.ndarray | None = None,
-                 keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def box_clip_vjp(code: np.ndarray, g: np.ndarray, out: np.ndarray,
+                 keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reverse step of :func:`box_clip` from its :func:`box_clip_code`: the
     gradient ``g`` at the output passes to the input inside the box and to
     the bound, with the code's sign, outside it.  Returns (input, bound)
-    gradients.  Given ``out``, a real buffer shaped like the bound, the
-    bound gradient goes into ``out`` and the input gradient over ``g``
-    (C-contiguous if complex); ``keep`` (an int64 buffer shaped like
-    ``code``, allocated here if not given) holds the mask that zeroes
-    ``g`` outside the box.  A complex ``g`` is masked as the real pairs of
-    its float64 view, so each part keeps every bit inside the box."""
-    if out is None:
-        g = g.copy()
+    gradients: the bound gradient goes into ``out``, a real buffer shaped
+    like the bound, and the input gradient over ``g`` (C-contiguous if
+    complex).  ``keep``, an int64 buffer shaped like ``code`` whose content
+    is overwritten, holds the mask that zeroes ``g`` outside the box.  A
+    complex ``g`` is masked as the real pairs of its float64 view, so each
+    part keeps every bit inside the box."""
     if np.iscomplexobj(g):
         parts = g.view(np.float64).reshape(code.shape)  # (re, im) pairs
         g_lam = np.add(code[..., 0] * parts[..., 0], code[..., 1] * parts[..., 1], out=out)
@@ -113,8 +106,6 @@ def box_clip_vjp(code: np.ndarray, g: np.ndarray, out: np.ndarray | None = None,
     # the bytes of np.copyto(g, 0.0, where=code != 0), signed zeros, infs
     # and NaNs included, in under a fifth of its time
     inside = np.equal(code, 0).view(np.int8)
-    if keep is None:
-        keep = np.empty(code.shape, dtype=np.int64)
     np.copyto(keep, np.negative(inside, out=inside))  # 0 or -1, sign-extended
     bits = parts.view(np.int64)
     np.bitwise_and(bits, keep, out=bits)
@@ -151,12 +142,16 @@ def kl_value(ax: np.ndarray, z: np.ndarray, params: KlParams, diag: ClampDiag | 
     return float(np.sum(val))
 
 
-def kl_grad_sino(ax: np.ndarray, exp_mz: np.ndarray, params: KlParams, diag: ClampDiag | None = None) -> np.ndarray:
-    """Sinogram-space gradient factor mu n0 (exp(-z mu) - exp(-ax mu)); the
-    data term ``exp_mz = exp_clamped(-z * mu)`` is fixed for a solve, so the
-    caller computes it once.  The image-space gradient is its adjoint."""
+def kl_grad_sino(ax: np.ndarray, exp_mz: np.ndarray, params: KlParams,
+                 diag: ClampDiag | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sinogram-space gradient factor mu n0 (exp(-z mu) - exp(-ax mu)) and
+    the ``exp_clamped(-ax * mu)`` it took, which the gradient's derivative
+    reuses; the data term ``exp_mz = exp_clamped(-z * mu)`` is fixed for a
+    solve, so the caller computes it once.  The image-space gradient is the
+    factor's adjoint."""
     mu, n0 = params.mu, params.n0
-    return mu * n0 * (exp_mz - exp_clamped(-ax * mu, diag))
+    exp_m_ax = exp_clamped(-ax * mu, diag)
+    return mu * n0 * (exp_mz - exp_m_ax), exp_m_ax
 
 
 def kl_lipschitz(A, params: KlParams) -> float:

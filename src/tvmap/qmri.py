@@ -18,6 +18,7 @@ from .phantoms import add_gaussian
 from .tensors import COMPLEX, REAL
 
 PAPER_INVERSION_TIMES = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+FIT_GRID_SIZE = 64  # log-spaced T1 values fit_t1 scans before refining
 
 # coefficients of the fixed quadratic phase surface used in synthesis
 PHASE_POLY = (0.3, -0.2, 0.15, -0.1, 0.05)  # x, y, x^2, y^2, xy
@@ -100,11 +101,7 @@ def synth_qmri_series(
     return InversionSeries(times=times, images=images), T1Map(t1=t1_map, m0=m0_map)
 
 
-def fit_t1(
-    series: InversionSeries,
-    t1_bounds: tuple[float, float] = (0.05, 6.0),
-    grid_size: int = 64,
-) -> T1Map:
+def fit_t1(series: InversionSeries, t1_bounds: tuple[float, float] = (0.05, 6.0)) -> T1Map:
     """Per-pixel (T1, M0) regression on a complex inversion-recovery series.
 
     For each candidate T1 the complex M0 is closed-form; a log-spaced grid
@@ -129,7 +126,7 @@ def fit_t1(
         res = np.sum(np.abs(x - m0[None, :] * b) ** 2, axis=0)
         return res, m0
 
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), grid_size))
+    grid = np.exp(np.linspace(np.log(lo), np.log(hi), FIT_GRID_SIZE))
     best_res = np.full(n_pix, np.inf)
     best_idx = np.zeros(n_pix, dtype=int)
     for j, t1 in enumerate(grid):
@@ -139,7 +136,7 @@ def fit_t1(
         best_idx[better] = j
 
     lo_idx = np.maximum(best_idx - 1, 0)
-    hi_idx = np.minimum(best_idx + 1, grid_size - 1)
+    hi_idx = np.minimum(best_idx + 1, FIT_GRID_SIZE - 1)
     a = grid[lo_idx]
     b_hi = grid[hi_idx]
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0

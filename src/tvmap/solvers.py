@@ -11,7 +11,7 @@ solves' stopping rule.  Both solvers are bit-for-bit deterministic.
 Buffers.  Each iteration allocates its state once (``image``, ``prev``,
 ``xbar``, the duals, the gradient-field scratch ``u``, the clip box
 ``bound`` and ``neg_bound``) and ``step`` writes every temporary into
-those, through the ``out=`` forms of the kernels: the new iterate goes into
+those, through the kernels' output arguments: the new iterate goes into
 the spent ``prev`` and the two swap, and ``xbar`` doubles as scratch once
 read.  The duals are held divided by sigma, the TV dual q as ``r`` and the
 PDHG data dual p as ``s``, with the clip box lam / sigma: the dual steps
@@ -205,8 +205,8 @@ class _PrimalDual:
         trail, else None."""
         u = grad(self.xbar, out=self.u)
         u += self.r
-        box_clip(u, self.bound, out=self.r, neg_lam=self.neg_bound)
-        return None if self.trail is None else box_clip_code(u, self.bound, neg_lam=self.neg_bound)
+        box_clip(u, self.bound, self.r, self.neg_bound)
+        return None if self.trail is None else box_clip_code(u, self.bound, self.neg_bound)
 
     def drop_step_buffers(self) -> None:
         """Free the buffers only :meth:`step` uses; :meth:`reverse` still runs."""
@@ -242,7 +242,7 @@ class _TvAdjoint:
         gu = grad(g_desc, out=self.gu)
         gu *= self.tau
         np.subtract(self.gq, gu, out=gu)
-        box_clip_vjp(code, gu, out=self.gl, keep=self.keep)
+        box_clip_vjp(code, gu, self.gl, self.keep)
         self.gq, self.gu = gu, self.gq
         self.glam += self.gl
         grad_adjoint(self.gq, out=gxbar)
@@ -333,16 +333,16 @@ class _Pd3o(_PrimalDual):
 
     def _grad_h(self, p: np.ndarray, curvature: bool = False):
         """The KL gradient at ``p`` and, if ``curvature``, the clamped
-        exp(-mu A p) (zero where the clamp engaged) that its derivative
-        A^T diag(mu^2 n0 exp(-mu A p)) A needs; else None."""
+        exp(-mu A p) the gradient took, zero where the clamp engaged, which
+        its derivative A^T diag(mu^2 n0 exp(-mu A p)) A needs; else None."""
         if self.kl is None:
             return np.zeros_like(p), None
         ax = self.A.forward(p)
-        gh = self.A.adjoint(kl_grad_sino(ax, self.exp_mz, self.kl, self.diag))
+        factor, exp_m_ax = kl_grad_sino(ax, self.exp_mz, self.kl, self.diag)
+        gh = self.A.adjoint(factor)
         if not curvature:
             return gh, None
-        arg = -ax * self.kl.mu
-        return gh, np.where(np.abs(arg) <= EXP_CLAMP, exp_clamped(arg), 0.0)
+        return gh, np.where(np.abs(ax * self.kl.mu) <= EXP_CLAMP, exp_m_ax, 0.0)
 
     def step(self) -> None:
         p, xbar, tau, tau_gh = self.image, self.xbar, self.tau, self.tau_gh

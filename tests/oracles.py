@@ -11,7 +11,8 @@ taped gradients.  ``GradOp`` wraps the difference stack as an operator for
 the operator tests, and ``zero_weights`` gives the all-zero network, whose
 weight map is the constant scale * log 2 (the zero-weight reduction).
 ``l2_conjugate_prox`` is the textbook dual step of the squared-L2 fidelity,
-the reference for the PDHG step's update of its dual held divided by sigma.
+the reference for the PDHG step's update of its dual held divided by sigma,
+and ``np_clip_box`` the box projection written with ``np.clip``.
 ``radon_matrix_summed`` keeps the Radon system matrix's earlier assembly,
 one full-size block per angle summed pairwise, as the reference for the
 stacked one.  ``estimate_weight_field`` is the plain network-to-field map,
@@ -369,6 +370,17 @@ def l2_conjugate_prox(p: np.ndarray, ax: np.ndarray, z: np.ndarray, sigma: float
     return out
 
 
+def np_clip_box(u: np.ndarray, lam) -> np.ndarray:
+    """The projection onto [-lam, lam], per real part for complex ``u``,
+    written with ``np.clip`` into a fresh array."""
+    neg, out = -np.asarray(lam), np.empty_like(u)
+    if not np.iscomplexobj(u):
+        return np.clip(u, neg, lam, out=out)
+    np.clip(u.real, neg, lam, out=out.real)
+    np.clip(u.imag, neg, lam, out=out.imag)
+    return out
+
+
 def l2_dual_step_scaled(s: Var, ax: Var, z: np.ndarray, sigma: float) -> Var:
     """(s + ax - z) * (1 / (1 + sigma)), the PDHG step's update of the scaled
     data dual s = p / sigma; z is data, not differentiated."""
@@ -427,7 +439,7 @@ def finite_diff_check(build, leaves, eps: float = 1e-6, trials: int = 20, seed: 
 
     def value_at(arrays) -> float:
         t = Tape()
-        lv = [t.leaf(a, requires_grad=False) for a in arrays]
+        lv = [t.constant(a) for a in arrays]
         out = build(t, lv)
         return float(out.value)
 

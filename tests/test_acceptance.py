@@ -28,7 +28,7 @@ from tvmap.operators import (
     synth_coil_maps,
 )
 from tvmap.phantoms import ct_poisson_log, ellipse_ct
-from tvmap.prox import KlParams, box_clip, kl_value, nonneg_prox
+from tvmap.prox import KlParams, kl_value, nonneg_prox
 from tvmap.qmri import InversionSeries, concentric_region_labels, fit_t1, synth_qmri_series
 from tvmap.solvers import (
     Problem,
@@ -360,7 +360,7 @@ def test_criterion_10_reduction_identities():
     q = np.zeros_like(grad(x0))
     max_dev = 0.0
     for k in range(12):
-        q = box_clip(q + sigma * grad(xbar), lam)
+        q = np.clip(q + sigma * grad(xbar), -lam, lam)
         x_new = nonneg_prox(x - tau * grad_adjoint(q))
         xbar = x_new + 1.0 * (x_new - x)
         it.step()

@@ -24,7 +24,6 @@ from oracles import (
 )
 from tvmap import autodiff as ad
 from tvmap.operators import identity_op
-from tvmap.prox import box_clip
 from tvmap.tensors import constant_map, grad, grad_adjoint
 
 
@@ -73,7 +72,7 @@ def test_clip_forward_matches_plain(rng):
     lam = rng.random((3, 2, 4, 4)) + 0.1
     tape = ad.Tape()
     out = box_clip_ad(tape.leaf(q), tape.leaf(lam))
-    np.testing.assert_array_equal(out.value, box_clip(q, lam))
+    np.testing.assert_array_equal(out.value, np.clip(q, -lam, lam))
 
 
 def test_l2_conj_step_matches_plain(rng):
@@ -130,10 +129,13 @@ def test_conv_matches_direct_computation(rng):
 
 
 def test_conv_gradients_match_fd(rng):
-    x = rng.standard_normal((1, 4, 4))
-    w = rng.standard_normal((2, 1, 3, 3)) * 0.5
-    b = rng.standard_normal(2) * 0.1
-    t = rng.standard_normal((2, 4, 4))
+    # positive inputs and a zero target, as in the rank-3 test below: no
+    # gradient coordinate sits near zero, where cancellation would meet the
+    # finite-difference noise
+    x = rng.uniform(0.5, 1.5, size=(1, 4, 4))
+    w = rng.uniform(0.5, 1.5, size=(2, 1, 3, 3))
+    b = rng.uniform(0.5, 1.5, size=2)
+    t = np.zeros((2, 4, 4))
 
     def build(tape, leaves):
         vx, vw, vb = leaves
@@ -255,7 +257,7 @@ def test_pool_shape_check():
 def test_upsample_inverts_pool_shapes(rng):
     x = rng.standard_normal((3, 4, 6, 8))
     tape = ad.Tape()
-    v = tape.leaf(x, requires_grad=False)
+    v = tape.constant(x)
     assert ad.avg_pool2(v).value.shape == (3, 2, 3, 4)
     assert ad.upsample_nearest2(ad.avg_pool2(v)).value.shape == x.shape
 

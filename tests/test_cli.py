@@ -120,13 +120,6 @@ def test_solve_rejects_conflicting_flags(tmp_path):
     code = main(["solve", "--config", str(path), "--lambda", "0.1",
                  "--map", str(lam_path)])
     assert code == 2
-    assert main(["solve", "--config", str(path), "--task", "mri"]) == 2
-
-
-def test_solve_rejects_empty_task(tmp_path, capsys):
-    _, path = tiny_config(tmp_path)
-    assert main(["solve", "--config", str(path), "--task", ""]) == 2
-    assert "--task '' does not match config task 'denoise'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -162,6 +155,24 @@ def test_train_eval_pipeline(tmp_path):
     metrics = (tmp_path / "run" / "eval" / "metrics.csv").read_text().splitlines()
     assert metrics[0] == "t_test,item,psnr,nrmse,ssim"
     assert len(metrics) == 1 + 2 * cfg.test_count
+
+
+@pytest.mark.parametrize("mode, channels", [("xyt", 1), ("x_y_t", 3)])
+def test_gen_train_eval_in_each_other_mode(tmp_path, mode, channels):
+    # test_train_eval_pipeline runs mode xy_t; here one weight channel for
+    # every direction, and one channel per direction
+    cfg, path = tiny_config(tmp_path, mode=mode)
+    assert main(["gen", "--config", str(path)]) == 0
+    assert main(["train", "--config", str(path)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint"
+    weights, net_cfg, ckpt_mode = experiments.load_checkpoint(ckpt)
+    assert ckpt_mode.value == mode and net_cfg.out_channels == channels
+    assert weights.biases[-1].shape == (channels,)
+    assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--t-test", "4,8"]) == 0
+    rows = (tmp_path / "run" / "eval" / "metrics.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * cfg.test_count
+    assert all(np.isfinite([float(v) for v in row.split(",")]).all() for row in rows)
 
 
 def test_eval_t_test_defaults_to_config(tmp_path):

@@ -3,7 +3,9 @@ a deleted helper would otherwise fail only when its line first runs.  And
 every function, method or class ``src/tvmap`` defines must be used by the
 package, ``scripts/`` or ``benchmark/``: code only a test calls belongs with
 the tests.  And some caller, tests included, must pass each parameter that
-has a default: a default that every caller takes is a constant."""
+has a default: a default that every caller takes is a constant.  And a
+default that only tests pass must be one of the listed test seams: any
+other is a setting the package never varies."""
 
 import ast
 import builtins
@@ -167,3 +169,43 @@ def test_unpassed_default_is_reported():
     assert unpassed_defaults(defining, []) == ["m.f(c)", "m.f(d)", "m.C.__init__(x)", "m.C.g(y)"]
     assert unpassed_defaults(defining, ["f(0, 1, 2, d=4)\nC(1).g(0)\n"]) == []
     assert unpassed_defaults(defining, ["f(*args, **kw)\nC(*a)\nC().g(**kw)\n"]) == []
+
+
+# Parameter defaults that some test passes and no caller in the package,
+# scripts/ or benchmark/ does, each with the reason a test needs it.  Any
+# other such default is a setting the package never varies: make it a module
+# constant, which the test that varies it patches.
+TEST_SEAMS = {
+    "cli.main(argv)": "the console entry point calls main() with no arguments",
+    "training.loss_value(T)": "criterion 6's Gamma-consistency sweep over T",
+    "qmri.synth_qmri_series(noise_sigma)": "criterion 9's noise level",
+    "qmri.synth_qmri_series(seed)": "criterion 9's noise draw",
+    "qmri.concentric_region_labels(n_regions)": "the 3-region test phantoms",
+    "certificates.rate_certificate(step)": "reaches the check that M is positive definite",
+}
+
+
+def defaults_only_tests_pass(defining: dict[str, str], package: list[str],
+                             tests: list[str]) -> list[str]:
+    """``module.function(parameter)`` for every default that a source in
+    ``tests`` passes and none in ``defining`` or ``package`` does."""
+    passed_with_tests = set(unpassed_defaults(defining, package + tests))
+    return [where for where in unpassed_defaults(defining, package)
+            if where not in passed_with_tests]
+
+
+def test_test_only_defaults_are_listed_seams():
+    defining = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    package = [p.read_text() for d in ("scripts", "benchmark")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    tests = [p.read_text() for p in sorted((ROOT / "tests").rglob("*.py"))]
+    found = set(defaults_only_tests_pass(defining, package, tests))
+    # (unlisted, listed but no longer test-only)
+    assert (sorted(found - TEST_SEAMS.keys()), sorted(TEST_SEAMS.keys() - found)) == ([], [])
+
+
+def test_test_only_default_is_reported():
+    defining = {"m": "def f(a=1, b=2, c=3):\n    pass\n\nf(a=0)\n"}
+    assert defaults_only_tests_pass(defining, ["f(0, 1)\n"], ["f(c=4)\n"]) == ["m.f(c)"]
+    assert defaults_only_tests_pass(defining, [], ["f(b=2, c=1)\n"]) == ["m.f(b)", "m.f(c)"]
+    assert defaults_only_tests_pass(defining, ["f(0, 1, c=1)\n"], ["f(b=2, c=1)\n"]) == []

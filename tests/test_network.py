@@ -156,7 +156,7 @@ def test_constant_input_leaf_gradients_match_full_sweep(rank, shape):
         if input_grad:  # the input channels, recorded next, become a leaf
             tape.constant = tape.leaf
         out = net_forward_taped(tape, x0, wv, cfg)
-        grads = tape.backward(ad.mse(out, tape.leaf(target, requires_grad=False)))
+        grads = tape.backward(ad.mse(out, tape.constant(target)))
         assert (2 * len(wv) in grads) == input_grad
         sweeps.append([grads[v.idx] for pair in wv for v in pair])
     for skipped, full in zip(*sweeps):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tvmap import operators
 from tvmap.errors import ConvergenceError
 from tvmap.operators import (
     LinearOperator,
@@ -181,9 +182,11 @@ def test_op_norm_rayleigh_lower_bound(rng):
         assert est**2 >= rq - 1e-6 * abs(rq)
 
 
-def test_op_norm_nonconvergence_carries_estimate():
+def test_op_norm_nonconvergence_carries_estimate(monkeypatch):
+    monkeypatch.setattr(operators, "OP_NORM_TOL", 1e-14)
+    monkeypatch.setattr(operators, "OP_NORM_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as exc:
-        op_norm(LineDiffOp(64), tol=1e-14, max_iter=3)
+        op_norm(LineDiffOp(64))
     assert exc.value.estimate is not None
     assert 0.0 < exc.value.estimate <= 2.0
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, l2_conjugate_prox, quad_vertex_min
+from oracles import fd_gradient, l2_conjugate_prox, np_clip_box, quad_vertex_min
 from tvmap.operators import RadonOp, equispaced_angles
 from tvmap.prox import (
     ClampDiag,
@@ -19,33 +19,38 @@ from tvmap.prox import (
 )
 
 
+def _box_clip(q, lam):
+    """:func:`box_clip` into a fresh output buffer."""
+    return box_clip(q, lam, np.empty_like(q), -np.asarray(lam))
+
+
 def test_box_clip_piecewise_cases():
     lam = np.ones(3)
-    np.testing.assert_array_equal(box_clip(np.array([1.5, -2.0, 0.3]), lam), [1.0, -1.0, 0.3])
+    np.testing.assert_array_equal(_box_clip(np.array([1.5, -2.0, 0.3]), lam), [1.0, -1.0, 0.3])
 
 
 def test_box_clip_idempotent(rng):
     q = rng.standard_normal((3, 2, 4, 4)) * 3
     lam = rng.random((3, 2, 4, 4)) + 0.1
-    once = box_clip(q, lam)
-    np.testing.assert_array_equal(box_clip(once, lam), once)
+    once = _box_clip(q, lam)
+    np.testing.assert_array_equal(_box_clip(once, lam), once)
 
 
 def test_box_clip_degenerate_corridor(rng):
     q = rng.standard_normal((2, 1, 3, 3))
-    out = box_clip(q, np.full((2, 1, 3, 3), 1e-12))
+    out = _box_clip(q, np.full((2, 1, 3, 3), 1e-12))
     assert np.max(np.abs(out)) <= 1e-12
 
 
 def test_box_clip_complex_acts_per_part():
     q = np.array([2.0 + 0.5j, -0.25 - 3.0j])
-    out = box_clip(q, np.ones(2))
+    out = _box_clip(q, np.ones(2))
     np.testing.assert_array_equal(out, [1.0 + 0.5j, -0.25 - 1.0j])
 
 
 def test_box_clip_shape_mismatch():
     with pytest.raises(ValueError):
-        box_clip(np.zeros((2, 1, 3, 3)), np.ones((3, 1, 3, 3)))
+        _box_clip(np.zeros((2, 1, 3, 3)), np.ones((3, 1, 3, 3)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,7 +60,7 @@ def test_box_clip_nonexpansive_in_q(seed):
     q1, q2 = r.standard_normal((2, 40)) * 4
     lam = r.random(40) + 0.05
     d_in = np.linalg.norm(q1 - q2)
-    d_out = np.linalg.norm(box_clip(q1, lam) - box_clip(q2, lam))
+    d_out = np.linalg.norm(_box_clip(q1, lam) - _box_clip(q2, lam))
     assert d_out <= d_in + 1e-12
 
 
@@ -66,7 +71,7 @@ def test_box_clip_one_lipschitz_in_bounds(seed):
     q = r.standard_normal(40) * 4
     lam1 = r.random(40) + 0.05
     lam2 = r.random(40) + 0.05
-    d_out = np.linalg.norm(box_clip(q, lam1) - box_clip(q, lam2))
+    d_out = np.linalg.norm(_box_clip(q, lam1) - _box_clip(q, lam2))
     assert d_out <= np.linalg.norm(lam1 - lam2) + 1e-12
 
 
@@ -131,7 +136,7 @@ def test_kl_value_single_bin():
 
 def kl_grad_image(op, x, z, params):
     """Image-space KL gradient in the form the PD3O solver evaluates it."""
-    return op.adjoint(kl_grad_sino(op.forward(x), exp_clamped(-z * params.mu), params))
+    return op.adjoint(kl_grad_sino(op.forward(x), exp_clamped(-z * params.mu), params)[0])
 
 
 def test_kl_grad_zero_at_match(rng):
@@ -192,36 +197,33 @@ OUT_CASES = [(shape, dtype) for shape in [(2, 1, 5, 4), (3, 3, 6, 5)]
 
 @pytest.mark.parametrize("shape, dtype", OUT_CASES)
 def test_box_clip_out_matches_allocating_form(rng, shape, dtype):
+    # the allocating form is np.clip per real part (oracles.np_clip_box)
     u = 2.0 * _draw(rng, shape, dtype)
     lam = rng.random(shape) + 0.1
-    want = box_clip(u, lam)
+    want = np_clip_box(u, lam)
     out = np.full(shape, np.nan, dtype=dtype)
-    assert box_clip(u, lam, out=out, neg_lam=-lam) is out
+    assert box_clip(u, lam, out, -lam) is out
     assert _same_bytes(out, want)
-    assert _same_bytes(box_clip(u, lam, neg_lam=-lam), want)
-    box_clip(u, lam, out=u)  # in place
+    box_clip(u, lam, u, -lam)  # in place
     assert _same_bytes(u, want)
 
 
 @pytest.mark.parametrize("shape, dtype", OUT_CASES)
-def test_box_clip_code_neg_lam_matches_default(rng, shape, dtype):
-    u = 2.0 * _draw(rng, shape, dtype)
-    lam = rng.random(shape) + 0.1
-    want = box_clip_code(u, lam)
-    assert _same_bytes(box_clip_code(u, lam, neg_lam=-lam), want)
-    assert set(np.unique(want)) == {-1, 0, 1}
-
-
-@pytest.mark.parametrize("shape, dtype", OUT_CASES)
 def test_box_clip_vjp_out_matches_allocating_form(rng, shape, dtype):
+    # the allocating form is written here with np.where on each real part
     lam = rng.random(shape) + 0.1
-    code = box_clip_code(2.0 * _draw(rng, shape, dtype), lam)
+    code = box_clip_code(2.0 * _draw(rng, shape, dtype), lam, -lam)
     g = _draw(rng, shape, dtype)
-    want_in, want_lam = box_clip_vjp(code, g)
+    parts = g.view(np.float64).reshape(code.shape)
+    want_in = np.where(code == 0, parts, 0.0)
+    want_lam = code * parts
+    if code.ndim > g.ndim:  # complex: the codes' two parts, in order re, im
+        want_lam = want_lam[..., 0] + want_lam[..., 1]
     lam_buf = np.full(shape, np.nan)
-    g_in, g_lam = box_clip_vjp(code, g, out=lam_buf)  # input gradient over g
+    keep = np.empty(code.shape, dtype=np.int64)
+    g_in, g_lam = box_clip_vjp(code, g, lam_buf, keep)  # input gradient over g
     assert g_in is g and g_lam is lam_buf
-    assert _same_bytes(g, want_in) and _same_bytes(lam_buf, want_lam)
+    assert _same_bytes(parts, want_in) and _same_bytes(lam_buf, want_lam)
 
 
 SPECIALS = [0.0, -0.0, np.inf, -np.inf, 1.0, -1.0,
@@ -241,13 +243,21 @@ def test_clip_code_matches_casting_subtract(rng):
     u = _with_specials(rng, (3, 3, 6, 5))
     lam = np.ones(u.shape)  # the specials +-1 sit on the boundary
     want = np.subtract(u > lam, u < -lam, dtype=np.int8)
-    assert _same_bytes(box_clip_code(u, lam), want)
+    assert _same_bytes(box_clip_code(u, lam, -lam), want)
+    assert set(np.unique(want)) == {-1, 0, 1}
+    # complex input: one code per real part, as (re, im) pairs
+    v = np.empty(u.shape, dtype=np.complex128)
+    v.real, v.imag = u, _with_specials(rng, u.shape)[::-1]
+    want = np.stack([np.subtract(w > lam, w < -lam, dtype=np.int8) for w in (v.real, v.imag)],
+                    axis=-1)
+    assert _same_bytes(box_clip_code(v, lam, -lam), want)
 
 
-@pytest.mark.parametrize("given_keep", [False, True])
-def test_box_clip_vjp_masking_keeps_every_bit(rng, given_keep):
+@pytest.mark.parametrize("dirty_keep", [False, True])
+def test_box_clip_vjp_masking_keeps_every_bit(rng, dirty_keep):
     # inside the box (the first specials) g passes bit for bit; outside it
-    # (the last ones) it becomes +0.0, as a masked copyto writes it
+    # (the last ones) it becomes +0.0, as a masked copyto writes it; what
+    # the mask buffer held before does not matter
     shape = (3, 3, 6, 5)
     code = rng.integers(-1, 2, size=shape).astype(np.int8)
     code.flat[: len(SPECIALS)] = 0
@@ -255,16 +265,16 @@ def test_box_clip_vjp_masking_keeps_every_bit(rng, given_keep):
     g = _with_specials(rng, shape)
     want = g.copy()
     np.copyto(want, 0.0, where=code != 0)
-    keep = np.full(shape, 0x5A5A, dtype=np.int64) if given_keep else None
+    keep = np.full(shape, 0x5A5A if dirty_keep else 0, dtype=np.int64)
     with np.errstate(invalid="ignore"):  # the bound gradient meets 0 * inf
-        g_in, _ = box_clip_vjp(code, g, out=np.empty(shape), keep=keep)
+        g_in, _ = box_clip_vjp(code, g, np.empty(shape), keep)
     assert g_in is g and _same_bytes(g, want)
     assert np.signbit(g.flat[1]) and np.isnan(g.flat[len(SPECIALS) - 1])
     assert not np.signbit(g.flat[-len(SPECIALS):]).any()
 
 
-@pytest.mark.parametrize("given_out", [False, True])
-def test_complex_box_clip_vjp_keeps_every_bit(rng, given_out):
+@pytest.mark.parametrize("dirty_keep", [False, True])
+def test_complex_box_clip_vjp_keeps_every_bit(rng, dirty_keep):
     # each part of a complex gradient is masked on its own, as the (re, im)
     # pairs of its float64 view: inside the box 1 + inf j and signed zeros
     # pass bit for bit, outside it a part becomes +0.0
@@ -278,7 +288,8 @@ def test_complex_box_clip_vjp_keeps_every_bit(rng, given_out):
     want = parts.copy()
     np.copyto(want, 0.0, where=code != 0)
     with np.errstate(invalid="ignore"):  # the bound gradient meets 0 * inf
-        g_in, _ = box_clip_vjp(code, g.copy(), out=np.empty(shape) if given_out else None)
+        g_in, _ = box_clip_vjp(code, g.copy(), np.empty(shape),
+                               np.full(code.shape, 0x5A5A if dirty_keep else 0, dtype=np.int64))
     assert _same_bytes(g_in.view(np.float64).reshape(want.shape), want)
     assert g_in.flat[4].real == 1.0 and g_in.flat[4].imag == np.inf
     assert np.signbit(g_in.flat[0].imag)
@@ -311,18 +322,6 @@ def _with_edge_values(x: np.ndarray, lam) -> np.ndarray:
     return x
 
 
-def _np_clip_box(u, lam, out=None):
-    """box_clip written with np.clip, as it was before it used two ufuncs."""
-    neg = -np.asarray(lam)
-    if not np.iscomplexobj(u):
-        return np.clip(u, neg, lam, out=out)
-    if out is None:
-        return np.clip(u.real, neg, lam) + 1j * np.clip(u.imag, neg, lam)
-    np.clip(u.real, neg, lam, out=out.real)
-    np.clip(u.imag, neg, lam, out=out.imag)
-    return out
-
-
 @pytest.mark.parametrize("scalar_lam", [False, True])
 @pytest.mark.parametrize("shape, dtype", OUT_CASES)
 def test_box_clip_matches_np_clip_byte_for_byte(rng, shape, dtype, scalar_lam):
@@ -331,9 +330,8 @@ def test_box_clip_matches_np_clip_byte_for_byte(rng, shape, dtype, scalar_lam):
     u.real = _with_edge_values(2.0 * rng.standard_normal(shape), lam)
     if dtype is np.complex128:
         u.imag = _with_edge_values(2.0 * rng.standard_normal(shape)[::-1], lam)
-    assert _same_bytes(box_clip(u, lam), _np_clip_box(u, lam))
-    want = _np_clip_box(u, lam, out=np.empty_like(u))
+    want = np_clip_box(u, lam)
     out = np.full(shape, np.nan, dtype=dtype)
-    assert _same_bytes(box_clip(u, lam, out=out, neg_lam=-np.asarray(lam)), want)
-    box_clip(u, lam, out=u)  # in place
+    assert _same_bytes(box_clip(u, lam, out, -np.asarray(lam)), want)
+    box_clip(u, lam, u, -np.asarray(lam))  # in place
     assert _same_bytes(u, want)

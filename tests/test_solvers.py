@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import GradOp, l2_conjugate_prox, rof_denoise_oracle
+from oracles import GradOp, l2_conjugate_prox, np_clip_box, rof_denoise_oracle
 from tvmap import solvers
 from tvmap.operators import (
     LinearOperator,
@@ -16,7 +16,7 @@ from tvmap.operators import (
     make_cartesian_mask,
     synth_coil_maps,
 )
-from tvmap.prox import KlParams, box_clip, nonneg_prox
+from tvmap.prox import KlParams, nonneg_prox
 from tvmap.solvers import (
     CHECK_EVERY,
     _Pd3o,
@@ -172,7 +172,7 @@ def test_pd3o_with_zero_h_matches_pdhg_nonneg_states(rng):
     xbar = x0.copy()
     q = np.zeros_like(grad(x0))
     for k in range(10):
-        q = box_clip(q + sigma * grad(xbar), lam)
+        q = np.clip(q + sigma * grad(xbar), -lam, lam)
         x_new = nonneg_prox(x - tau * grad_adjoint(q))
         xbar = x_new + 1.0 * (x_new - x)
         it.step()
@@ -498,7 +498,7 @@ def test_scaled_duals_match_textbook_iteration(rng, kind):
     for _ in range(20):
         u = q + sigma * grad(xbar)
         clipped += int(np.count_nonzero(np.abs(u.real) > lam))
-        q = box_clip(u, lam)
+        q = np_clip_box(u, lam)
         if kl is None:
             p = l2_conjugate_prox(p, A.forward(xbar), z, sigma)
             x_new = x - tau * A.adjoint(p) - tau * grad_adjoint(q)
