@@ -8,6 +8,8 @@ Parse rules (bit-exact):
 * ``[name]`` opens a section; ``key = value`` pairs split on the first
   ``=`` with key and value stripped; values stay strings until typed;
 * keys before any section header or unknown keys are errors;
+* values are written by :func:`tvmap.fileio.format_value` and typed by
+  :func:`tvmap.fileio.parse_value`;
 * a ``[manifest]`` section is informational and ignored on load, so every
   manifest written by a command is itself a loadable config.
 
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
+from .fileio import format_value, named, parse_value
 from .qmri import PAPER_INVERSION_TIMES
+from .tensors import SharingMode
 
 TASKS = ("denoise", "mri", "ct", "qmri")
 
@@ -53,37 +57,16 @@ def parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def render_sections(sections: dict[str, dict[str, str]]) -> str:
+def render_sections(sections: dict[str, dict]) -> str:
+    """The text :func:`parse_sections` reads back, each value written by
+    :func:`format_value`."""
     out = []
     for name, pairs in sections.items():
         out.append(f"[{name}]")
         for key, value in pairs.items():
-            out.append(f"{key} = {value}")
+            out.append(f"{key} = {format_value(value)}")
         out.append("")
     return "\n".join(out)
-
-
-def parse_value(kind, key: str, raw: str):
-    """Type the text ``raw`` of ``key`` as ``kind`` (a dataclass field's
-    annotation): int, float, a tuple of comma-separated floats, or str as given."""
-    try:
-        if kind is tuple:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if kind in (int, float):
-            return kind(raw)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {key} = {raw!r}") from exc
-    return raw
-
-
-def format_value(value) -> str:
-    """The text :func:`parse_value` reads back: floats by ``repr`` (exact
-    round trip), tuples as comma-separated float reprs, the rest by ``str``."""
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 @dataclass
@@ -155,7 +138,7 @@ class ExperimentConfig:
         if self.task == "qmri" and not all(b > a for a, b in zip((0.0, *self.times), self.times)):
             raise ValueError("task = qmri needs positive, strictly increasing inversion "
                              f"times, got times = {format_value(self.times)}")
-        if self.mode not in ("xyt", "xy_t", "x_y_t"):
+        if self.mode not in [m.value for m in SharingMode]:
             raise ValueError(f"unknown sharing mode {self.mode!r}")
         for key in ("seed", "train_count", "val_count", "test_count"):
             if getattr(self, key) < 0:
@@ -180,18 +163,16 @@ class ExperimentConfig:
         kinds = get_type_hints(cls)
         return cls(**{key: parse_value(kinds[key], key, raw) for key, raw in values.items()})
 
-    def to_sections(self) -> dict[str, dict[str, str]]:
+    def to_sections(self) -> dict[str, dict]:
         return {
-            sec_name: {key: format_value(getattr(self, key)) for key in keys}
+            sec_name: {key: getattr(self, key) for key in keys}
             for sec_name, keys in self._SECTIONS.items()
         }
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        try:
+        with named(path):
             return cls.from_text(Path(path).read_text())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
 
     def item_seed(self, purpose: int, index: int):
         return [int(self.seed), int(purpose), int(index)]
@@ -203,8 +184,5 @@ def write_manifest(path, cfg: ExperimentConfig | None, command: str,
     be fed back to any command in place of the original config.  Commands
     that read no config (``cfg`` None) write the [manifest] block alone."""
     sections = cfg.to_sections() if cfg is not None else {}
-    info = {"command": command}
-    if extra:
-        info.update({k: str(v) for k, v in extra.items()})
-    sections["manifest"] = info
+    sections["manifest"] = {"command": command} | (extra or {})
     Path(path).write_text(render_sections(sections))

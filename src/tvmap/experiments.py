@@ -24,12 +24,11 @@ from .config import (
     SEED_NOISE,
     SEED_PHANTOM,
     ExperimentConfig,
-    format_value,
     parse_sections,
-    parse_value,
     render_sections,
     write_manifest,
 )
+from .fileio import named, parse_list, parse_value
 from .metrics import nrmse, psnr, ssim
 from .network import NetWeights, UNetConfig, init_weights
 from .operators import (
@@ -143,9 +142,9 @@ def build_split(cfg: ExperimentConfig, split: str) -> list[Problem]:
     return [_build_item(cfg, split, i) for i in range(count)]
 
 
-def _numbers(text: str, kind, option: str) -> list:
-    """The comma-separated values of ``option``; it must list at least one."""
-    values = [kind(v) for v in text.split(",") if v.strip()]
+def _numbers(kind, option: str, text: str) -> list:
+    """The values of list ``option`` (:func:`parse_list`); it must list at least one."""
+    values = parse_list(kind, option, text)
     if not values:
         raise ValueError(f"{option} lists no values")
     return values
@@ -185,10 +184,8 @@ def cmd_solve(args) -> str:
     prob = _build_item(cfg, "test", item)
     if args.map_path is not None:
         lam_field = fileio.read_tensor(args.map_path)
-        try:
+        with named(args.map_path):
             lam_field = as_weight_field(lam_field, prob.init_image().shape)
-        except ValueError as exc:
-            raise ValueError(f"{args.map_path}: {exc}") from exc
     elif args.lam is not None:
         lam_field = float(args.lam)
     else:
@@ -198,12 +195,8 @@ def cmd_solve(args) -> str:
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_tensor(out / f"recon_{item:03d}.tnsr", rep.image)
     rep.write_diagnostics(out / f"diagnostics_{item:03d}.csv")
-    extra = {
-        "item": item,
-        "T": T,
-        "psnr": fileio.format_float(psnr(rep.image, prob.x_true)),
-        "nrmse": fileio.format_float(nrmse(rep.image, prob.x_true)),
-    }
+    extra = {"item": item, "T": T, "psnr": psnr(rep.image, prob.x_true),
+             "nrmse": nrmse(rep.image, prob.x_true)}
     write_manifest(out / "manifest.txt", cfg, "solve", extra)
     return f"wrote reconstruction to {out}"
 
@@ -211,8 +204,8 @@ def cmd_solve(args) -> str:
 def cmd_gridsearch(args) -> str:
     """Scalar grid search over the chosen split; writes scores and the pick."""
     cfg = ExperimentConfig.load(args.config)
-    grid = _numbers(args.grid, float, "--grid")
-    grid_t = None if args.grid_t is None else _numbers(args.grid_t, float, "--grid-t")
+    grid = _numbers(float, "--grid", args.grid)
+    grid_t = None if args.grid_t is None else _numbers(float, "--grid-t", args.grid_t)
     mode = SharingMode(args.mode or cfg.mode)
     if mode is SharingMode.XYT and grid_t is not None:
         raise ValueError("--grid-t applies only to mode xy_t; mode xyt takes one "
@@ -248,10 +241,9 @@ def save_checkpoint(
     for i, (k, b) in enumerate(zip(weights.kernels, weights.biases)):
         fileio.write_tensor(ckpt_dir / f"w{i:02d}_kernel.tnsr", k)
         fileio.write_tensor(ckpt_dir / f"w{i:02d}_bias.tnsr", b)
-    pairs = {f.name: format_value(getattr(net_cfg, f.name)) for f in fields(UNetConfig)}
-    for key in TRAIN_SETTINGS:
-        pairs[key] = format_value(getattr(cfg, key))
-    pairs.update(val_loss=fileio.format_float(val_loss), n_layers=str(len(weights.kernels)))
+    pairs = {f.name: getattr(net_cfg, f.name) for f in fields(UNetConfig)}
+    pairs.update({key: getattr(cfg, key) for key in TRAIN_SETTINGS})
+    pairs.update(val_loss=val_loss, n_layers=len(weights.kernels))
     (ckpt_dir / "checkpoint.txt").write_text(render_sections({"checkpoint": pairs}))
 
 
@@ -261,7 +253,7 @@ def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
     convolutions of the network's :meth:`UNetConfig.layer_plan`."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "checkpoint.txt"
-    try:
+    with named(path):
         info = parse_sections(path.read_text()).get("checkpoint")
         if info is None:
             raise ValueError("no [checkpoint] section")
@@ -276,8 +268,6 @@ def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
         if n_layers != len(convs):
             raise ValueError(f"n_layers = {n_layers}, the network has {len(convs)} layers")
         mode = SharingMode(info["mode"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     kernels, biases = [], []
     for i, (_, c_in, c_out, k) in enumerate(convs):
         kernels.append(_read_shaped(ckpt_dir / f"w{i:02d}_kernel.tnsr",
@@ -309,8 +299,7 @@ def cmd_train(args) -> str:
     save_checkpoint(out / "checkpoint", best, net_cfg, cfg, best_val)
     fileio.write_csv(out / "history.csv", ["epoch", "train_loss", "val_loss"],
                      [(float(e), t, v) for e, t, v in history])
-    write_manifest(out / "train_manifest.txt", cfg, "train",
-                   {"best_val_loss": fileio.format_float(best_val)})
+    write_manifest(out / "train_manifest.txt", cfg, "train", {"best_val_loss": best_val})
     return f"checkpoint at {out / 'checkpoint'}"
 
 
@@ -324,18 +313,16 @@ def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, mode: SharingMode,
         if have != need:
             raise ValueError(f"checkpoint {ckpt_dir}: {name} = {have}, "
                              f"the {cfg.task} config needs {need}")
-    try:
+    with named(f"checkpoint {ckpt_dir}"):
         mode.check_image(image.shape)
         net_cfg.check_pooling(image.shape)
-    except ValueError as exc:
-        raise ValueError(f"checkpoint {ckpt_dir}: {exc}") from exc
 
 
 def cmd_eval(args) -> str:
     """Evaluate a checkpoint on the test split for each iteration budget
     (default: the config's ``t_test``)."""
     cfg = ExperimentConfig.load(args.config)
-    t_list = [cfg.t_test] if args.t_test is None else _numbers(args.t_test, int, "--t-test")
+    t_list = [cfg.t_test] if args.t_test is None else _numbers(int, "--t-test", args.t_test)
     ckpt_dir = args.checkpoint
     weights, net_cfg, mode = load_checkpoint(ckpt_dir)
     items = build_split(cfg, "test")
@@ -357,7 +344,7 @@ def cmd_eval(args) -> str:
     fileio.write_csv(out / "metrics_mean.csv", ["t_test", "psnr", "nrmse", "ssim"],
                      mean_rows)
     write_manifest(out / "manifest.txt", cfg, "eval",
-                   {"checkpoint": ckpt_dir, "t_list": ",".join(map(str, t_list))})
+                   {"checkpoint": ckpt_dir, "t_list": t_list})
     return f"metrics in {out}"
 
 
@@ -386,7 +373,7 @@ def cmd_certify(args) -> str:
 
 def cmd_fit_t1(args) -> str:
     """Per-pixel (T1, M0) fit of a TNSR1 inversion-recovery series."""
-    times = _numbers(args.times, float, "--times")
+    times = _numbers(float, "--times", args.times)
     images = fileio.read_tensor(args.series)
     if images.ndim != 3 or len(images) != len(times):
         raise ValueError(f"{args.series}: fit-t1 needs an (n_times, nx, ny) series, one "
@@ -400,10 +387,7 @@ def cmd_fit_t1(args) -> str:
     fileio.write_tensor(out / "m0.tnsr", result.m0)
     fileio.write_tensor(out / "degenerate.tnsr", result.degenerate.astype(float))
     write_manifest(out / "manifest.txt", None, "fit-t1", {
-        "series": args.series,
-        "times": ",".join(repr(t) for t in times),
-        "t1_lo": repr(args.t1_lo), "t1_hi": repr(args.t1_hi),
-    })
+        "series": args.series, "times": times, "t1_lo": args.t1_lo, "t1_hi": args.t1_hi})
     return f"maps in {out}"
 
 

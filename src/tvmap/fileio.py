@@ -1,4 +1,6 @@
-"""On-disk formats: the TNSR1 binary tensor container, PGM previews, CSV.
+"""On-disk formats: the TNSR1 binary tensor container, PGM previews, CSV,
+and the text form of every value the commands write or read
+(:func:`format_value`, :func:`parse_value`, :func:`parse_list`).
 
 TNSR1 layout (all integers little-endian):
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +36,7 @@ _CODES = {np.dtype(np.float64): 0, np.dtype(np.complex128): 1}
 def write_tensor(path, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _CODES:
-        if np.iscomplexobj(arr):
-            arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        else:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+        raise ValueError(f"{path}: unsupported dtype {arr.dtype}")
     code = _CODES[arr.dtype]
     header = _MAGIC + struct.pack("<BBB", 1, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
@@ -92,14 +92,49 @@ def write_pgm_frames(prefix, arr: np.ndarray) -> list[Path]:
     return paths
 
 
-def format_float(v) -> str:
-    """Shortest round-trip decimal form; used for every CSV value."""
-    return repr(float(v))
-
-
 def write_csv(path, header: list[str], rows) -> None:
-    """Comma-separated, header row, '.' decimal, LF line endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else format_float(c) for c in row))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
+    """Header row, then each row by :func:`format_value`, LF line endings."""
+    text = "".join(format_value(row) + "\n" for row in [header, *rows])
+    Path(path).write_bytes(text.encode())
+
+
+def format_value(value) -> str:
+    """The text :func:`parse_value` reads back: a float (numpy's too) by
+    ``repr(float(value))``, its shortest exact form; a list or tuple as its
+    items so formatted and joined by commas; anything else by ``str``."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(format_value, value))
+    return str(value)
+
+
+def parse_value(kind, key: str, raw: str):
+    """Type the text ``raw`` of ``key`` as ``kind`` (a dataclass field's
+    annotation): int, float, a tuple of floats read by :func:`parse_list`,
+    or str as given."""
+    if kind is tuple:
+        return tuple(parse_list(float, key, raw))
+    return _typed(kind, key, raw, raw) if kind in (int, float) else raw
+
+
+def parse_list(kind, key: str, raw: str) -> list:
+    """The comma-separated items of ``raw``, the text of ``key`` (a config
+    key or a list option), each typed as ``kind``; blank items are skipped."""
+    return [_typed(kind, key, raw, item) for item in raw.split(",") if item.strip()]
+
+
+def _typed(kind, key: str, raw: str, item: str):
+    try:
+        return kind(item)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {key} = {raw!r}") from exc
+
+
+@contextmanager
+def named(source):
+    """Prefix ``<source>: `` to a ``ValueError`` raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .tensors import SharingMode
 
 KERNEL = 3           # convolution size along each axis (the head is 1x1)
 LEAK = 0.01          # leaky-relu negative slope
@@ -41,7 +42,7 @@ class UNetConfig:
         for key in ("stages", "convs_per_stage", "base_filters"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.out_channels not in (1, 2, 3):
+        if self.out_channels not in [m.channels for m in SharingMode]:
             raise ValueError("out_channels must be 1, 2 or 3")
 
     def layer_plan(self) -> list[tuple]:

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -33,9 +34,14 @@ class SharingMode(Enum):
     XY_T = "xy_t"    # one spatial channel (x and y), one temporal channel
     X_Y_T = "x_y_t"  # three channels, one per direction
 
+    def direction_channels(self, q: int) -> tuple[int, ...]:
+        """The channel that weights each of the ``q`` gradient directions."""
+        return {SharingMode.XYT: (0,) * q, SharingMode.XY_T: (0, 0, 1),
+                SharingMode.X_Y_T: (0, 1, 2)}[self]
+
     @property
     def channels(self) -> int:
-        return {SharingMode.XYT: 1, SharingMode.XY_T: 2, SharingMode.X_Y_T: 3}[self]
+        return len(set(self.direction_channels(3)))
 
     def check_image(self, shape: tuple[int, ...]) -> None:
         """Raise unless the mode can weight images of ``shape``: the two
@@ -141,9 +147,10 @@ def weighted_tv(x: np.ndarray, lam) -> float:
 def expand_map(channels: np.ndarray, mode: SharingMode) -> np.ndarray:
     """Expand 1/2/3 network output channels to a q-component weight field.
 
-    ``channels`` has shape ``(c, nt, nx, ny)``.  XYT copies the single channel
-    to every direction; XY_T maps ``(a, b)`` to ``(a, a, b)``; X_Y_T passes
-    three channels through unchanged.  The two temporal modes require a
+    ``channels`` has shape ``(c, nt, nx, ny)``; direction ``d`` of the field
+    is a copy of channel ``mode.direction_channels(q)[d]``: XYT copies the
+    single channel to every direction, XY_T maps ``(a, b)`` to ``(a, a, b)``,
+    X_Y_T passes three channels through.  The two temporal modes require a
     dynamic image (``nt > 1``).
     """
     channels = np.asarray(channels, dtype=REAL)
@@ -153,26 +160,20 @@ def expand_map(channels: np.ndarray, mode: SharingMode) -> np.ndarray:
     if c != mode.channels:
         raise ValueError(f"mode {mode.value} expects {mode.channels} channels, got {c}")
     mode.check_image(channels.shape[1:])
-    if mode is SharingMode.XYT:
-        return np.stack([channels[0]] * ndirs(channels.shape[1:]))
-    if mode is SharingMode.XY_T:
-        return np.stack([channels[0], channels[0], channels[1]])
-    return channels.copy()
+    return channels[list(mode.direction_channels(ndirs(channels.shape[1:])))]
 
 
 def expand_map_adjoint(field: np.ndarray, mode: SharingMode) -> np.ndarray:
     """Adjoint of :func:`expand_map`: ``<expand_map(c), g> == <c, adjoint(g)>``.
 
-    Sums the components of a ``(q, nt, nx, ny)`` field that share a channel:
-    XYT sums all of them, XY_T maps ``(a, b, c)`` to ``(a + b, c)``, X_Y_T
-    passes the three through.
+    Sums the components of a ``(q, nt, nx, ny)`` field that share a channel,
+    in direction order: XYT sums all of them, XY_T maps ``(a, b, c)`` to
+    ``(a + b, c)``, X_Y_T passes the three through.
     """
     mode.check_image(field.shape[1:])
-    if mode is SharingMode.XYT:
-        return np.sum(field, axis=0)[None]
-    if mode is SharingMode.XY_T:
-        return np.stack([field[0] + field[1], field[2]])
-    return field.copy()
+    table = mode.direction_channels(ndirs(field.shape[1:]))
+    return np.stack([reduce(np.add, [field[d] for d, c in enumerate(table) if c == k])
+                     for k in range(mode.channels)])
 
 
 def constant_map(value: float, shape: tuple[int, int, int]) -> np.ndarray:

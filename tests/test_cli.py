@@ -568,6 +568,23 @@ def test_empty_list_option_rejected(tmp_path, capsys, argv, option):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, option, text", [
+    (["eval", "--config", "{cfg}", "--checkpoint", "{tmp}/ckpt", "--t-test", "4,x"],
+     "--t-test", "4,x"),
+    (["gridsearch", "--config", "{cfg}", "--grid", "0.1,abc"], "--grid", "0.1,abc"),
+    (["gridsearch", "--config", "{cfg}", "--mode", "xy_t", "--grid", "0.1,0.2",
+      "--grid-t", "0.5,0.2.1"], "--grid-t", "0.5,0.2.1"),
+    (["fit-t1", "--series", "{tmp}/s.tnsr", "--times", "0.1,zz", "--out", "{tmp}/run"],
+     "--times", "0.1,zz"),
+])
+def test_unparsable_list_option_rejected(tmp_path, capsys, argv, option, text):
+    _, path = tiny_config(tmp_path)
+    write_tensor(tmp_path / "s.tnsr", np.ones((2, 4, 4)))
+    assert main([a.format(cfg=path, tmp=tmp_path) for a in argv]) == 2
+    assert f"config error: cannot parse {option} = {text!r}\n" == capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_is_config_error(tmp_path):
     assert main(["gen", "--config", str(tmp_path / "none.cfg")]) == 2
 

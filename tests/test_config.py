@@ -125,8 +125,13 @@ def test_render_sections_format():
 
 
 def test_mode_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown sharing mode 'diag'"):
         ExperimentConfig.from_text(MINIMAL + "\n[solver]\nmode = diag\n")
+
+
+def test_unparsable_times_name_the_key():
+    with pytest.raises(ValueError, match=r"^cannot parse times = '0.1,abc'$"):
+        ExperimentConfig.from_text(MINIMAL + "\n[qmri]\ntimes = 0.1,abc\n")
 
 
 def test_qmri_rejects_non_square_phantom():

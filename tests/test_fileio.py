@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvmap.cli import main
-from tvmap.fileio import format_float, read_tensor, write_csv, write_pgm_frames, write_tensor
+from tvmap.fileio import (
+    format_value,
+    parse_value,
+    read_tensor,
+    write_csv,
+    write_pgm_frames,
+    write_tensor,
+)
 
 
 def test_roundtrip_real_3d(tmp_path, rng):
@@ -64,6 +71,15 @@ def test_header_layout(tmp_path):
     assert tuple(dims) == (2, 3, 1)
     payload = np.frombuffer(raw[19:], dtype="<f8")
     assert np.array_equal(payload, arr.ravel())  # C order, t outermost
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_, np.complex64])
+def test_write_rejects_other_dtypes(tmp_path, dtype):
+    # no silent conversion: only float64 and complex128 have a dtype code
+    path = tmp_path / "x.tnsr"
+    with pytest.raises(ValueError, match=f"x.tnsr: unsupported dtype {np.dtype(dtype)}"):
+        write_tensor(path, np.zeros((2, 3), dtype=dtype))
+    assert not path.exists()
 
 
 def test_bad_magic(tmp_path):
@@ -137,4 +153,16 @@ def test_csv_format(tmp_path):
 
 def test_format_float_roundtrip():
     for v in [0.1, 1 / 3, 1e-17, 12345.678]:
-        assert float(format_float(v)) == v
+        assert float(format_value(v)) == v
+
+
+@pytest.mark.parametrize("kind, value, text", [
+    (float, 0.1, "0.1"),
+    (float, np.float64(0.1), "0.1"),
+    (int, 7, "7"),
+    (str, "x_y_t", "x_y_t"),
+    (tuple, (0.05, 1 / 3, 4.0), "0.05,0.3333333333333333,4.0"),
+])
+def test_value_text_roundtrip(kind, value, text):
+    assert format_value(value) == text
+    assert parse_value(kind, "key", format_value(value)) == value

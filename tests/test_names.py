@@ -5,7 +5,12 @@ package, ``scripts/`` or ``benchmark/``: code only a test calls belongs with
 the tests.  And some caller, tests included, must pass each parameter that
 has a default: a default that every caller takes is a constant.  And a
 default that only tests pass must be one of the listed test seams: any
-other is a setting the package never varies."""
+other is a setting the package never varies.  Tests are ``tests/`` and
+``benchmark/tests/`` alike (:func:`caller_sources`).
+
+The checks match a use to a definition by bare name, so a method shares its
+uses with every same-named attribute: ``ndarray.copy()`` anywhere counts as
+a use of ``NetWeights.copy``, whose only caller is a benchmark test."""
 
 import ast
 import builtins
@@ -57,6 +62,17 @@ def test_undefined_global_is_reported():
 ROOT = SRC.parents[1]
 
 
+def caller_sources(root: Path) -> tuple[list[str], list[str]]:
+    """(package, tests): the sources under ``scripts/`` and ``benchmark/``
+    that call the package, and the test sources, under ``tests/`` and
+    ``benchmark/tests/``."""
+    package, tests = [], []
+    for d in ("scripts", "benchmark", "tests"):
+        for p in sorted((root / d).rglob("*.py")):
+            (tests if "tests" in p.relative_to(root).parts else package).append(p.read_text())
+    return package, tests
+
+
 def unreferenced_definitions(defining: dict[str, str], using: list[str]) -> list[str]:
     """``module.qualname`` of every function, method or class that the
     ``defining`` sources (module name -> source) define and that no source,
@@ -89,9 +105,7 @@ def unreferenced_definitions(defining: dict[str, str], using: list[str]) -> list
 def test_every_definition_is_used_outside_tests():
     # code that only a test calls belongs with the tests (tests/oracles.py)
     defining = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    using = [p.read_text() for d in ("scripts", "benchmark")
-             for p in sorted((ROOT / d).rglob("*.py"))]
-    assert unreferenced_definitions(defining, using) == []
+    assert unreferenced_definitions(defining, caller_sources(ROOT)[0]) == []
 
 
 def test_unreferenced_definition_is_reported():
@@ -102,6 +116,14 @@ def test_unreferenced_definition_is_reported():
     }
     assert unreferenced_definitions(defining, ["from m import C\n"]) == ["m.unused", "m.C.orphan"]
     assert unreferenced_definitions(defining, ["m.unused(); C().orphan()\n"]) == []
+
+
+def test_definition_used_only_by_a_benchmark_test_is_reported(tmp_path):
+    (tmp_path / "benchmark" / "tests").mkdir(parents=True)
+    (tmp_path / "benchmark" / "run.py").write_text("from m import used\n")
+    (tmp_path / "benchmark" / "tests" / "test_b.py").write_text("from m import unused\n")
+    defining = {"m": "def used():\n    pass\n\ndef unused():\n    pass\n"}
+    assert unreferenced_definitions(defining, caller_sources(tmp_path)[0]) == ["m.unused"]
 
 
 def unpassed_defaults(defining: dict[str, str], calling: list[str]) -> list[str]:
@@ -154,9 +176,8 @@ def unpassed_defaults(defining: dict[str, str], calling: list[str]) -> list[str]
 def test_every_default_is_passed_somewhere():
     # a parameter whose default every caller takes is a constant
     defining = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    calling = [p.read_text() for d in ("scripts", "benchmark", "tests")
-               for p in sorted((ROOT / d).rglob("*.py"))]
-    assert unpassed_defaults(defining, calling) == []
+    package, tests = caller_sources(ROOT)
+    assert unpassed_defaults(defining, package + tests) == []
 
 
 def test_unpassed_default_is_reported():
@@ -196,10 +217,7 @@ def defaults_only_tests_pass(defining: dict[str, str], package: list[str],
 
 def test_test_only_defaults_are_listed_seams():
     defining = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    package = [p.read_text() for d in ("scripts", "benchmark")
-               for p in sorted((ROOT / d).rglob("*.py"))]
-    tests = [p.read_text() for p in sorted((ROOT / "tests").rglob("*.py"))]
-    found = set(defaults_only_tests_pass(defining, package, tests))
+    found = set(defaults_only_tests_pass(defining, *caller_sources(ROOT)))
     # (unlisted, listed but no longer test-only)
     assert (sorted(found - TEST_SEAMS.keys()), sorted(TEST_SEAMS.keys() - found)) == ([], [])
 
@@ -209,3 +227,12 @@ def test_test_only_default_is_reported():
     assert defaults_only_tests_pass(defining, ["f(0, 1)\n"], ["f(c=4)\n"]) == ["m.f(c)"]
     assert defaults_only_tests_pass(defining, [], ["f(b=2, c=1)\n"]) == ["m.f(b)", "m.f(c)"]
     assert defaults_only_tests_pass(defining, ["f(0, 1, c=1)\n"], ["f(b=2, c=1)\n"]) == []
+
+
+def test_default_passed_only_by_a_benchmark_test_is_reported(tmp_path):
+    (tmp_path / "benchmark" / "tests").mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text("f(a=0)\n")
+    (tmp_path / "benchmark" / "tests" / "test_b.py").write_text("f(b=1)\n")
+    defining = {"m": "def f(a=1, b=2):\n    pass\n"}
+    assert defaults_only_tests_pass(defining, *caller_sources(tmp_path)) == ["m.f(b)"]

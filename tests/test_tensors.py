@@ -151,6 +151,24 @@ def test_expand_map_adjoint(rng, mode, shape):
     assert np.vdot(expand_map(c, mode), g) == pytest.approx(np.vdot(c, back), rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", list(SharingMode))
+def test_direction_channel_table_drives_expansion(rng, mode):
+    # direction d reads channel table[d]; the adjoint sums a channel's
+    # directions in direction order, bit for bit
+    table = mode.direction_channels(3)
+    assert mode.channels == len(set(table)) == max(table) + 1
+    c = rng.standard_normal((mode.channels, 2, 4, 4))
+    field = expand_map(c, mode)
+    assert all(np.array_equal(field[d], c[k]) for d, k in enumerate(table))
+    g = rng.standard_normal((3, 2, 4, 4))
+    back = expand_map_adjoint(g, mode)
+    for k in range(mode.channels):
+        rows = [g[d] for d, j in enumerate(table) if j == k]
+        assert np.array_equal(back[k], sum(rows[1:], rows[0]))
+    if mode is SharingMode.XYT:
+        assert np.array_equal(back[0], np.sum(g, axis=0))
+
+
 def test_constant_map():
     m = constant_map(0.5, (2, 3, 3))
     assert m.shape == (3, 2, 3, 3)
