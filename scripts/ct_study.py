@@ -9,7 +9,7 @@ from tvmap.metrics import nrmse, psnr, ssim
 from tvmap.operators import RadonOp, equispaced_angles, fbp
 from tvmap.phantoms import ct_poisson_log, ellipse_ct
 from tvmap.prox import KlParams
-from tvmap.solvers import Problem, grid_search_scalar, pd3o_solve_ct
+from tvmap.solvers import Problem, grid_search_scalar, solve_problem
 from tvmap.tensors import SharingMode
 
 
@@ -34,8 +34,8 @@ def main():
 
     grid = [10.0, 30.0, 50.0, 100.0, 300.0]
     best, scores = grid_search_scalar([prob], SharingMode.XYT, grid, args.T)
-    rep = pd3o_solve_ct(op, z, best, kl, x0, args.T)
-    unreg = pd3o_solve_ct(op, z, 1e-8, kl, x0, args.T)
+    rep = solve_problem(prob, best, args.T)
+    unreg = solve_problem(prob, 1e-8, args.T)
 
     def report(name, img):
         print(f"    {name:22s} psnr {psnr(img, x_true):7.3f}  "

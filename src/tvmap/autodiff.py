@@ -13,8 +13,9 @@ nodes in strict reverse creation order, so gradient accumulation is
 deterministic.  One node is recorded by training instead: the expansion
 of the network's channels into the weight field
 (:func:`tvmap.tensors.expand_map`) and the ``T`` unrolled iterations with
-it, whose VJP is the iteration's hand-written reverse sweep followed by the
-expansion's adjoint (see :func:`tvmap.training.reconstruct_taped`).  The
+it, one :func:`tvmap.solvers.solve_problem` given a trail, whose VJP is the
+iteration's hand-written reverse sweep followed by the expansion's adjoint
+(see :func:`tvmap.training.reconstruct_taped`).  The
 network's input channels are one constant node, since nothing
 differentiates the image.  Values enter a tape as leaves, whose gradients
 ``Tape.backward`` returns, or as constants, which no gradient reaches; the

@@ -18,14 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .operators import LinearOperator, identity_op
-from .solvers import (
-    Problem,
-    SolveReport,
-    StepParams,
-    pdhg_solve,
-    pdhg_step_params,
-    reference_solve,
-)
+from .solvers import Problem, SolveReport, StepParams, pdhg_step_params, solve_problem
 from .tensors import constant_map, grad, grad_norm_exact, ndirs
 
 
@@ -34,9 +27,8 @@ REF_TOL = 1e-12
 REF_T_MAX = 200000
 
 
-def _limit(problem: Problem, lam, x0: np.ndarray | None = None,
-           step: StepParams | None = None) -> SolveReport:
-    ref = reference_solve(problem, lam, tol=REF_TOL, T_max=REF_T_MAX, x0=x0, step=step)
+def _limit(problem: Problem, lam, step: StepParams | None = None) -> SolveReport:
+    ref = solve_problem(problem, lam, REF_T_MAX, step=step, tol=REF_TOL)
     if not ref.converged:
         raise ConvergenceError(
             f"reference solve reached a relative step of {ref.reached_tol:.3e} in "
@@ -121,7 +113,8 @@ def rate_certificate(
     lam_bar = float(np.linalg.norm(np.asarray(lam).ravel()))
     c_za = max(c_upper * A.norm(), 4.0 * c_upper * lam_bar, 2.0, lam_min_ata) / lam_min_ata
 
-    ref = _limit(Problem(A=A, z=z), lam, x0=x0, step=step)
+    prob = Problem(A=A, z=z, x0=x0)
+    ref = _limit(prob, lam, step)
     x_star = ref.image
     p_star = A.forward(x_star) - z
     q_star = ref.dual_q
@@ -143,7 +136,7 @@ def rate_certificate(
         m_norm_gap=m_norm_gap,
     )
     for T in T_list:
-        rep = pdhg_solve(A, z, lam, x0, int(T), step=step)
+        rep = solve_problem(prob, lam, int(T), step=step)
         measured = float(np.linalg.norm((rep.image - x_star).ravel()))
         bound = 3.0 * c_za / float(T) ** 0.25 * (1.0 + m_norm_gap)
         cert.entries.append((int(T), measured, bound))

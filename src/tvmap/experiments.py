@@ -401,6 +401,7 @@ def cmd_preview(args) -> str:
     if arr.ndim == 4:
         arr = arr.reshape((-1,) + arr.shape[2:])
     prefix = args.out or args.tensor.rsplit(".", 1)[0]
+    Path(prefix).parent.mkdir(parents=True, exist_ok=True)
     paths = fileio.write_pgm_frames(prefix, arr)
     write_manifest(f"{prefix}_manifest.txt", None, "preview",
                    {"tensor": args.tensor, "frames": len(paths)})

@@ -5,8 +5,9 @@ Evaluation (:func:`reconstruct`) and gradients (:func:`reconstruct_taped`)
 run the same solver iteration, so with identical weights the two are
 bit-identical.  The taped path records the network on an autodiff tape and
 the channel expansion with the whole unrolled solve as a single node, whose
-VJP is the iteration's hand-written reverse sweep
-(:meth:`tvmap.solvers._Pdhg.reverse`) followed by the expansion's adjoint.
+VJP is the iteration's hand-written reverse sweep (the ``reverse`` of the
+report :func:`tvmap.solvers.solve_problem` returns given a trail) followed
+by the expansion's adjoint.
 
 The training objective is the mean squared error of the ``T``-step
 reconstruction.  :func:`loss_taped` records one item's on its own tape: the
@@ -34,7 +35,7 @@ from .network import NetWeights, UNetConfig, net_forward, net_forward_taped, wei
 from .operators import LinearOperator
 from .parallel import pmap
 from .prox import KlParams
-from .solvers import Problem, solve_problem, unroll
+from .solvers import Problem, solve_problem
 from .tensors import SharingMode, expand_map, expand_map_adjoint
 
 # Adam's moment decay rates and denominator guard
@@ -110,9 +111,10 @@ def reconstruct_taped(
     solver iterations as one node whose VJP walks the iteration's trail
     backwards and folds the field's gradient back onto the channels."""
     chans = net_forward_taped(tape, x0, weight_vars, net_cfg)
-    it = unroll(A, z, _checked_field(expand_map(chans.value, mode)), x0, T, kl, trail=[])
-    return tape._emit(it.image, (chans.idx,),
-                      lambda u: (expand_map_adjoint(it.reverse(u), mode),),
+    rep = solve_problem(Problem(A=A, z=z, x0=x0, kl=kl),
+                        _checked_field(expand_map(chans.value, mode)), T, trail=[])
+    return tape._emit(rep.image, (chans.idx,),
+                      lambda u: (expand_map_adjoint(rep.reverse(u), mode),),
                       chans.requires_grad)
 
 

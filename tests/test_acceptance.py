@@ -34,8 +34,6 @@ from tvmap.solvers import (
     Problem,
     _Pd3o,
     grid_search_scalar,
-    pd3o_solve_ct,
-    pdhg_solve,
     solve_problem,
 )
 from tvmap.tensors import (
@@ -144,7 +142,7 @@ def test_criterion_02_rof_oracle():
     t0 = time.perf_counter()
     A = identity_op((1, 2, 1))
     z = np.array([0.0, 2.0]).reshape(1, 2, 1)
-    rep = pdhg_solve(A, z, 0.5, z.copy(), T=5000)
+    rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.5, T=5000)
     err2 = float(np.max(np.abs(rep.image.ravel() - [0.5, 1.5])))
     rng = np.random.default_rng(SEED + 1)
     A8 = identity_op((1, 8, 1))
@@ -153,7 +151,7 @@ def test_criterion_02_rof_oracle():
         z8 = rng.standard_normal((1, 8, 1))
         lam = float(rng.uniform(0.1, 0.5))
         x_star = rof_denoise_oracle(z8, lam)
-        rep8 = pdhg_solve(A8, z8, lam, z8.copy(), T=20000)
+        rep8 = solve_problem(Problem(A=A8, z=z8, x0=z8.copy()), lam, T=20000)
         err8 = max(err8, float(np.max(np.abs(rep8.image - x_star))))
     elapsed = time.perf_counter() - t0
     print(f"\ncriterion 2: closed-form err {err2:.2e} (limit 1e-6), "
@@ -283,16 +281,16 @@ def test_criterion_08_ct_solver():
     x0 = fbp(op, z)
     prob = Problem(A=op, z=z, x_true=x_true, x0=x0, kl=kl)
 
-    unreg = pd3o_solve_ct(op, z, 1e-8, kl, x0, 1024)
+    unreg = solve_problem(prob, 1e-8, 1024)
     p_unreg = psnr(unreg.image, x_true)
     best, _ = grid_search_scalar([prob], SharingMode.XYT, [10.0, 30.0, 50.0, 100.0, 300.0], 1024)
-    rep = pd3o_solve_ct(op, z, best, kl, x0, 1024)
+    rep = solve_problem(prob, best, 1024)
     p_best = psnr(rep.image, x_true)
 
     def objective(img):
         return kl_value(op.forward(img), z, kl) + weighted_tv(img, best)
 
-    ref = pd3o_solve_ct(op, z, best, kl, x0, 20000)
+    ref = solve_problem(prob, best, 20000)
     rel_gap = abs(objective(rep.image) - objective(ref.image)) / abs(objective(ref.image))
     elapsed = time.perf_counter() - t0
     print(f"\ncriterion 8: objective rel gap {rel_gap:.3e} (limit 1e-4), "
@@ -344,7 +342,7 @@ def test_criterion_10_reduction_identities():
     w = zero_weights(ncfg)
     lam_scalar = OUTPUT_SCALE * np.log(2.0)
     learned = reconstruct(z, z, A, w, ncfg, SharingMode.XY_T, 64)
-    plain = pdhg_solve(A, z, lam_scalar, z.copy(), 64)
+    plain = solve_problem(Problem(A=A, z=z, x0=z.copy()), lam_scalar, 64)
     identical = np.array_equal(learned, plain.image)
 
     # (b) the gradient-step-free three-operator scheme equals the primal-dual

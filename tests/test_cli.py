@@ -543,6 +543,14 @@ def test_preview_cli(tmp_path, rng):
     assert (tmp_path / "prev_001.pgm").exists()
 
 
+def test_preview_creates_missing_output_directory(tmp_path, rng):
+    path = tmp_path / "img.tnsr"
+    write_tensor(path, rng.random((2, 6, 5)))
+    assert main(["preview", str(path), "--out", str(tmp_path / "a" / "b" / "prev")]) == 0
+    assert (tmp_path / "a" / "b" / "prev_001.pgm").exists()
+    assert (tmp_path / "a" / "b" / "prev_manifest.txt").exists()
+
+
 @pytest.mark.parametrize("shape", [(), (5,), (2, 1, 2, 4, 4)])
 def test_preview_rejects_tensor_that_is_not_an_image(tmp_path, capsys, shape):
     path = tmp_path / "t.tnsr"

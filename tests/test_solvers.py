@@ -26,12 +26,8 @@ from tvmap.solvers import (
     SolveReport,
     StepParams,
     grid_search_scalar,
-    pd3o_solve_ct,
-    pdhg_solve,
     pdhg_step_params,
-    reference_solve,
     solve_problem,
-    unroll,
 )
 from tvmap.tensors import SharingMode, constant_map, grad, grad_adjoint, ndirs, weighted_tv
 
@@ -44,19 +40,19 @@ def two_pixel_problem():
 def test_single_pixel_denoising_returns_data():
     A = identity_op((1, 1, 1))
     z = np.array([[[1.7]]])
-    rep = pdhg_solve(A, z, 0.4, np.zeros((1, 1, 1)), T=200)
+    rep = solve_problem(Problem(A=A, z=z, x0=np.zeros((1, 1, 1))), 0.4, T=200)
     assert abs(rep.image[0, 0, 0] - 1.7) <= 1e-8
 
 
 def test_two_pixel_rof_closed_form():
     A, z = two_pixel_problem()
-    rep = pdhg_solve(A, z, 0.5, z.copy(), T=5000)
+    rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.5, T=5000)
     np.testing.assert_allclose(rep.image.ravel(), [0.5, 1.5], atol=1e-6)
 
 
 def test_two_pixel_large_weight_gives_mean():
     A, z = two_pixel_problem()
-    rep = pdhg_solve(A, z, 1e6, z.copy(), T=5000)
+    rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), 1e6, T=5000)
     np.testing.assert_allclose(rep.image.ravel(), [1.0, 1.0], atol=1e-6)
 
 
@@ -66,7 +62,7 @@ def test_eight_pixel_matches_dual_coordinate_oracle(rng):
         z = rng.standard_normal((1, 8, 1))
         lam = float(rng.random() * 0.4 + 0.1)
         x_star = rof_denoise_oracle(z, lam)
-        rep = pdhg_solve(A, z, lam, z.copy(), T=20000)
+        rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), lam, T=20000)
         assert np.max(np.abs(rep.image - x_star)) <= 1e-5
 
 
@@ -75,15 +71,15 @@ def test_2d_instance_matches_oracle(rng):
     z = rng.standard_normal((1, 4, 3))
     lam_field = np.abs(rng.standard_normal((2, 1, 4, 3))) * 0.3 + 0.05
     x_star = rof_denoise_oracle(z, lam_field)
-    rep = pdhg_solve(A, z, lam_field, z.copy(), T=20000)
+    rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), lam_field, T=20000)
     assert np.max(np.abs(rep.image - x_star)) <= 1e-5
 
 
 def test_solver_deterministic(rng):
     A = identity_op((2, 6, 6))
     z = rng.standard_normal((2, 6, 6))
-    r1 = pdhg_solve(A, z, 0.2, z.copy(), T=50, record=True)
-    r2 = pdhg_solve(A, z, 0.2, z.copy(), T=50, record=True)
+    r1 = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.2, T=50, record=True)
+    r2 = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.2, T=50, record=True)
     assert np.array_equal(r1.image, r2.image)
     assert r1.objective == r2.objective
     assert r1.step_norm == r2.step_norm
@@ -91,7 +87,7 @@ def test_solver_deterministic(rng):
 
 def test_pdhg_fixed_point():
     A, z = two_pixel_problem()
-    ref = reference_solve(Problem(A=A, z=z), 0.5, tol=1e-14, T_max=100000, x0=z.copy())
+    ref = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.5, 100000, tol=1e-14)
     x_star = ref.image
     p_star = A.forward(x_star) - z
     it = _Pdhg(A, z, 0.5, x_star)
@@ -104,13 +100,14 @@ def test_pdhg_fixed_point():
 def test_step_invariant_violation():
     A, z = two_pixel_problem()
     with pytest.raises(ValueError):
-        pdhg_solve(A, z, 0.5, z.copy(), T=5, step=StepParams(sigma=10.0, tau=10.0))
+        solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.5, T=5,
+                      step=StepParams(sigma=10.0, tau=10.0))
 
 
 def test_objective_practically_decreasing(rng):
     A = identity_op((2, 5, 5))
     z = rng.standard_normal((2, 5, 5))
-    rep = pdhg_solve(A, z, 0.3, z.copy(), T=256, record=True)
+    rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.3, T=256, record=True)
     for k in (16, 32, 64, 128):
         assert rep.objective[2 * k - 1] <= rep.objective[k - 1] + 1e-9
 
@@ -118,7 +115,7 @@ def test_objective_practically_decreasing(rng):
 def test_diagnostics_lengths_and_csv(tmp_path, rng):
     A = identity_op((1, 4, 4))
     z = rng.standard_normal((1, 4, 4))
-    rep = pdhg_solve(A, z, 0.2, z.copy(), T=7, record=True)
+    rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.2, T=7, record=True)
     assert len(rep.objective) == len(rep.step_norm) == len(rep.data_residual) == 7
     path = tmp_path / "diag.csv"
     rep.write_diagnostics(path)
@@ -146,13 +143,14 @@ def small_ct(rng, n=8, noise=True):
 def test_pd3o_output_nonnegative(rng):
     op, x_true, z, kl = small_ct(rng)
     for T in (1, 3, 17):
-        rep = pd3o_solve_ct(op, z, 0.01, kl, np.zeros_like(x_true), T)
+        rep = solve_problem(Problem(A=op, z=z, x0=np.zeros_like(x_true), kl=kl), 0.01, T)
         assert np.min(rep.image) >= 0.0
 
 
 def test_pd3o_objective_approaches_long_run_minimum(rng):
     op, x_true, z, kl = small_ct(rng, noise=False)
-    rep = pd3o_solve_ct(op, z, 1e-9, kl, np.zeros_like(x_true), 4000, record=True)
+    rep = solve_problem(Problem(A=op, z=z, x0=np.zeros_like(x_true), kl=kl), 1e-9, 4000,
+                        record=True)
     objs = np.array(rep.objective)
     final = objs[-1]
     best = objs.min()
@@ -191,7 +189,7 @@ def test_pd3o_nonfinite_guard(rng):
     bad = KlParams(mu=3.0, n0=1e6)
     z = np.full(op.codomain_shape, -1e6)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as exc:
-        pd3o_solve_ct(op, z, 0.01, bad, np.zeros((1, 8, 8)), 5)
+        solve_problem(Problem(A=op, z=z, x0=np.zeros((1, 8, 8)), kl=bad), 0.01, 5)
     assert exc.value.iteration is not None
 
 
@@ -206,9 +204,9 @@ def test_nonfinite_guard_cadence(rng, solver, T, at):
     A, x0 = identity_op(z.shape), np.zeros_like(z)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
         if solver == "pdhg":
-            pdhg_solve(A, z, 0.1, x0, T)
+            solve_problem(Problem(A=A, z=z, x0=x0), 0.1, T)
         else:
-            pd3o_solve_ct(A, z, 0.1, KlParams(mu=1.0, n0=50.0), x0, T)
+            solve_problem(Problem(A=A, z=z, x0=x0, kl=KlParams(mu=1.0, n0=50.0)), 0.1, T)
     assert exc.value.iteration == at
 
 
@@ -219,9 +217,10 @@ def test_complex_weight_field_rejected(rng, solver):
     lam = constant_map(0.1, z.shape) * (1.0 + 0.5j)
     with pytest.raises(ValueError, match="real"):
         if solver == "pdhg":
-            pdhg_solve(identity_op(z.shape), z, lam, z, 3)
+            solve_problem(Problem(A=identity_op(z.shape), z=z, x0=z), lam, 3)
         else:
-            pd3o_solve_ct(identity_op(z.shape), z, lam, KlParams(mu=1.0, n0=50.0), z, 3)
+            solve_problem(Problem(A=identity_op(z.shape), z=z, x0=z,
+                                  kl=KlParams(mu=1.0, n0=50.0)), lam, 3)
 
 
 def test_reference_solve_pdhg_nonfinite_guard():
@@ -229,21 +228,21 @@ def test_reference_solve_pdhg_nonfinite_guard():
 
     z = np.full((1, 4, 4), np.inf)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
-        reference_solve(Problem(A=identity_op(z.shape), z=z), 0.1)
+        solve_problem(Problem(A=identity_op(z.shape), z=z), 0.1, 20000, tol=1e-10)
     assert exc.value.iteration == CHECK_EVERY
 
 
 def test_reference_solve_two_pixel():
     A, z = two_pixel_problem()
-    rep = reference_solve(Problem(A=A, z=z), 0.5, tol=1e-12)
+    rep = solve_problem(Problem(A=A, z=z), 0.5, 20000, tol=1e-12)
     assert rep.converged
     np.testing.assert_allclose(rep.image.ravel(), [0.5, 1.5], atol=1e-9)
 
 
 def test_reference_solve_idempotent():
     A, z = two_pixel_problem()
-    first = reference_solve(Problem(A=A, z=z), 0.5, tol=1e-12)
-    again = reference_solve(Problem(A=A, z=z), 0.5, tol=1e-12, x0=first.image)
+    first = solve_problem(Problem(A=A, z=z), 0.5, 20000, tol=1e-12)
+    again = solve_problem(Problem(A=A, z=z, x0=first.image), 0.5, 20000, tol=1e-12)
     assert np.max(np.abs(again.image - first.image)) <= 1e-10
 
 
@@ -258,7 +257,7 @@ def test_reference_solve_runs_the_fixed_T_iteration(rng, fidelity):
         op, x_true, z, kl = small_ct(rng)
         prob = Problem(A=op, z=z, x0=np.zeros_like(x_true), kl=kl)
         n = 73
-    ref = reference_solve(prob, 0.05, tol=0.0, T_max=n)
+    ref = solve_problem(prob, 0.05, n, tol=0.0)
     rep = solve_problem(prob, 0.05, n)
     assert ref.iterations == n and not ref.converged
     assert np.array_equal(ref.image, rep.image)
@@ -272,7 +271,7 @@ def test_reference_solve_pd3o_nonfinite_guard():
     prob = Problem(A=op, z=np.full(op.codomain_shape, -1e6), x0=np.zeros((1, 8, 8)),
                    kl=KlParams(mu=3.0, n0=1e6))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
-        reference_solve(prob, 0.01, T_max=5)
+        solve_problem(prob, 0.01, 5, tol=1e-10)
 
 
 def test_grid_search_two_pixel():
@@ -343,9 +342,9 @@ def test_non_finite_weight_field_rejected(rng, bad):
     lam = constant_map(0.1, shape)
     lam[0, 1, 3, 4] = bad
     with pytest.raises(ValueError):
-        pdhg_solve(identity_op(shape), z, lam, z, T=10)
+        solve_problem(Problem(A=identity_op(shape), z=z, x0=z), lam, T=10)
     with pytest.raises(ValueError):
-        pdhg_solve(identity_op(shape), z, bad, z, T=10)
+        solve_problem(Problem(A=identity_op(shape), z=z, x0=z), bad, T=10)
 
 
 def test_grid_search_workers_schedule_independent(rng):
@@ -371,7 +370,7 @@ def test_weighted_tv_consistency_with_report(rng):
     A = identity_op((1, 5, 5))
     z = rng.standard_normal((1, 5, 5))
     lam = 0.25
-    rep = pdhg_solve(A, z, lam, z.copy(), T=10, record=True)
+    rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), lam, T=10, record=True)
     x = rep.image
     expected = 0.5 * float(np.sum((x - z) ** 2)) + weighted_tv(x, lam)
     assert rep.objective[-1] == pytest.approx(expected, rel=1e-12)
@@ -425,17 +424,14 @@ def test_solvers_never_write_caller_arrays(rng, kind):
     x0 = z if aliased else _read_only(x0)
     A = _ReadOnlyResults(A)
     before = z.tobytes(), x0.tobytes()
-    if kl is None:
-        pdhg_solve(A, z, 0.05, x0, 12, record=True)
-    else:
-        pd3o_solve_ct(A, z, 0.05, kl, x0, 12, record=True)
-    reference_solve(Problem(A=A, z=z, x0=x0, kl=kl), 0.05, tol=0.0, T_max=CHECK_EVERY + 5)
+    solve_problem(Problem(A=A, z=z, x0=x0, kl=kl), 0.05, 12, record=True)
+    solve_problem(Problem(A=A, z=z, x0=x0, kl=kl), 0.05, CHECK_EVERY + 5, tol=0.0)
     if aliased:
         solve_problem(Problem(A=A, z=z, kl=kl), 0.05, 12)  # x0 = A^T z, which is z
-    it = unroll(A, z, 0.05, x0, 12, kl, trail=[])
-    g = _read_only(rng.standard_normal(x0.shape).astype(it.image.dtype))
+    rep = solve_problem(Problem(A=A, z=z, x0=x0, kl=kl), 0.05, 12, trail=[])
+    g = _read_only(rng.standard_normal(x0.shape).astype(rep.image.dtype))
     g_bytes = g.tobytes()
-    it.reverse(g)
+    rep.reverse(g)
     assert (z.tobytes(), x0.tobytes()) == before
     assert g.tobytes() == g_bytes
 
@@ -516,10 +512,7 @@ def test_scaled_duals_match_textbook_iteration(rng, kind):
         if kl is None:
             assert _rel_dev(sigma * it.s, p) <= 1e-13
     assert clipped > 0
-    if kl is None:
-        rep = pdhg_solve(A, z, lam, x0, 20)
-    else:
-        rep = pd3o_solve_ct(A, z, lam, kl, x0, 20)
+    rep = solve_problem(Problem(A=A, z=z, x0=x0, kl=kl), lam, 20)
     assert np.array_equal(rep.image, it.image)
     assert _rel_dev(rep.dual_q, q) <= 1e-13
 
@@ -560,6 +553,6 @@ def test_step_applies_each_operator_once(rng, monkeypatch, kind, record):
     it = _Pd3o(A, z, 0.05, kl, x0) if kl is not None else _Pdhg(A, z, 0.05, x0)
     calls.clear()
     T = 3
-    _run(it, T, record)
+    _run(it, T, None, record)
     assert calls == {"A.forward": (2 if record else 1) * T, "A.adjoint": T,
                      "grad": T, "grad_adjoint": T}

@@ -9,7 +9,7 @@ from tvmap.errors import NumericalError
 from tvmap.network import OUTPUT_SCALE, UNetConfig, init_weights, weight_leaves
 from tvmap.operators import RadonOp, equispaced_angles, identity_op
 from tvmap.prox import KlParams
-from tvmap.solvers import Problem, pd3o_solve_ct, pdhg_solve, unroll
+from tvmap.solvers import Problem, solve_problem
 from tvmap.tensors import SharingMode, constant_map
 from tvmap.training import (
     AdamState,
@@ -58,7 +58,7 @@ def test_reconstruct_zero_weights_bit_identical_to_scalar_solver(rng):
     w = zero_weights(cfg)
     lam = OUTPUT_SCALE * np.log(2.0)
     ours = reconstruct(prob.x0, prob.z, prob.A, w, cfg, SharingMode.XY_T, 32)
-    plain = pdhg_solve(prob.A, prob.z, constant_map(lam, prob.z.shape), prob.x0, 32)
+    plain = solve_problem(prob, constant_map(lam, prob.z.shape), 32)
     assert np.array_equal(ours, plain.image)
 
 
@@ -112,7 +112,7 @@ def test_taped_pd3o_bit_identical_to_plain(rng):
     wv = weight_leaves(tape, w)
     taped = reconstruct_taped(tape, x0, z, op, wv, cfg, SharingMode.XYT, 6, kl=kl)
     assert np.array_equal(taped.value, plain)
-    rep = pd3o_solve_ct(op, z, 0.01, kl, x0, 6)
+    rep = solve_problem(prob, 0.01, 6)
     assert np.min(rep.image) >= 0.0
 
 
@@ -387,7 +387,7 @@ def test_reverse_sweep_matches_taped_reference(rng, case):
     # the reverse step of every branch the case is meant to exercise runs
     trail = []
     lam = estimate_weight_field(prob.init_image(), w, cfg, mode)
-    unroll(prob.A, prob.z, lam, prob.init_image(), T, prob.kl, trail)
+    solve_problem(prob, lam, T, trail=trail)
     codes = [entry[0] if prob.kl is not None else entry for entry in trail]
     assert any(np.any(c != 0) for c in codes)
     if case == "mri":
@@ -440,7 +440,7 @@ def test_taped_solve_is_one_node_and_trail_is_linear_in_T(rng):
     sizes = []
     for T in (5, 10, 20):
         trail = []
-        unroll(prob.A, prob.z, lam, prob.x0, T, trail=trail)
+        solve_problem(prob, lam, T, trail=trail)
         sizes.append(sum(c.nbytes for c in trail))
     # one int8 code per dual entry per iteration, nothing else
     assert sizes == [T * lam.size for T in (5, 10, 20)]
