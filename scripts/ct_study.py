@@ -5,11 +5,10 @@ three-operator splitting on an ellipse phantom with Poisson counts."""
 import argparse
 import time
 
+from tvmap.config import ExperimentConfig
+from tvmap.experiments import build_split
 from tvmap.metrics import nrmse, psnr, ssim
-from tvmap.operators import RadonOp, equispaced_angles, fbp
-from tvmap.phantoms import ct_poisson_log, ellipse_ct
-from tvmap.prox import KlParams
-from tvmap.solvers import Problem, grid_search_scalar, solve_problem
+from tvmap.solvers import grid_search_scalar, solve_problem
 from tvmap.tensors import SharingMode
 
 
@@ -25,12 +24,11 @@ def main():
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    op = RadonOp(args.n, equispaced_angles(args.angles), args.bins, side=0.26)
-    kl = KlParams(mu=args.mu, n0=args.n0)
-    x_true = ellipse_ct(args.n, seed=args.seed)
-    z = ct_poisson_log(op, x_true, kl, seed=args.seed + 2)
-    x0 = fbp(op, z)
-    prob = Problem(A=op, z=z, x_true=x_true, x0=x0, kl=kl)
+    cfg = ExperimentConfig(task="ct", seed=args.seed, nx=args.n, ny=args.n, angles=args.angles,
+                           bins=args.bins, n0=args.n0, mu=args.mu, train_count=0,
+                           val_count=0, test_count=1)
+    (prob,) = build_split(cfg, "test")
+    x_true, x0 = prob.x_true, prob.x0
 
     grid = [10.0, 30.0, 50.0, 100.0, 300.0]
     best, scores = grid_search_scalar([prob], SharingMode.XYT, grid, args.T)

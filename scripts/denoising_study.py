@@ -15,14 +15,9 @@ from tvmap.config import ExperimentConfig
 from tvmap.experiments import build_split, net_config
 from tvmap.metrics import psnr
 from tvmap.network import init_weights
-from tvmap.solvers import grid_search_scalar, solve_problem
-from tvmap.tensors import SharingMode, expand_map
+from tvmap.solvers import grid_search_scalar
+from tvmap.tensors import SharingMode
 from tvmap.training import TrainConfig, evaluate, train
-
-
-def pair_field(spatial, temporal, shape):
-    chans = np.stack([np.full(shape, float(spatial)), np.full(shape, float(temporal))])
-    return expand_map(chans, SharingMode.XY_T)
 
 
 def main():
@@ -64,16 +59,11 @@ def main():
     print(f"[{time.perf_counter()-t0:6.0f}s] training done "
           f"({len(history)} history rows)")
 
-    def mean_psnr(lam_fn):
-        vals = []
-        for prob in test_items:
-            rep = solve_problem(prob, lam_fn(prob.init_image().shape), args.t_eval)
-            vals.append(psnr(rep.image, prob.x_true))
-        return float(np.mean(vals))
-
     p_noisy = float(np.mean([psnr(p.z, p.x_true) for p in test_items]))
-    p_xyt = mean_psnr(lambda s: lam_xyt)
-    p_pair = mean_psnr(lambda s: pair_field(*lam_pair, s))
+    # each pick's mean test PSNR: a grid search over that one candidate
+    _, (p_xyt,) = grid_search_scalar(test_items, SharingMode.XYT, [lam_xyt], args.t_eval)
+    _, (p_pair,) = grid_search_scalar(test_items, SharingMode.XY_T,
+                                      ([lam_pair[0]], [lam_pair[1]]), args.t_eval)
     rows = evaluate(test_items, weights, ncfg, SharingMode.XY_T, args.t_eval)
     p_net = float(np.mean([r[0] for r in rows]))
     s_net = float(np.mean([r[2] for r in rows]))

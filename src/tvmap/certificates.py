@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .operators import LinearOperator, identity_op
-from .solvers import Problem, SolveReport, StepParams, pdhg_step_params, solve_problem
+from .solvers import (Problem, SolveReport, StepParams, pdhg_step_params, solve_problem,
+                      stacked_norm_bound)
 from .tensors import constant_map, grad, grad_norm_exact, ndirs
 
 
@@ -92,7 +93,7 @@ def rate_certificate(
     if int(np.prod(shape)) > 64:
         raise ValueError("dense certificate assembly is limited to 64 pixels")
     if step is None:
-        base = pdhg_step_params(A)
+        base = pdhg_step_params(stacked_norm_bound(A))
         # back off from the boundary so M is safely positive definite
         step = StepParams(sigma=0.9 * base.sigma, tau=0.9 * base.tau)
     a_mat, lam_min_ata = _injective_dense(A, shape)

@@ -356,7 +356,11 @@ def cmd_certify(args) -> str:
         raise ValueError("pass --rate and/or --lipschitz")
     rng = np.random.default_rng(args.seed)
     cert = desk_rate_certificate(rng) if args.rate else None
-    lines = [] if cert is None else [f"rate bound holds: {cert.holds()}"]
+    lines = [] if cert is None else [
+        f"rate constants: c = {cert.c_lower!r}, C = {cert.c_upper!r}, c_za = {cert.c_za!r}, "
+        f"start gap = {cert.m_norm_gap!r}",
+        f"rate bound holds: {cert.holds()}",
+    ]
     if args.lipschitz:
         worst = desk_lipschitz_worst(rng, 100)
         lines.append(f"lipschitz probes: 100 pairs, worst lhs/rhs = {worst!r}")

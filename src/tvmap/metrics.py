@@ -57,7 +57,8 @@ def _window_mean(frame: np.ndarray, w: int) -> np.ndarray:
 
 
 def ssim(x: np.ndarray, ref: np.ndarray) -> float:
-    """Mean local SSIM, 7x7 uniform window per frame, averaged over frames.
+    """Mean local SSIM of ``(nt, nx, ny)`` frames, 7x7 uniform window per
+    frame, averaged over frames.
 
     Complex inputs are compared through their magnitudes.  Window statistics
     are taken on fully interior windows only, so frames must be at least
@@ -69,8 +70,6 @@ def ssim(x: np.ndarray, ref: np.ndarray) -> float:
         ref = np.abs(ref)
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
-    if x.ndim == 2:
-        x, ref = x[None], ref[None]
     w = SSIM_WINDOW
     if x.shape[1] < w or x.shape[2] < w:
         raise ValueError(f"frames must be at least {w}x{w} for SSIM")

@@ -193,7 +193,7 @@ class RadonOp(LinearOperator):
         return sparse.vstack(blocks, format="csr")
 
     def forward(self, x):
-        if x.shape not in (self.domain_shape, self.domain_shape[1:]):
+        if x.shape != self.domain_shape:
             raise ValueError(f"image shape {x.shape} != {self.domain_shape}")
         s = self._matrix @ np.asarray(x, dtype=REAL).ravel()
         return s.reshape(self.codomain_shape)

@@ -9,7 +9,8 @@ The dual step of the squared-L2 fidelity is written into the PDHG step.
 
 The clip kernels run in every solver iteration or its reverse, and require
 the buffers the iteration allocates once per solve: outputs, the negated
-bound and the reverse's mask.
+bound and the reverse's mask.  The KL functions clamp their exponentials
+and count every clamp on the solve's :class:`ClampDiag`, which they require.
 """
 
 from __future__ import annotations
@@ -117,22 +118,19 @@ def nonneg_prox(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(p, 0.0, out=out)
 
 
-def exp_clamped(a: np.ndarray, diag: ClampDiag | None = None) -> np.ndarray:
-    """exp with arguments clamped to +-700 (the float64 overflow margin).
-
-    Clamping is flagged on ``diag`` when provided, never silent in solvers.
-    """
+def exp_clamped(a: np.ndarray, diag: ClampDiag) -> np.ndarray:
+    """exp with arguments clamped to +-700 (the float64 overflow margin);
+    every call that clamps counts on ``diag``, so no clamp is silent."""
     clipped = np.clip(a, -EXP_CLAMP, EXP_CLAMP)
-    if diag is not None:
-        hits = int(np.count_nonzero(clipped != a))
-        if hits:
-            diag.events += 1
-            diag.entries += hits
+    hits = int(np.count_nonzero(clipped != a))
+    if hits:
+        diag.events += 1
+        diag.entries += hits
     return np.exp(clipped)
 
 
-def kl_value(ax: np.ndarray, z: np.ndarray, params: KlParams, diag: ClampDiag | None = None) -> float:
-    """Kullback-Leibler fidelity of a sinogram against log-count data."""
+def kl_value(ax: np.ndarray, z: np.ndarray, params: KlParams, diag: ClampDiag) -> float:
+    """KL fidelity of a sinogram against log-count data, clamps counted on ``diag``."""
     if ax.shape != z.shape:
         raise ValueError("sinogram shapes differ")
     mu, n0 = params.mu, params.n0
@@ -143,12 +141,12 @@ def kl_value(ax: np.ndarray, z: np.ndarray, params: KlParams, diag: ClampDiag | 
 
 
 def kl_grad_sino(ax: np.ndarray, exp_mz: np.ndarray, params: KlParams,
-                 diag: ClampDiag | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 diag: ClampDiag) -> tuple[np.ndarray, np.ndarray]:
     """Sinogram-space gradient factor mu n0 (exp(-z mu) - exp(-ax mu)) and
-    the ``exp_clamped(-ax * mu)`` it took, which the gradient's derivative
-    reuses; the data term ``exp_mz = exp_clamped(-z * mu)`` is fixed for a
-    solve, so the caller computes it once.  The image-space gradient is the
-    factor's adjoint."""
+    the ``exp_clamped(-ax * mu, diag)`` it took, which the gradient's
+    derivative reuses; the data term ``exp_mz = exp_clamped(-z * mu, diag)``
+    is fixed for a solve, so the caller computes it once.  The image-space
+    gradient is the factor's adjoint."""
     mu, n0 = params.mu, params.n0
     exp_m_ax = exp_clamped(-ax * mu, diag)
     return mu * n0 * (exp_mz - exp_m_ax), exp_m_ax

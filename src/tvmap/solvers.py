@@ -142,9 +142,8 @@ def stacked_norm_bound(A: LinearOperator) -> float:
     return float(np.sqrt((A.norm() * NORM_CUSHION) ** 2 + grad_norm_exact(A.domain_shape) ** 2))
 
 
-def pdhg_step_params(A: LinearOperator) -> StepParams:
-    """sigma = tau = 1/L with L the stacked-operator norm bound."""
-    L = stacked_norm_bound(A)
+def pdhg_step_params(L: float) -> StepParams:
+    """sigma = tau = 1/L with L the bound of :func:`stacked_norm_bound`."""
     return StepParams(sigma=1.0 / L, tau=1.0 / L)
 
 
@@ -260,9 +259,9 @@ class _Pdhg(_PrimalDual):
     """
 
     def __init__(self, A, z, lam, x0, step=None, trail=None):
-        step = pdhg_step_params(A) if step is None else step
-        super().__init__(A, z, lam, x0, np.result_type(x0, z), step, stacked_norm_bound(A),
-                         trail)
+        L = stacked_norm_bound(A)
+        step = pdhg_step_params(L) if step is None else step
+        super().__init__(A, z, lam, x0, np.result_type(x0, z), step, L, trail)
         self.s = np.zeros(z.shape, dtype=np.result_type(z, self.image.dtype))
 
     def step(self) -> None:
@@ -310,24 +309,22 @@ class _Pdhg(_PrimalDual):
 
 
 class _Pd3o(_PrimalDual):
-    """The PD3O iteration for the KL fidelity plus weighted TV plus a
+    """The PD3O iteration for the KL fidelity ``kl`` plus weighted TV plus a
     nonnegativity constraint; each :meth:`step` runs one.  Starts from
-    p = xbar0, q = 0.  ``kl = None`` (with explicit ``steps``) disables the
-    smooth term: the gradient step vanishes, which reduces one iteration to a
-    PDHG iteration with the nonnegativity prox.  ``image`` is the prox output
-    p.  With a ``trail`` list, each step appends its clip code, positivity
-    mask and clamped curvature for :meth:`reverse`.
+    p = xbar0, q = 0.  ``image`` is the prox output p.  With a ``trail``
+    list, each step appends its clip code, positivity mask and clamped
+    curvature for :meth:`reverse`.
     """
 
     _STEP_ONLY = _PrimalDual._STEP_ONLY + ("tau_gh", "gh")
 
-    def __init__(self, A, z, lam, kl, xbar0, steps=None, trail=None):
+    def __init__(self, A, z, lam, kl, xbar0, step=None, trail=None):
         grad_norm = grad_norm_exact(xbar0.shape)
-        steps = pd3o_step_params(A, kl, grad_norm) if steps is None else steps
-        super().__init__(A, z, lam, xbar0, np.result_type(xbar0, np.float64), steps, grad_norm,
+        step = pd3o_step_params(A, kl, grad_norm) if step is None else step
+        super().__init__(A, z, lam, xbar0, np.result_type(xbar0, np.float64), step, grad_norm,
                          trail)
         self.kl = kl
-        self.exp_mz = None if kl is None else exp_clamped(-z * kl.mu, self.diag)
+        self.exp_mz = exp_clamped(-z * kl.mu, self.diag)
         self.tau_gh = np.empty_like(self.image)
         self.gh, _ = self._grad_h(self.image)
 
@@ -335,8 +332,6 @@ class _Pd3o(_PrimalDual):
         """The KL gradient at ``p`` and, if ``curvature``, the clamped
         exp(-mu A p) the gradient took, zero where the clamp engaged, which
         its derivative A^T diag(mu^2 n0 exp(-mu A p)) A needs; else None."""
-        if self.kl is None:
-            return np.zeros_like(p), None
         ax = self.A.forward(p)
         factor, exp_m_ax = kl_grad_sino(ax, self.exp_mz, self.kl, self.diag)
         gh = self.A.adjoint(factor)
@@ -372,7 +367,7 @@ class _Pd3o(_PrimalDual):
         gh' = grad_h(p'), xbar' = 2 p' - p + tau gh - tau gh'; the adjoints
         below run those lines backwards, with xbar0 and z held constant."""
         A, tau = self.A, self.tau
-        c = 0.0 if self.kl is None else self.kl.mu**2 * self.kl.n0
+        c = self.kl.mu**2 * self.kl.n0
         tv = _TvAdjoint(self)
         gp = np.array(g, dtype=self.image.dtype)
         gw, gxbar, ggh = np.empty_like(gp), np.zeros_like(gp), np.zeros_like(gp)
@@ -381,10 +376,9 @@ class _Pd3o(_PrimalDual):
             # curvature term of gh' on ggh' = ggh - tau gxbar (built in gp)
             np.multiply(gxbar, 2.0, out=gw)
             gw += gp
-            if curv is not None:
-                ggh_new = np.multiply(gxbar, tau, out=gp)
-                np.subtract(ggh, ggh_new, out=ggh_new)
-                gw += A.adjoint((c * curv) * A.forward(ggh_new))
+            ggh_new = np.multiply(gxbar, tau, out=gp)
+            np.subtract(ggh, ggh_new, out=ggh_new)
+            gw += A.adjoint((c * curv) * A.forward(ggh_new))
             np.copyto(gw, 0.0, where=~pos)
             np.subtract(gw, gxbar, out=gp)
             np.subtract(gxbar, gw, out=ggh)
@@ -393,7 +387,7 @@ class _Pd3o(_PrimalDual):
         return tv.glam
 
     def _fidelity(self, ax, r) -> float:
-        return 0.0 if self.kl is None else kl_value(ax, self.z, self.kl, self.diag)
+        return kl_value(ax, self.z, self.kl, self.diag)
 
 
 def _step_norm(it) -> float:

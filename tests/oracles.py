@@ -8,8 +8,10 @@ from (``add``, ``mul``, ``reduce_sum``), the solver primitives as tape nodes, th
 unrolled solvers recorded node by node from them (the reference for the
 solvers' hand-written reverse sweeps), and the finite-difference check of
 taped gradients.  ``GradOp`` wraps the difference stack as an operator for
-the operator tests, and ``zero_weights`` gives the all-zero network, whose
-weight map is the constant scale * log 2 (the zero-weight reduction).
+the operator tests, ``ZeroHPd3o`` is the PD3O iteration with its smooth
+term set to zero, which reduces it to PDHG with a nonnegativity prox, and
+``zero_weights`` gives the all-zero network, whose weight map is the
+constant scale * log 2 (the zero-weight reduction).
 ``l2_conjugate_prox`` is the textbook dual step of the squared-L2 fidelity,
 the reference for the PDHG step's update of its dual held divided by sigma,
 and ``np_clip_box`` the box projection written with ``np.clip``.
@@ -31,7 +33,7 @@ from tvmap.autodiff import Tape, Var, _needs, _same_tape
 from tvmap.network import NetWeights, UNetConfig, init_weights, net_forward, net_forward_taped
 from tvmap.operators import LinearOperator
 from tvmap.prox import EXP_CLAMP
-from tvmap.solvers import pd3o_step_params, pdhg_step_params
+from tvmap.solvers import _Pd3o, pd3o_step_params, pdhg_step_params, stacked_norm_bound
 from tvmap.tensors import SharingMode, expand_map, expand_map_adjoint, grad_norm_exact, ndirs
 from tvmap.tensors import grad as grad_field_fn
 from tvmap.tensors import grad_adjoint as grad_adjoint_fn
@@ -57,6 +59,16 @@ class GradOp(LinearOperator):
 
     def adjoint(self, g):
         return grad_adjoint_fn(g)
+
+
+class ZeroHPd3o(_Pd3o):
+    """:class:`tvmap.solvers._Pd3o` with h = 0: the KL gradient is zero, so
+    one step is a PDHG step with the nonnegativity prox (Yan 2018).  Build it
+    with explicit step sizes; the ``kl`` it is given then only fills the
+    unused data term."""
+
+    def _grad_h(self, p, curvature=False):
+        return np.zeros_like(p), None
 
 
 def radon_matrix_summed(op) -> sparse.csr_matrix:
@@ -501,7 +513,7 @@ def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, k
 def _taped_pdhg(tape, x0_var, z, A, lam, T):
     # the solver's arithmetic op for op, on its duals s = p / sigma and
     # r = q / sigma clipped to lam / sigma
-    sigma, tau = pdhg_step_params(A)
+    sigma, tau = pdhg_step_params(stacked_norm_bound(A))
     bound = div_const(lam, sigma)
     x = x0_var
     xbar = x0_var

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import finite_diff_check, rof_denoise_oracle, zero_weights
+from oracles import ZeroHPd3o, finite_diff_check, rof_denoise_oracle, zero_weights
 from tvmap.certificates import lipschitz_probe, rate_certificate
 from tvmap.cli import main as cli_main
 from tvmap.config import ExperimentConfig, render_sections
@@ -28,14 +28,9 @@ from tvmap.operators import (
     synth_coil_maps,
 )
 from tvmap.phantoms import ct_poisson_log, ellipse_ct
-from tvmap.prox import KlParams, kl_value, nonneg_prox
+from tvmap.prox import ClampDiag, KlParams, kl_value, nonneg_prox
 from tvmap.qmri import InversionSeries, concentric_region_labels, fit_t1, synth_qmri_series
-from tvmap.solvers import (
-    Problem,
-    _Pd3o,
-    grid_search_scalar,
-    solve_problem,
-)
+from tvmap.solvers import Problem, grid_search_scalar, solve_problem
 from tvmap.tensors import (
     SharingMode,
     constant_map,
@@ -288,7 +283,7 @@ def test_criterion_08_ct_solver():
     p_best = psnr(rep.image, x_true)
 
     def objective(img):
-        return kl_value(op.forward(img), z, kl) + weighted_tv(img, best)
+        return kl_value(op.forward(img), z, kl, ClampDiag()) + weighted_tv(img, best)
 
     ref = solve_problem(prob, best, 20000)
     rel_gap = abs(objective(rep.image) - objective(ref.image)) / abs(objective(ref.image))
@@ -352,7 +347,7 @@ def test_criterion_10_reduction_identities():
     lam = constant_map(0.3, shape4)
     gn = grad_norm_exact(shape4)
     sigma = tau = 1.0 / gn
-    it = _Pd3o(None, None, lam, None, x0, steps=(sigma, tau))
+    it = ZeroHPd3o(identity_op(shape4), x0, lam, KlParams(mu=1.0, n0=1.0), x0, (sigma, tau))
     x = x0.copy()
     xbar = x0.copy()
     q = np.zeros_like(grad(x0))

@@ -1,3 +1,4 @@
+import re
 import shlex
 import shutil
 from pathlib import Path
@@ -501,8 +502,11 @@ def test_ct_solve_cli(tmp_path):
 def test_certify_cli(tmp_path):
     out = tmp_path / "cert"
     assert main(["certify", "--rate", "--lipschitz", "--out", str(out)]) == 0
-    text = (out / "certify.txt").read_text()
-    assert "rate bound holds: True" in text
+    lines = (out / "certify.txt").read_text().splitlines()
+    assert re.fullmatch(r"rate constants: c = \S+, C = \S+, c_za = \S+, start gap = \S+",
+                        lines[0])
+    assert lines[1] == "rate bound holds: True"
+    assert re.fullmatch(r"lipschitz probes: 100 pairs, worst lhs/rhs = \S+", lines[2])
     assert (out / "rate_certificate.csv").exists()
     assert main(["certify", "--out", str(out)]) == 2  # needs a mode flag
 

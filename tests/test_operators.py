@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,13 @@ def test_op_norm_nonconvergence_carries_estimate(monkeypatch):
 def test_radon_zero_image():
     op = RadonOp(8, equispaced_angles(4), 12)
     assert np.all(op.forward(np.zeros((1, 8, 8))) == 0)
+
+
+def test_radon_forward_takes_only_the_domain_shape():
+    # a static image is (1, n, n), as for every operator; (n, n) is refused
+    op = RadonOp(8, equispaced_angles(4), 12)
+    with pytest.raises(ValueError, match=re.escape("image shape (8, 8) != (1, 8, 8)")):
+        op.forward(np.zeros((8, 8)))
 
 
 def test_radon_disk_profiles_match_under_grid_symmetry():

@@ -131,12 +131,14 @@ def test_exp_clamped_flags():
 
 def test_kl_value_single_bin():
     params = KlParams(mu=1.0, n0=1.0)
-    assert kl_value(np.zeros(1), np.zeros(1), params) == pytest.approx(1.0)
+    assert kl_value(np.zeros(1), np.zeros(1), params, ClampDiag()) == pytest.approx(1.0)
 
 
 def kl_grad_image(op, x, z, params):
     """Image-space KL gradient in the form the PD3O solver evaluates it."""
-    return op.adjoint(kl_grad_sino(op.forward(x), exp_clamped(-z * params.mu), params)[0])
+    diag = ClampDiag()
+    return op.adjoint(
+        kl_grad_sino(op.forward(x), exp_clamped(-z * params.mu, diag), params, diag)[0])
 
 
 def test_kl_grad_zero_at_match(rng):
@@ -155,7 +157,7 @@ def test_kl_grad_matches_finite_differences(rng):
         x = rng.random((1, 4, 4))
         z = op.forward(rng.random((1, 4, 4)))
         g = kl_grad_image(op, x, z, params)
-        g_fd = fd_gradient(lambda v: kl_value(op.forward(v), z, params), x)
+        g_fd = fd_gradient(lambda v: kl_value(op.forward(v), z, params, ClampDiag()), x)
         denom = max(np.max(np.abs(g_fd)), 1e-8)
         assert np.max(np.abs(g - g_fd)) / denom <= 1e-6
 

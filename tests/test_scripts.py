@@ -16,8 +16,6 @@ CASES = [
      r"total \d+s"),
     ("ct_study.py", ["--n", "16", "--angles", "10", "--bins", "23", "--T", "8"],
      r"total \d+s"),
-    ("certificates_demo.py", ["--pairs", "2"],
-     r"2 Lipschitz probes, worst lhs/rhs = \S+"),
 ]
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import GradOp, l2_conjugate_prox, np_clip_box, rof_denoise_oracle
+from oracles import GradOp, ZeroHPd3o, l2_conjugate_prox, np_clip_box, rof_denoise_oracle
 from tvmap import solvers
 from tvmap.operators import (
     LinearOperator,
@@ -26,7 +26,6 @@ from tvmap.solvers import (
     SolveReport,
     StepParams,
     grid_search_scalar,
-    pdhg_step_params,
     solve_problem,
 )
 from tvmap.tensors import SharingMode, constant_map, grad, grad_adjoint, ndirs, weighted_tv
@@ -164,7 +163,7 @@ def test_pd3o_with_zero_h_matches_pdhg_nonneg_states(rng):
     lam = constant_map(0.3, shape)
     gn = GradOp(shape).norm() * (1.0 + 1e-3)
     sigma, tau = 1.0 / gn, 1.0 / gn
-    it = _Pd3o(None, None, lam, None, x0, steps=(sigma, tau))
+    it = ZeroHPd3o(identity_op(shape), x0, lam, KlParams(mu=1.0, n0=1.0), x0, (sigma, tau))
     # hand-rolled PDHG for min iota_{x>=0}(x) + |lam grad x|_1 with theta = 1
     x = x0.copy()
     xbar = x0.copy()
@@ -460,7 +459,7 @@ def test_iterations_clip_against_minus_lam(rng):
     z = rng.random(shape)
     lam = rng.random((3,) + shape) + 0.01
     for it in (_Pdhg(identity_op(shape), z, lam, z),
-               _Pd3o(identity_op(shape), z, lam, None, z, steps=(0.1, 0.1))):
+               ZeroHPd3o(identity_op(shape), z, lam, KlParams(mu=1.0, n0=1.0), z, (0.1, 0.1))):
         for _ in range(3):
             it.step()
         assert np.array_equal(it.bound, it.lam / it.sigma)
