@@ -129,14 +129,15 @@ def exp_clamped(a: np.ndarray, diag: ClampDiag) -> np.ndarray:
     return np.exp(clipped)
 
 
-def kl_value(ax: np.ndarray, z: np.ndarray, params: KlParams, diag: ClampDiag) -> float:
-    """KL fidelity of a sinogram against log-count data, clamps counted on ``diag``."""
-    if ax.shape != z.shape:
+def kl_value(ax: np.ndarray, exp_mz: np.ndarray, params: KlParams, diag: ClampDiag) -> float:
+    """KL fidelity of a sinogram against log-count data, whose term
+    ``exp_mz = exp_clamped(-z * mu, diag)`` is fixed for a solve and so
+    computed once by the caller, as for :func:`kl_grad_sino`; clamps of the
+    sinogram's own exponential are counted on ``diag``."""
+    if ax.shape != exp_mz.shape:
         raise ValueError("sinogram shapes differ")
     mu, n0 = params.mu, params.n0
-    val = exp_clamped(-ax * mu, diag) * n0 - exp_clamped(-z * mu, diag) * n0 * (
-        -ax * mu + np.log(n0)
-    )
+    val = exp_clamped(-ax * mu, diag) * n0 - exp_mz * n0 * (-ax * mu + np.log(n0))
     return float(np.sum(val))
 
 

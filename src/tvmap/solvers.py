@@ -387,7 +387,7 @@ class _Pd3o(_PrimalDual):
         return tv.glam
 
     def _fidelity(self, ax, r) -> float:
-        return kl_value(ax, self.z, self.kl, self.diag)
+        return kl_value(ax, self.exp_mz, self.kl, self.diag)
 
 
 def _step_norm(it) -> float:

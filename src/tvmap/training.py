@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("t_train must be >= 1")
         if self.lr < 0:
             raise ValueError("learning rate must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

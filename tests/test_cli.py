@@ -364,13 +364,15 @@ def test_readme_configs_load():
 
 
 @pytest.mark.parametrize(
-    "key, value, field",
-    [("validate_every", 0, "validate_every"), ("batch", 0, "batch_size"), ("epochs", -1, "epochs")],
+    "key, value, expected",
+    [("validate_every", 0, "validate_every"), ("batch", 0, "batch_size"), ("epochs", -1, "epochs"),
+     # the Adam step applies only a positive decay, so -0.5 would train undecayed
+     ("weight_decay", -0.5, "weight_decay must be >= 0, got -0.5")],
 )
-def test_train_rejects_bad_loop_settings(tmp_path, capsys, key, value, field):
+def test_train_rejects_bad_loop_settings(tmp_path, capsys, key, value, expected):
     _, path = tiny_config(tmp_path, **{key: value})
     assert main(["train", "--config", str(path)]) == 2
-    assert field in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert not (tmp_path / "run" / "checkpoint").exists()
 
 

@@ -131,7 +131,8 @@ def test_exp_clamped_flags():
 
 def test_kl_value_single_bin():
     params = KlParams(mu=1.0, n0=1.0)
-    assert kl_value(np.zeros(1), np.zeros(1), params, ClampDiag()) == pytest.approx(1.0)
+    z, d = np.zeros(1), ClampDiag()
+    assert kl_value(np.zeros(1), exp_clamped(-z * params.mu, d), params, d) == pytest.approx(1.0)
 
 
 def kl_grad_image(op, x, z, params):
@@ -157,7 +158,9 @@ def test_kl_grad_matches_finite_differences(rng):
         x = rng.random((1, 4, 4))
         z = op.forward(rng.random((1, 4, 4)))
         g = kl_grad_image(op, x, z, params)
-        g_fd = fd_gradient(lambda v: kl_value(op.forward(v), z, params, ClampDiag()), x)
+        d = ClampDiag()
+        exp_mz = exp_clamped(-z * params.mu, d)
+        g_fd = fd_gradient(lambda v: kl_value(op.forward(v), exp_mz, params, d), x)
         denom = max(np.max(np.abs(g_fd)), 1e-8)
         assert np.max(np.abs(g - g_fd)) / denom <= 1e-6
 

@@ -16,7 +16,7 @@ from tvmap.operators import (
     make_cartesian_mask,
     synth_coil_maps,
 )
-from tvmap.prox import KlParams, nonneg_prox
+from tvmap.prox import ClampDiag, KlParams, nonneg_prox
 from tvmap.solvers import (
     CHECK_EVERY,
     _Pd3o,
@@ -190,6 +190,18 @@ def test_pd3o_nonfinite_guard(rng):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as exc:
         solve_problem(Problem(A=op, z=z, x0=np.zeros((1, 8, 8)), kl=bad), 0.01, 5)
     assert exc.value.iteration is not None
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_pd3o_counts_the_data_clamp_once(record):
+    # one data bin past the clamp: exp(-z mu) is taken once per solve, also
+    # when each iteration records its objective
+    op = RadonOp(8, equispaced_angles(6), 11, side=1.0)
+    z = op.forward(np.random.default_rng(0).random((1, 8, 8)))
+    z[0, 5] = 300.0
+    prob = Problem(A=op, z=z, x0=np.zeros((1, 8, 8)), kl=KlParams(mu=3.0, n0=100.0))
+    rep = solve_problem(prob, 0.01, 10, record=record)
+    assert rep.clamp == ClampDiag(events=1, entries=1)
 
 
 @pytest.mark.parametrize("T, at", [(3, 3), (CHECK_EVERY + 10, CHECK_EVERY)])
