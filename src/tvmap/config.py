@@ -97,7 +97,7 @@ class ExperimentConfig:
     n0: float = 4096.0
     # solver
     t_solve: int = 256
-    mode: str = "xy_t"
+    mode: SharingMode | str = ""  # unset: xy_t for a video, xyt for one frame
     lam: float = 0.1
     # training
     t_train: int = 64
@@ -138,11 +138,17 @@ class ExperimentConfig:
         if self.task == "qmri" and not all(b > a for a, b in zip((0.0, *self.times), self.times)):
             raise ValueError("task = qmri needs positive, strictly increasing inversion "
                              f"times, got times = {format_value(self.times)}")
-        if self.mode not in [m.value for m in SharingMode]:
-            raise ValueError(f"unknown sharing mode {self.mode!r}")
         for key in ("seed", "train_count", "val_count", "test_count"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        for key in ("nx", "ny", "nt", "disks", "angles", "bins"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.side > 0:
+            raise ValueError(f"side must be > 0, got {self.side}")
+        frames = len(self.times) if self.task == "qmri" else self.nt
+        self.mode = SharingMode(self.mode or ("xy_t" if frames > 1 else "xyt"))
+        self.mode.check_image((frames, self.nx, self.ny))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":

@@ -87,14 +87,12 @@ def _phase_ramp(nx: int, ny: int) -> np.ndarray:
 def net_config(cfg: ExperimentConfig) -> UNetConfig:
     rank = 2 if cfg.task == "ct" else 3
     in_channels = 2 if cfg.task in ("mri", "qmri") else 1
-    if cfg.task == "ct" and cfg.mode != "xyt":
-        raise ValueError("static CT uses sharing mode xyt")
     return UNetConfig(
         rank=rank,
         stages=cfg.stages,
         convs_per_stage=cfg.convs_per_stage,
         base_filters=cfg.filters,
-        out_channels=SharingMode(cfg.mode).channels,
+        out_channels=cfg.mode.channels,
         in_channels=in_channels,
     )
 
@@ -206,7 +204,7 @@ def cmd_gridsearch(args) -> str:
     cfg = ExperimentConfig.load(args.config)
     grid = _numbers(float, "--grid", args.grid)
     grid_t = None if args.grid_t is None else _numbers(float, "--grid-t", args.grid_t)
-    mode = SharingMode(args.mode or cfg.mode)
+    mode = SharingMode(args.mode) if args.mode else cfg.mode
     if mode is SharingMode.XYT and grid_t is not None:
         raise ValueError("--grid-t applies only to mode xy_t; mode xyt takes one "
                          "weight per candidate, from --grid")
@@ -249,8 +247,9 @@ def save_checkpoint(
 
 def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
     """Read a checkpoint; ``checkpoint.txt`` must hold every key it is read
-    by, and the layer count and every kernel and bias shape must match the
-    convolutions of the network's :meth:`UNetConfig.layer_plan`."""
+    by, its ``mode`` must have ``out_channels`` channels, and the layer count
+    and every kernel and bias shape must match the convolutions of the
+    network's :meth:`UNetConfig.layer_plan`."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "checkpoint.txt"
     with named(path):
@@ -268,6 +267,9 @@ def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
         if n_layers != len(convs):
             raise ValueError(f"n_layers = {n_layers}, the network has {len(convs)} layers")
         mode = SharingMode(info["mode"])
+        if mode.channels != net_cfg.out_channels:
+            raise ValueError(f"mode = {mode} needs out_channels = {mode.channels}, "
+                             f"got {net_cfg.out_channels}")
     kernels, biases = [], []
     for i, (_, c_in, c_out, k) in enumerate(convs):
         kernels.append(_read_shaped(ckpt_dir / f"w{i:02d}_kernel.tnsr",
@@ -288,7 +290,7 @@ def cmd_train(args) -> str:
     cfg = ExperimentConfig.load(args.config)
     net_cfg = net_config(cfg)
     settings = {name: getattr(cfg, key) for key, name in TRAIN_SETTINGS.items()}
-    tcfg = TrainConfig(**settings | {"mode": SharingMode(cfg.mode)})
+    tcfg = TrainConfig(**settings)
     train_items = build_split(cfg, "train")
     val_items = build_split(cfg, "val")
     w0 = init_weights(net_cfg, seed=cfg.seed)
@@ -303,10 +305,10 @@ def cmd_train(args) -> str:
     return f"checkpoint at {out / 'checkpoint'}"
 
 
-def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, mode: SharingMode,
-                           cfg: ExperimentConfig, image: np.ndarray) -> None:
-    """Raise, naming the checkpoint, if its network or sharing mode does not
-    fit the config's test images."""
+def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, cfg: ExperimentConfig,
+                           image: np.ndarray) -> None:
+    """Raise, naming the checkpoint, if its network does not fit the config's
+    test images (equal ``out_channels`` mean equal sharing modes)."""
     want = net_config(cfg)
     for name in ("rank", "in_channels", "out_channels"):
         have, need = getattr(net_cfg, name), getattr(want, name)
@@ -314,7 +316,6 @@ def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, mode: SharingMode,
             raise ValueError(f"checkpoint {ckpt_dir}: {name} = {have}, "
                              f"the {cfg.task} config needs {need}")
     with named(f"checkpoint {ckpt_dir}"):
-        mode.check_image(image.shape)
         net_cfg.check_pooling(image.shape)
 
 
@@ -328,7 +329,7 @@ def cmd_eval(args) -> str:
     items = build_split(cfg, "test")
     if not items:
         raise ValueError("eval needs test items, the config has test_count = 0")
-    _check_checkpoint_fits(ckpt_dir, net_cfg, mode, cfg, items[0].init_image())
+    _check_checkpoint_fits(ckpt_dir, net_cfg, cfg, items[0].init_image())
     rows = []
     mean_rows = []
     for T in t_list:

@@ -43,6 +43,9 @@ class SharingMode(Enum):
     def channels(self) -> int:
         return len(set(self.direction_channels(3)))
 
+    def __str__(self) -> str:
+        return self.value
+
     def check_image(self, shape: tuple[int, ...]) -> None:
         """Raise unless the mode can weight images of ``shape``: the two
         temporal modes need a time direction, a dynamic image (nt > 1)."""

@@ -31,7 +31,7 @@ def tiny_config(tmp_path, task="denoise", **overrides):
     }
     if task == "ct":
         base.update({"nx": 16, "ny": 16, "nt": 1, "angles": 12, "bins": 23,
-                     "mode": "xyt", "mu": 3.0, "n0": 1000.0, "side": 1.0,
+                     "mu": 3.0, "n0": 1000.0, "side": 1.0,
                      "train_count": 1, "val_count": 1, "test_count": 1})
     base.update(overrides)
     cfg = ExperimentConfig(**base)
@@ -192,7 +192,7 @@ def test_eval_t_test_defaults_to_config(tmp_path):
 @pytest.mark.parametrize("overrides, words", [
     (dict(task="mri", coils=2, accel=2.0), "in_channels = 1, the mri config needs 2"),
     (dict(task="ct"), "rank = 3, the ct config needs 2"),
-    (dict(nt=1), "mode xy_t needs a dynamic image"),
+    (dict(nt=1), "out_channels = 2, the denoise config needs 1"),  # resolves mode xyt
     (dict(nt=3), "stages = 2 needs image sizes divisible by 2"),
 ])
 def test_eval_rejects_checkpoint_for_other_config(tmp_path, capsys, overrides, words):
@@ -244,9 +244,10 @@ def test_eval_rejects_checkpoint_without_a_key(tmp_path, capsys, old, new, messa
 @pytest.mark.parametrize("old, new, message", [
     ("n_layers = 4", "n_layers = four", "cannot parse n_layers = 'four'"),
     ("mode = xy_t", "mode = foo", "'foo' is not a valid SharingMode"),
+    ("mode = xy_t", "mode = xyt", "mode = xyt needs out_channels = 1, got 2"),
     ("rank = 3", "rank = 5", "rank must be 2 or 3"),
     ("[checkpoint]\n", "[checkpoint]\nno pair here\n", "line 2: expected 'key = value'"),
-], ids=["n_layers", "mode", "rank", "line"])
+], ids=["n_layers", "mode", "mode_channels", "rank", "line"])
 def test_eval_checkpoint_error_names_the_file(tmp_path, capsys, old, new, message):
     def edit_info(ckpt):
         info = ckpt / "checkpoint.txt"
@@ -499,6 +500,31 @@ def test_ct_solve_cli(tmp_path):
     rec = read_tensor(tmp_path / "run" / "solve" / "recon_000.tnsr")
     assert rec.shape == (1, 16, 16)
     assert np.min(rec) >= 0.0
+
+
+def test_ct_config_without_mode_runs_every_command(tmp_path):
+    # a single frame resolves the sharing mode xyt
+    _, path = tiny_config(tmp_path, task="ct")
+    path.write_text(path.read_text().replace("mode = xyt\n", ""))
+    assert "mode =" not in path.read_text()
+    ckpt = str(tmp_path / "run" / "checkpoint")
+    for argv in (["gen"], ["solve", "--T", "6"], ["gridsearch", "--grid", "0.01,0.1", "--T", "4"],
+                 ["train"], ["eval", "--checkpoint", ckpt, "--t-test", "4"]):
+        assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+    for written in ("manifest.txt", "solve/manifest.txt", "gridsearch/manifest.txt",
+                    "train_manifest.txt", "checkpoint/checkpoint.txt", "eval/manifest.txt"):
+        assert "mode = xyt\n" in (tmp_path / "run" / written).read_text()
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "gridsearch", "train", "eval"])
+def test_temporal_mode_on_ct_config_exits_at_load(tmp_path, capsys, command):
+    _, path = tiny_config(tmp_path, task="ct")
+    path.write_text(path.read_text().replace("mode = xyt", "mode = xy_t"))
+    extra = {"gridsearch": ["--grid", "0.1"], "eval": ["--checkpoint", str(tmp_path)]}
+    assert main([command, "--config", str(path), *extra.get(command, [])]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: mode xy_t needs a dynamic image (nt > 1)" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_certify_cli(tmp_path):

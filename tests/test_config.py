@@ -3,6 +3,7 @@ from dataclasses import fields
 import pytest
 
 from tvmap.config import ExperimentConfig, parse_sections, render_sections, write_manifest
+from tvmap.tensors import SharingMode
 
 MINIMAL = """
 [run]
@@ -125,8 +126,40 @@ def test_render_sections_format():
 
 
 def test_mode_validated():
-    with pytest.raises(ValueError, match="unknown sharing mode 'diag'"):
+    with pytest.raises(ValueError, match="'diag' is not a valid SharingMode"):
         ExperimentConfig.from_text(MINIMAL + "\n[solver]\nmode = diag\n")
+
+
+@pytest.mark.parametrize("task, nt, mode", [
+    ("denoise", 8, "xy_t"), ("denoise", 1, "xyt"), ("mri", 1, "xyt"),
+    ("ct", 8, "xyt"), ("qmri", 1, "xy_t"),  # qMRI frames are its inversion times
+])
+def test_unset_mode_resolved_from_the_frame_count(task, nt, mode):
+    cfg = ExperimentConfig(task=task, seed=1, nx=16, ny=16, nt=nt)
+    assert cfg.mode is SharingMode(mode)
+    assert f"mode = {mode}\n" in render_sections(cfg.to_sections())
+
+
+def test_explicit_mode_checked_against_the_frame_count():
+    assert ExperimentConfig(task="qmri", seed=1, nt=1, mode="xy_t").mode is SharingMode.XY_T
+    assert ExperimentConfig(task="ct", seed=1, mode="xyt").mode is SharingMode.XYT
+    for task, mode in [("ct", "xy_t"), ("ct", "x_y_t"), ("denoise", "xy_t")]:
+        with pytest.raises(ValueError, match=f"mode {mode} needs a dynamic image"):
+            ExperimentConfig(task=task, seed=1, nt=1, mode=mode)
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("nx", 0, ">= 1"), ("ny", 0, ">= 1"), ("nt", 0, ">= 1"), ("disks", -1, ">= 1"),
+    ("angles", 0, ">= 1"), ("bins", 0, ">= 1"),
+    ("side", 0.0, "> 0"), ("side", -1.0, "> 0"), ("side", float("nan"), "> 0"),
+])
+def test_sizes_and_geometry_that_build_no_image_rejected(key, value, rule):
+    # they built empty images, or died in the phantom or the Radon geometry
+    with pytest.raises(ValueError, match=f"^{key} must be {rule}, got {value}$"):
+        ExperimentConfig(task="denoise", seed=1, **{key: value})
+    section = next(sec for sec, keys in ExperimentConfig._SECTIONS.items() if key in keys)
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_text(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
 
 
 def test_unparsable_times_name_the_key():

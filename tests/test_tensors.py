@@ -151,7 +151,7 @@ def test_expand_map_adjoint(rng, mode, shape):
     assert np.vdot(expand_map(c, mode), g) == pytest.approx(np.vdot(c, back), rel=1e-12)
 
 
-@pytest.mark.parametrize("mode", list(SharingMode))
+@pytest.mark.parametrize("mode", list(SharingMode), ids=lambda m: f"SharingMode.{m.name}")
 def test_direction_channel_table_drives_expansion(rng, mode):
     # direction d reads channel table[d]; the adjoint sums a channel's
     # directions in direction order, bit for bit
