@@ -6,8 +6,9 @@ which reads and checks all of its options, runs the command and returns the
 line printed here.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
-Every command echoes its resolved configuration and seed into a manifest
-next to its outputs.
+Every command writes a manifest next to its outputs: the config that ran,
+with the options that set a config key applied, and the other options
+under ``[manifest]``, so the command reruns from it.
 
 ``train``, ``eval`` and ``gridsearch`` map their items over processes at
 :func:`tvmap.parallel.pmap`'s default count, which only the command's CPU

@@ -21,6 +21,7 @@ item number, making results independent of execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -138,7 +139,7 @@ class ExperimentConfig:
         if self.task == "qmri" and not all(b > a for a, b in zip((0.0, *self.times), self.times)):
             raise ValueError("task = qmri needs positive, strictly increasing inversion "
                              f"times, got times = {format_value(self.times)}")
-        for key in ("seed", "train_count", "val_count", "test_count"):
+        for key in ("seed", "train_count", "val_count", "test_count", "t_solve", "t_test"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         for key in ("nx", "ny", "nt", "disks", "angles", "bins"):
@@ -146,9 +147,15 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.side > 0:
             raise ValueError(f"side must be > 0, got {self.side}")
-        frames = len(self.times) if self.task == "qmri" else self.nt
-        self.mode = SharingMode(self.mode or ("xy_t" if frames > 1 else "xyt"))
-        self.mode.check_image((frames, self.nx, self.ny))
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        self.mode = SharingMode(self.mode or ("xy_t" if self.image_shape[0] > 1 else "xyt"))
+        self.mode.check_image(self.image_shape)
+
+    @property
+    def image_shape(self) -> tuple[int, int, int]:
+        """(frames, nx, ny); a qMRI image has one frame per inversion time."""
+        return (len(self.times) if self.task == "qmri" else self.nt, self.nx, self.ny)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -186,9 +193,11 @@ class ExperimentConfig:
 
 def write_manifest(path, cfg: ExperimentConfig | None, command: str,
                    extra: dict | None = None) -> None:
-    """Resolved config plus an informational [manifest] block; the file can
-    be fed back to any command in place of the original config.  Commands
-    that read no config (``cfg`` None) write the [manifest] block alone."""
+    """The config that ran plus an informational [manifest] block of the
+    ``extra`` values that are not None: the options with no config key, which
+    a rerun passes again, and results.  Commands that read no config (``cfg``
+    None) write the [manifest] block alone."""
     sections = cfg.to_sections() if cfg is not None else {}
-    sections["manifest"] = {"command": command} | (extra or {})
+    extra = {key: value for key, value in (extra or {}).items() if value is not None}
+    sections["manifest"] = {"command": command} | extra
     Path(path).write_text(render_sections(sections))

@@ -1,8 +1,9 @@
 """Dataset assembly and the command handlers behind the CLI.
 
 Each ``cmd_<name>(args)`` owns one subcommand: it takes the parsed
-arguments, loads the config, converts and checks every option, runs the
-command and returns the line ``tvmap`` prints.
+arguments, loads the config, applies the options that set a config key to it
+(:func:`_apply`), checks the others, runs the command and returns the line
+``tvmap`` prints.
 
 Every command derives all randomness from the config seed (see
 :mod:`tvmap.config` for the derivation), so a command sequence is exactly
@@ -12,7 +13,7 @@ exported artifacts, and downstream commands rebuild the same data in memory.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -32,12 +33,11 @@ from .fileio import named, parse_list, parse_value
 from .metrics import nrmse, psnr, ssim
 from .network import NetWeights, UNetConfig, init_weights
 from .operators import (
+    IdentityOp,
     MriEncoder,
     RadonOp,
     cg_normal_init,
-    equispaced_angles,
     fbp,
-    identity_op,
     make_cartesian_mask,
     synth_coil_maps,
 )
@@ -66,9 +66,7 @@ _RADON_MEMO: dict[tuple, RadonOp] = {}
 def _radon_for(cfg: ExperimentConfig) -> RadonOp:
     key = (cfg.nx, cfg.angles, cfg.bins, cfg.side)
     if key not in _RADON_MEMO:
-        _RADON_MEMO[key] = RadonOp(
-            cfg.nx, equispaced_angles(cfg.angles), cfg.bins, side=cfg.side
-        )
+        _RADON_MEMO[key] = RadonOp(cfg.nx, cfg.angles, cfg.bins, side=cfg.side)
     return _RADON_MEMO[key]
 
 QMRI_TISSUES = [
@@ -123,7 +121,7 @@ def _build_item(cfg: ExperimentConfig, split: str, index: int) -> Problem:
         if cfg.task == "mri":
             return _mri_problem(cfg, item, x_true * _phase_ramp(cfg.nx, cfg.ny)[None])
         z = add_gaussian(x_true, cfg.sigma, seed=cfg.item_seed(SEED_NOISE, item))
-        return Problem(A=identity_op(x_true.shape), z=z, x_true=x_true, x0=z)
+        return Problem(A=IdentityOp(x_true.shape), z=z, x_true=x_true, x0=z)
     if cfg.task == "ct":
         x_true = ellipse_ct(cfg.nx, seed=cfg.item_seed(SEED_PHANTOM, item))
         op = _radon_for(cfg)
@@ -138,6 +136,15 @@ def _build_item(cfg: ExperimentConfig, split: str, index: int) -> Problem:
 def build_split(cfg: ExperimentConfig, split: str) -> list[Problem]:
     count = {"train": cfg.train_count, "val": cfg.val_count, "test": cfg.test_count}[split]
     return [_build_item(cfg, split, i) for i in range(count)]
+
+
+def _apply(cfg: ExperimentConfig, option: str, key: str, value) -> ExperimentConfig:
+    """``cfg`` with ``key`` set to ``value``, the value of ``option``, when it
+    was passed; the config checks it, naming the option."""
+    if value is None:
+        return cfg
+    with named(option):
+        return replace(cfg, **{key: value})
 
 
 def _numbers(kind, option: str, text: str) -> list:
@@ -175,25 +182,22 @@ def cmd_solve(args) -> str:
     cfg = ExperimentConfig.load(args.config)
     if args.lam is not None and args.map_path is not None:
         raise ValueError("pass either --lambda or --map, not both")
+    cfg = _apply(_apply(cfg, "--lambda", "lam", args.lam), "--T", "t_solve", args.T)
     item = args.item
     if not 0 <= item < cfg.test_count:
         raise ValueError(f"--item {item} is outside the test split, range({cfg.test_count})")
-    T = cfg.t_solve if args.T is None else args.T
     prob = _build_item(cfg, "test", item)
+    lam_field = cfg.lam
     if args.map_path is not None:
         lam_field = fileio.read_tensor(args.map_path)
         with named(args.map_path):
             lam_field = as_weight_field(lam_field, prob.init_image().shape)
-    elif args.lam is not None:
-        lam_field = float(args.lam)
-    else:
-        lam_field = cfg.lam
-    rep = solve_problem(prob, lam_field, T, record=True)
+    rep = solve_problem(prob, lam_field, cfg.t_solve, record=True)
     out = Path(cfg.outdir) / "solve"
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_tensor(out / f"recon_{item:03d}.tnsr", rep.image)
     rep.write_diagnostics(out / f"diagnostics_{item:03d}.csv")
-    extra = {"item": item, "T": T, "psnr": psnr(rep.image, prob.x_true),
+    extra = {"item": item, "map": args.map_path, "psnr": psnr(rep.image, prob.x_true),
              "nrmse": nrmse(rep.image, prob.x_true)}
     write_manifest(out / "manifest.txt", cfg, "solve", extra)
     return f"wrote reconstruction to {out}"
@@ -202,13 +206,16 @@ def cmd_solve(args) -> str:
 def cmd_gridsearch(args) -> str:
     """Scalar grid search over the chosen split; writes scores and the pick."""
     cfg = ExperimentConfig.load(args.config)
+    cfg = _apply(_apply(cfg, "--mode", "mode", args.mode), "--T", "t_solve", args.T)
+    mode = cfg.mode
+    if mode is SharingMode.X_Y_T:
+        raise ValueError(f"{args.config}: grid search supports modes xyt and xy_t, the "
+                         "config's mode is x_y_t; --mode picks xyt or xy_t")
     grid = _numbers(float, "--grid", args.grid)
     grid_t = None if args.grid_t is None else _numbers(float, "--grid-t", args.grid_t)
-    mode = SharingMode(args.mode) if args.mode else cfg.mode
     if mode is SharingMode.XYT and grid_t is not None:
         raise ValueError("--grid-t applies only to mode xy_t; mode xyt takes one "
                          "weight per candidate, from --grid")
-    T = cfg.t_solve if args.T is None else args.T
     problems = build_split(cfg, args.split)
     if mode is SharingMode.XYT:
         spec = grid
@@ -216,12 +223,12 @@ def cmd_gridsearch(args) -> str:
     else:
         spec = (grid, grid_t if grid_t is not None else grid)
         header = ["lam_spatial", "lam_temporal", "mean_psnr"]
-    best, scores = grid_search_scalar(problems, mode, spec, T)
+    best, scores = grid_search_scalar(problems, mode, spec, cfg.t_solve)
     out = Path(cfg.outdir) / "gridsearch"
     out.mkdir(parents=True, exist_ok=True)
     rows = [c + (s,) for c, s in zip(grid_candidates(mode, spec), scores)]
     fileio.write_csv(out / f"scores_{mode.value}.csv", header, rows)
-    extra = {"mode": mode.value, "T": T, "best": repr(best), "split": args.split}
+    extra = {"grid": grid, "grid_t": grid_t, "split": args.split, "best": repr(best)}
     write_manifest(out / "manifest.txt", cfg, "gridsearch", extra)
     return f"best weight: {best!r}"
 
@@ -289,6 +296,8 @@ def cmd_train(args) -> str:
     """Train the parameter-map network; writes checkpoint plus history CSV."""
     cfg = ExperimentConfig.load(args.config)
     net_cfg = net_config(cfg)
+    with named(args.config):
+        net_cfg.check_pooling(cfg.image_shape)
     settings = {name: getattr(cfg, key) for key, name in TRAIN_SETTINGS.items()}
     tcfg = TrainConfig(**settings)
     train_items = build_split(cfg, "train")

@@ -61,10 +61,6 @@ class IdentityOp(LinearOperator):
         return y
 
 
-def identity_op(shape) -> IdentityOp:
-    return IdentityOp(shape)
-
-
 class MriEncoder(LinearOperator):
     """Multi-coil Cartesian encoder: mask the orthonormal 2-D FFT per coil.
 
@@ -115,7 +111,8 @@ class MriEncoder(LinearOperator):
 
 
 class RadonOp(LinearOperator):
-    """Discrete parallel-beam Radon transform on an n-by-n grid.
+    """Discrete parallel-beam Radon transform on an n-by-n grid, at
+    ``n_angles`` equispaced angles k pi / n_angles.
 
     Rays are sampled at half-pixel steps with bilinear interpolation and
     weighted by the step length; the adjoint is the exact transpose of that
@@ -135,15 +132,10 @@ class RadonOp(LinearOperator):
     180 angles and 190 bins.
     """
 
-    def __init__(self, n: int, angles: np.ndarray, n_bins: int, side: float = 1.0):
-        angles = np.asarray(angles, dtype=REAL)
-        if angles.ndim != 1 or angles.size == 0:
-            raise ValueError("need a non-empty 1-d array of angles")
-        if np.any(np.diff(angles) <= 0):
-            raise ValueError("angles must be strictly increasing")
-        super().__init__((1, n, n), (angles.size, n_bins))
+    def __init__(self, n: int, n_angles: int, n_bins: int, side: float = 1.0):
+        super().__init__((1, n, n), (n_angles, n_bins))
         self.n = n
-        self.angles = angles
+        self.angles = np.arange(n_angles) * (np.pi / n_angles)
         self.n_bins = n_bins
         self.side = float(side)
         self.pixel = self.side / n
@@ -203,10 +195,6 @@ class RadonOp(LinearOperator):
             raise ValueError(f"sinogram shape {s.shape} != {self.codomain_shape}")
         x = self._matrix_t @ np.asarray(s, dtype=REAL).ravel()
         return x.reshape(self.domain_shape)
-
-
-def equispaced_angles(n_angles: int) -> np.ndarray:
-    return np.arange(n_angles) * (np.pi / n_angles)
 
 
 def fbp(op: RadonOp, sino: np.ndarray) -> np.ndarray:

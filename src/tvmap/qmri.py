@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phantoms import add_gaussian
 from .tensors import COMPLEX, REAL
 
 PAPER_INVERSION_TIMES = (0.05, 0.1, 0.2, 0.35, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -64,11 +63,9 @@ def synth_qmri_series(
     region_labels: np.ndarray,
     region_params: list[tuple[complex, float]],
     times=PAPER_INVERSION_TIMES,
-    noise_sigma: float = 0.0,
-    seed: int = 0,
 ) -> tuple[InversionSeries, T1Map]:
     """Piecewise-constant M0/T1 maps from integer region labels, evaluated at
-    the inversion times, with optional complex Gaussian noise.
+    the inversion times, noiseless.
 
     A fixed low-amplitude quadratic phase surface modulates M0 so the
     synthetic data has spatially varying phase.
@@ -96,8 +93,6 @@ def synth_qmri_series(
     images = np.empty((times.size,) + labels.shape, dtype=COMPLEX)
     for i, t in enumerate(times):
         images[i] = signal_model(m0_map, t1_map, t)
-    if noise_sigma > 0:
-        images = add_gaussian(images, noise_sigma, seed, complex_noise=True)
     return InversionSeries(times=times, images=images), T1Map(t1=t1_map, m0=m0_map)
 
 

@@ -139,17 +139,16 @@ def loss_value(
     weights: NetWeights,
     net_cfg: UNetConfig,
     cfg: TrainConfig,
-    T: int | None = None,
 ) -> float:
     """Plain (numpy-path) evaluation of the training objective, the
     validation loss of :func:`train`."""
     if not batch:
         raise ValueError("empty batch")
-    T = cfg.t_train if T is None else T
 
     def item_mse(prob: Problem) -> float:
         rec = reconstruct(
-            prob.init_image(), prob.z, prob.A, weights, net_cfg, cfg.mode, T, kl=prob.kl
+            prob.init_image(), prob.z, prob.A, weights, net_cfg, cfg.mode, cfg.t_train,
+            kl=prob.kl,
         )
         return float(np.mean(np.abs(rec - prob.x_true) ** 2))
 

@@ -7,6 +7,7 @@ network once in a module fixture; everything is seeded and deterministic.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,15 +20,14 @@ from tvmap.experiments import build_split, net_config
 from tvmap.metrics import psnr
 from tvmap.network import OUTPUT_SCALE, UNetConfig, init_weights, weight_leaves
 from tvmap.operators import (
+    IdentityOp,
     MriEncoder,
     RadonOp,
-    equispaced_angles,
     fbp,
-    identity_op,
     make_cartesian_mask,
     synth_coil_maps,
 )
-from tvmap.phantoms import ct_poisson_log, ellipse_ct
+from tvmap.phantoms import add_gaussian, ct_poisson_log, ellipse_ct
 from tvmap.prox import ClampDiag, KlParams, exp_clamped, kl_value, nonneg_prox
 from tvmap.qmri import InversionSeries, concentric_region_labels, fit_t1, synth_qmri_series
 from tvmap.solvers import Problem, grid_search_scalar, solve_problem
@@ -122,7 +122,7 @@ def test_criterion_01_adjoint_suite():
         x = rng.standard_normal(enc.domain_shape) + 1j * rng.standard_normal(enc.domain_shape)
         y = rng.standard_normal(enc.codomain_shape) + 1j * rng.standard_normal(enc.codomain_shape)
         worst = max(worst, _adjoint_defect(enc.forward, enc.adjoint, x, y))
-    radon = RadonOp(24, equispaced_angles(30), 35, side=1.0)
+    radon = RadonOp(24, 30, 35, side=1.0)
     for _ in range(100):
         x = rng.standard_normal(radon.domain_shape)
         y = rng.standard_normal(radon.codomain_shape)
@@ -135,12 +135,12 @@ def test_criterion_01_adjoint_suite():
 
 def test_criterion_02_rof_oracle():
     t0 = time.perf_counter()
-    A = identity_op((1, 2, 1))
+    A = IdentityOp((1, 2, 1))
     z = np.array([0.0, 2.0]).reshape(1, 2, 1)
     rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.5, T=5000)
     err2 = float(np.max(np.abs(rep.image.ravel() - [0.5, 1.5])))
     rng = np.random.default_rng(SEED + 1)
-    A8 = identity_op((1, 8, 1))
+    A8 = IdentityOp((1, 8, 1))
     err8 = 0.0
     for _ in range(5):
         z8 = rng.standard_normal((1, 8, 1))
@@ -190,7 +190,7 @@ def test_criterion_05_gradient_check():
         x_true = np.zeros(shape)
         x_true[0, 2:6, 2:6] = 1.0
         z = x_true + 0.2 * rng.standard_normal(shape)
-        prob = Problem(A=identity_op(shape), z=z, x_true=x_true, x0=z)
+        prob = Problem(A=IdentityOp(shape), z=z, x_true=x_true, x0=z)
         w = init_weights(ncfg, seed=seed)
         arrays = []
         for k, b in zip(w.kernels, w.biases):
@@ -214,10 +214,10 @@ def test_criterion_06_gamma_consistency(denoise_study):
     t0 = time.perf_counter()
     s = denoise_study
     items = s["test_items"]
-    ref = loss_value(items, s["weights"], s["net_cfg"], s["train_cfg"], T=10000)
+    ref = loss_value(items, s["weights"], s["net_cfg"], replace(s["train_cfg"], t_train=10000))
     gaps = []
     for T in (8, 16, 32, 64, 128):
-        lt = loss_value(items, s["weights"], s["net_cfg"], s["train_cfg"], T=T)
+        lt = loss_value(items, s["weights"], s["net_cfg"], replace(s["train_cfg"], t_train=T))
         gaps.append(abs(lt - ref))
     elapsed = time.perf_counter() - t0
     print(f"\ncriterion 6: gaps over T=8..128: "
@@ -255,7 +255,7 @@ def test_criterion_07_learned_map_ordering(denoise_study):
 def test_criterion_08_ct_solver():
     t0 = time.perf_counter()
     n = 64
-    op = RadonOp(n, equispaced_angles(90), 95, side=0.26)
+    op = RadonOp(n, 90, 95, side=0.26)
     kl = KlParams(mu=81.35858, n0=4096.0)
     x_true = ellipse_ct(n, seed=5)
     z = ct_poisson_log(op, x_true, kl, seed=7)
@@ -301,7 +301,8 @@ def test_criterion_09_qmri_roundtrip():
     rel = (fit.t1 - truth.t1) / truth.t1
     rel_rmse = float(np.sqrt(np.mean(rel**2)))
 
-    noisy, _ = synth_qmri_series(labels, tissues, noise_sigma=0.02, seed=SEED)
+    noisy = InversionSeries(times=series.times, images=add_gaussian(
+        series.images, 0.02, SEED, complex_noise=True))
     fit_n = fit_t1(noisy)
     rel_n = (fit_n.t1 - truth.t1) / truth.t1
     rel_rmse_n = float(np.sqrt(np.mean(rel_n**2)))
@@ -320,7 +321,7 @@ def test_criterion_10_reduction_identities():
     x_true = np.zeros(shape)
     x_true[:, 2:6, 2:6] = 1.0
     z = x_true + 0.2 * rng.standard_normal(shape)
-    A = identity_op(shape)
+    A = IdentityOp(shape)
     ncfg = UNetConfig(rank=3, stages=2, convs_per_stage=2, base_filters=4,
                       out_channels=2, in_channels=1)
     w = zero_weights(ncfg)
@@ -336,7 +337,7 @@ def test_criterion_10_reduction_identities():
     lam = constant_map(0.3, shape4)
     gn = grad_norm_exact(shape4)
     sigma = tau = 1.0 / gn
-    it = ZeroHPd3o(identity_op(shape4), x0, lam, KlParams(mu=1.0, n0=1.0), x0, (sigma, tau))
+    it = ZeroHPd3o(IdentityOp(shape4), x0, lam, KlParams(mu=1.0, n0=1.0), x0, (sigma, tau))
     x = x0.copy()
     xbar = x0.copy()
     q = np.zeros_like(grad(x0))

@@ -23,7 +23,7 @@ from oracles import (
     reduce_sum,
 )
 from tvmap import autodiff as ad
-from tvmap.operators import identity_op
+from tvmap.operators import IdentityOp
 from tvmap.tensors import constant_map, grad, grad_adjoint
 
 
@@ -336,7 +336,7 @@ def test_loss_from_other_tape_rejected(rng):
 
 
 def _taped_pdhg_denoise(tape, z, lam_var, x0, T, sigma, tau, theta=1.0):
-    A = identity_op(x0.shape)
+    A = IdentityOp(x0.shape)
     vz = z
     x = tape.constant(x0.copy())
     xbar = tape.constant(x0.copy())

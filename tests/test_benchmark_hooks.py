@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tvmap import autodiff, solvers
-from tvmap.operators import identity_op
+from tvmap.operators import IdentityOp
 from tvmap.prox import KlParams
 from tvmap.solvers import Problem
 
@@ -43,7 +43,7 @@ def test_every_solve_records_one_driver_span(rng, case):
     T = 7
     z = np.abs(rng.standard_normal((2, 6, 6))) + 0.5
     kl = KlParams(mu=1.0, n0=50.0) if case == "pd3o" else None
-    prob = Problem(A=identity_op(z.shape), z=z, x0=z, kl=kl)
+    prob = Problem(A=IdentityOp(z.shape), z=z, x0=z, kl=kl)
     tracer = spans.Tracer()
     tracer.install()
     try:

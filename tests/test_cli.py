@@ -8,7 +8,7 @@ import pytest
 
 from tvmap import certificates, experiments, parallel
 from tvmap.cli import build_parser, main
-from tvmap.config import ExperimentConfig, render_sections
+from tvmap.config import ExperimentConfig, parse_sections, render_sections
 from tvmap.fileio import read_tensor, write_tensor
 from tvmap.network import init_weights
 
@@ -524,6 +524,117 @@ def test_temporal_mode_on_ct_config_exits_at_load(tmp_path, capsys, command):
     assert main([command, "--config", str(path), *extra.get(command, [])]) == 2
     err = capsys.readouterr().err
     assert f"{path}: mode xy_t needs a dynamic image (nt > 1)" in err
+    assert not (tmp_path / "run").exists()
+
+
+# each [manifest] key that records an option with no config key
+MANIFEST_OPTIONS = {"item": "--item", "map": "--map", "grid": "--grid", "grid_t": "--grid-t",
+                    "split": "--split", "t_list": "--t-test", "checkpoint": "--checkpoint"}
+
+
+def _rerun_argv(manifest: Path) -> list[str]:
+    """The command a manifest records: ``--config`` the manifest itself, plus
+    each option listed under its [manifest]."""
+    info = parse_sections(manifest.read_text())["manifest"]
+    argv = [info["command"], "--config", str(manifest)]
+    for key, option in MANIFEST_OPTIONS.items():
+        if key in info:
+            argv += [option, info[key]]
+    return argv
+
+
+@pytest.mark.parametrize("overrides, argv", [
+    ({}, ["solve", "--lambda", "0.37", "--T", "5"]),
+    ({}, ["solve", "--map", "{tmp}/lam.tnsr", "--item", "1"]),
+    ({"mode": "x_y_t"}, ["gridsearch", "--mode", "xyt", "--grid", "0.05,0.2", "--T", "4"]),
+    ({}, ["gridsearch", "--mode", "xy_t", "--grid", "0.05,0.2", "--grid-t", "0.1",
+          "--split", "val"]),
+], ids=["solve-lambda", "solve-map", "gridsearch-xyt-on-x_y_t", "gridsearch-xy_t"])
+def test_rerun_from_manifest_reproduces_every_file(tmp_path, overrides, argv):
+    _, path = tiny_config(tmp_path, **overrides)
+    write_tensor(tmp_path / "lam.tnsr", np.full((3, 4, 8, 8), 0.15))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+    out = tmp_path / "run" / argv[0]
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = tmp_path / "manifest.cfg"
+    shutil.copy(out / "manifest.txt", manifest)
+    shutil.rmtree(out)
+    assert main(_rerun_argv(manifest)) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_manifest_holds_the_options_in_the_config_sections(tmp_path):
+    _, path = tiny_config(tmp_path)
+    assert main(["solve", "--config", str(path), "--lambda", "0.37", "--T", "5"]) == 0
+    sections = parse_sections((tmp_path / "run" / "solve" / "manifest.txt").read_text())
+    assert sections["solver"] == {"t_solve": "5", "mode": "xy_t", "lam": "0.37"}
+    assert list(sections["manifest"]) == ["command", "item", "psnr", "nrmse"]
+    assert main(["gridsearch", "--config", str(path), "--mode", "xyt", "--grid", "0.1,0.2",
+                 "--T", "3"]) == 0
+    sections = parse_sections((tmp_path / "run" / "gridsearch" / "manifest.txt").read_text())
+    assert sections["solver"] == {"t_solve": "3", "mode": "xyt", "lam": "0.1"}
+    assert sections["manifest"] == {"command": "gridsearch", "grid": "0.1,0.2",
+                                    "split": "train", "best": sections["manifest"]["best"]}
+
+
+def test_gridsearch_rejects_config_mode_x_y_t_before_building(tmp_path, capsys, monkeypatch):
+    _, path = tiny_config(tmp_path, mode="x_y_t")
+    monkeypatch.setattr(experiments, "build_split", None)  # not reached
+    assert main(["gridsearch", "--config", str(path), "--grid", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: grid search supports modes xyt and xy_t" in err
+    assert "--mode picks xyt or xy_t" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_gridsearch_temporal_mode_option_on_ct_config_exits_before_building(tmp_path, capsys,
+                                                                            monkeypatch):
+    _, path = tiny_config(tmp_path, task="ct")
+    monkeypatch.setattr(experiments, "build_split", None)  # not reached
+    assert main(["gridsearch", "--config", str(path), "--mode", "xy_t", "--grid", "0.1",
+                 "--T", "2"]) == 2
+    assert ("config error: --mode: mode xy_t needs a dynamic image (nt > 1)\n"
+            == capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--T", "-1"], "--T: t_solve must be >= 0, got -1"),
+    (["solve", "--lambda", "-1"], "--lambda: lam must be finite and > 0, got -1.0"),
+    (["solve", "--lambda", "nan"], "--lambda: lam must be finite and > 0, got nan"),
+    (["gridsearch", "--grid", "0.1", "--T", "-2"], "--T: t_solve must be >= 0, got -2"),
+], ids=["solve-T", "solve-lambda", "solve-lambda-nan", "gridsearch-T"])
+def test_option_that_sets_a_config_key_is_checked_by_the_config(tmp_path, capsys, argv,
+                                                                 message):
+    _, path = tiny_config(tmp_path)
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
+    assert f"config error: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("t_solve = 8", "t_solve = -1", "t_solve must be >= 0, got -1"),
+    ("t_test = 8", "t_test = -1", "t_test must be >= 0, got -1"),
+    ("lam = 0.1", "lam = 0", "lam must be finite and > 0, got 0.0"),
+], ids=["t_solve", "t_test", "lam"])
+@pytest.mark.parametrize("command", ["gen", "solve", "gridsearch", "train", "eval"])
+def test_bad_solver_setting_exits_at_load(tmp_path, capsys, command, old, new, message):
+    _, path = tiny_config(tmp_path)
+    path.write_text(path.read_text().replace(old, new))
+    extra = {"gridsearch": ["--grid", "0.1"], "eval": ["--checkpoint", str(tmp_path)]}
+    assert main([command, "--config", str(path), *extra.get(command, [])]) == 2
+    assert f"config error: {path}: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_stages_too_deep_for_the_images_before_building(tmp_path, capsys,
+                                                                      monkeypatch):
+    _, path = tiny_config(tmp_path, nx=12, ny=12, stages=4)
+    monkeypatch.setattr(experiments, "build_split", None)  # not reached
+    assert main(["train", "--config", str(path)]) == 2
+    assert (f"config error: {path}: stages = 4 needs image sizes divisible by 8, "
+            "the image is (4, 12, 12)\n" == capsys.readouterr().err)
     assert not (tmp_path / "run").exists()
 
 

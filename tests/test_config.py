@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -100,6 +102,21 @@ def test_negative_split_count_rejected(key):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_text(MINIMAL + f"\n[phantom]\n{key} = -1\n")
     assert getattr(ExperimentConfig(task="denoise", seed=1, **{key: 0}), key) == 0
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("t_solve", -1, "t_solve must be >= 0, got -1"),
+    ("t_test", -1, "t_test must be >= 0, got -1"),
+    ("lam", 0.0, "lam must be finite and > 0, got 0.0"),
+    ("lam", -0.5, "lam must be finite and > 0, got -0.5"),
+    ("lam", math.inf, "lam must be finite and > 0, got inf"),
+    ("lam", math.nan, "lam must be finite and > 0, got nan"),
+])
+def test_solver_settings_checked(key, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(task="denoise", seed=1, **{key: value})
+    # zero iterations is a valid budget: the solve returns its start
+    assert ExperimentConfig(task="denoise", seed=1, t_solve=0, t_test=0).t_solve == 0
 
 
 def test_negative_seed_rejected():

@@ -198,9 +198,6 @@ def test_unpassed_default_is_reported():
 # constant, which the test that varies it patches.
 TEST_SEAMS = {
     "cli.main(argv)": "the console entry point calls main() with no arguments",
-    "training.loss_value(T)": "criterion 6's Gamma-consistency sweep over T",
-    "qmri.synth_qmri_series(noise_sigma)": "criterion 9's noise level",
-    "qmri.synth_qmri_series(seed)": "criterion 9's noise draw",
     "qmri.concentric_region_labels(n_regions)": "the 3-region test phantoms",
     "certificates.rate_certificate(step)": "reaches the check that M is positive definite",
 }

@@ -7,13 +7,12 @@ import pytest
 from tvmap import operators
 from tvmap.errors import ConvergenceError
 from tvmap.operators import (
+    IdentityOp,
     LinearOperator,
     MriEncoder,
     RadonOp,
     cg_normal_init,
-    equispaced_angles,
     fbp,
-    identity_op,
     make_cartesian_mask,
     op_norm,
     synth_coil_maps,
@@ -81,7 +80,7 @@ def small_mri(rng, n=8, nt=2, nc=3, R=2.0, seed=5):
 
 
 def test_identity_op():
-    op = identity_op((1, 4, 4))
+    op = IdentityOp((1, 4, 4))
     x = np.arange(16.0).reshape(1, 4, 4)
     np.testing.assert_array_equal(op.forward(x), x)
     np.testing.assert_array_equal(op.adjoint(x), x)
@@ -89,7 +88,7 @@ def test_identity_op():
 
 
 def test_adjoint_contract_identity(rng):
-    assert_adjoint_contract(identity_op((2, 4, 4)), rng)
+    assert_adjoint_contract(IdentityOp((2, 4, 4)), rng)
 
 
 def test_adjoint_contract_gradop(rng):
@@ -106,7 +105,7 @@ def test_adjoint_contract_mri_r4(rng):
 
 
 def test_adjoint_contract_radon(rng):
-    op = RadonOp(12, equispaced_angles(10), 18, side=1.0)
+    op = RadonOp(12, 10, 18, side=1.0)
     for _ in range(100):
         x = rng.standard_normal(op.domain_shape)
         y = rng.standard_normal(op.codomain_shape)
@@ -160,7 +159,7 @@ def test_mri_norm_bound_holds(rng):
 
 
 def test_op_norm_identity():
-    assert op_norm(identity_op((1, 4, 4))) == pytest.approx(1.0, rel=1e-6)
+    assert op_norm(IdentityOp((1, 4, 4))) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_op_norm_diagonal(rng):
@@ -193,20 +192,20 @@ def test_op_norm_nonconvergence_carries_estimate(monkeypatch):
 
 
 def test_radon_zero_image():
-    op = RadonOp(8, equispaced_angles(4), 12)
+    op = RadonOp(8, 4, 12)
     assert np.all(op.forward(np.zeros((1, 8, 8))) == 0)
 
 
 def test_radon_forward_takes_only_the_domain_shape():
     # a static image is (1, n, n), as for every operator; (n, n) is refused
-    op = RadonOp(8, equispaced_angles(4), 12)
+    op = RadonOp(8, 4, 12)
     with pytest.raises(ValueError, match=re.escape("image shape (8, 8) != (1, 8, 8)")):
         op.forward(np.zeros((8, 8)))
 
 
 def test_radon_disk_profiles_match_under_grid_symmetry():
     n = 32
-    op = RadonOp(n, equispaced_angles(2), 47, side=1.0)  # angles 0 and pi/2
+    op = RadonOp(n, 2, 47, side=1.0)  # angles 0 and pi/2
     gx, gy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     r2 = ((gx - (n - 1) / 2) ** 2 + (gy - (n - 1) / 2) ** 2)
     disk = (r2 <= (n / 4) ** 2).astype(float)[None]
@@ -222,7 +221,7 @@ def _csr_arrays(m):
 @pytest.mark.parametrize("n, n_angles, n_bins", [(9, 7, 9), (12, 10, 17), (16, 2, 23)])
 def test_radon_matrix_matches_summed_assembly(n, n_angles, n_bins):
     # odd n, bins != n, and two angles; byte equality of both stored matrices
-    op = RadonOp(n, equispaced_angles(n_angles), n_bins)
+    op = RadonOp(n, n_angles, n_bins)
     want = radon_matrix_summed(op)
     assert _csr_arrays(op._matrix) == _csr_arrays(want)
     assert _csr_arrays(op._matrix_t) == _csr_arrays(want.T.tocsr())
@@ -231,7 +230,7 @@ def test_radon_matrix_matches_summed_assembly(n, n_angles, n_bins):
 def test_radon_assembly_peak_memory_near_held_matrices():
     tracemalloc.start()
     try:
-        op = RadonOp(32, equispaced_angles(45), 47)
+        op = RadonOp(32, 45, 47)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -241,7 +240,7 @@ def test_radon_assembly_peak_memory_near_held_matrices():
 
 
 def test_fbp_zero_sinogram():
-    op = RadonOp(16, equispaced_angles(12), 24)
+    op = RadonOp(16, 12, 24)
     assert np.all(fbp(op, np.zeros(op.codomain_shape)) == 0)
 
 
@@ -252,7 +251,7 @@ def _blob(n, cx, cy, width):
 
 def test_fbp_blob_peak_location_and_value():
     n = 64
-    op = RadonOp(n, equispaced_angles(180), 95, side=1.0)
+    op = RadonOp(n, 180, 95, side=1.0)
     x = _blob(n, 40.0, 25.0, 4.0)
     rec = fbp(op, op.forward(x))
     peak_idx = np.unravel_index(np.argmax(rec[0]), (n, n))
@@ -264,7 +263,7 @@ def test_fbp_disk_regression():
     # 128 bins over the diagonal; the desk default of 95 bins lands at 0.153
     # (detector resolution bound), well above the blur of the filter itself.
     n = 64
-    op = RadonOp(n, equispaced_angles(180), 128, side=1.0)
+    op = RadonOp(n, 180, 128, side=1.0)
     gx, gy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     r2 = (gx - (n - 1) / 2) ** 2 + (gy - (n - 1) / 2) ** 2
     disk = (r2 <= (n / 4) ** 2).astype(float)[None]
@@ -273,7 +272,7 @@ def test_fbp_disk_regression():
 
 
 def test_cg_identity_one_iteration(rng):
-    op = identity_op((1, 4, 4))
+    op = IdentityOp((1, 4, 4))
     z = rng.standard_normal((1, 4, 4))
     np.testing.assert_allclose(cg_normal_init(op, z, 1), z, atol=1e-14)
 

@@ -7,12 +7,11 @@ import pytest
 from oracles import GradOp, ZeroHPd3o, l2_conjugate_prox, np_clip_box, rof_denoise_oracle
 from tvmap import solvers
 from tvmap.operators import (
+    IdentityOp,
     LinearOperator,
     MriEncoder,
     RadonOp,
     cg_normal_init,
-    equispaced_angles,
-    identity_op,
     make_cartesian_mask,
     synth_coil_maps,
 )
@@ -33,11 +32,11 @@ from tvmap.tensors import SharingMode, constant_map, grad, grad_adjoint, ndirs, 
 
 def two_pixel_problem():
     z = np.array([0.0, 2.0]).reshape(1, 2, 1)
-    return identity_op((1, 2, 1)), z
+    return IdentityOp((1, 2, 1)), z
 
 
 def test_single_pixel_denoising_returns_data():
-    A = identity_op((1, 1, 1))
+    A = IdentityOp((1, 1, 1))
     z = np.array([[[1.7]]])
     rep = solve_problem(Problem(A=A, z=z, x0=np.zeros((1, 1, 1))), 0.4, T=200)
     assert abs(rep.image[0, 0, 0] - 1.7) <= 1e-8
@@ -56,7 +55,7 @@ def test_two_pixel_large_weight_gives_mean():
 
 
 def test_eight_pixel_matches_dual_coordinate_oracle(rng):
-    A = identity_op((1, 8, 1))
+    A = IdentityOp((1, 8, 1))
     for trial in range(4):
         z = rng.standard_normal((1, 8, 1))
         lam = float(rng.random() * 0.4 + 0.1)
@@ -66,7 +65,7 @@ def test_eight_pixel_matches_dual_coordinate_oracle(rng):
 
 
 def test_2d_instance_matches_oracle(rng):
-    A = identity_op((1, 4, 3))
+    A = IdentityOp((1, 4, 3))
     z = rng.standard_normal((1, 4, 3))
     lam_field = np.abs(rng.standard_normal((2, 1, 4, 3))) * 0.3 + 0.05
     x_star = rof_denoise_oracle(z, lam_field)
@@ -75,7 +74,7 @@ def test_2d_instance_matches_oracle(rng):
 
 
 def test_solver_deterministic(rng):
-    A = identity_op((2, 6, 6))
+    A = IdentityOp((2, 6, 6))
     z = rng.standard_normal((2, 6, 6))
     r1 = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.2, T=50, record=True)
     r2 = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.2, T=50, record=True)
@@ -104,7 +103,7 @@ def test_step_invariant_violation():
 
 
 def test_objective_practically_decreasing(rng):
-    A = identity_op((2, 5, 5))
+    A = IdentityOp((2, 5, 5))
     z = rng.standard_normal((2, 5, 5))
     rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.3, T=256, record=True)
     for k in (16, 32, 64, 128):
@@ -112,7 +111,7 @@ def test_objective_practically_decreasing(rng):
 
 
 def test_diagnostics_lengths_and_csv(tmp_path, rng):
-    A = identity_op((1, 4, 4))
+    A = IdentityOp((1, 4, 4))
     z = rng.standard_normal((1, 4, 4))
     rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), 0.2, T=7, record=True)
     assert len(rep.objective) == len(rep.step_norm) == len(rep.data_residual) == 7
@@ -124,7 +123,7 @@ def test_diagnostics_lengths_and_csv(tmp_path, rng):
 
 
 def small_ct(rng, n=8, noise=True):
-    op = RadonOp(n, equispaced_angles(12), 13, side=1.0)
+    op = RadonOp(n, 12, 13, side=1.0)
     x_true = np.zeros((1, n, n))
     x_true[0, 2:6, 2:6] = 0.8
     x_true[0, 3:5, 3:5] = 0.4
@@ -163,7 +162,7 @@ def test_pd3o_with_zero_h_matches_pdhg_nonneg_states(rng):
     lam = constant_map(0.3, shape)
     gn = GradOp(shape).norm() * (1.0 + 1e-3)
     sigma, tau = 1.0 / gn, 1.0 / gn
-    it = ZeroHPd3o(identity_op(shape), x0, lam, KlParams(mu=1.0, n0=1.0), x0, (sigma, tau))
+    it = ZeroHPd3o(IdentityOp(shape), x0, lam, KlParams(mu=1.0, n0=1.0), x0, (sigma, tau))
     # hand-rolled PDHG for min iota_{x>=0}(x) + |lam grad x|_1 with theta = 1
     x = x0.copy()
     xbar = x0.copy()
@@ -184,7 +183,7 @@ def test_pd3o_nonfinite_guard(rng):
     # absurd log-counts push the clamped exponentials past float64 range
     from tvmap.errors import NumericalError
 
-    op = RadonOp(8, equispaced_angles(12), 13, side=1.0)
+    op = RadonOp(8, 12, 13, side=1.0)
     bad = KlParams(mu=3.0, n0=1e6)
     z = np.full(op.codomain_shape, -1e6)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as exc:
@@ -196,7 +195,7 @@ def test_pd3o_nonfinite_guard(rng):
 def test_pd3o_counts_the_data_clamp_once(record):
     # one data bin past the clamp: exp(-z mu) is taken once per solve, also
     # when each iteration records its objective
-    op = RadonOp(8, equispaced_angles(6), 11, side=1.0)
+    op = RadonOp(8, 6, 11, side=1.0)
     z = op.forward(np.random.default_rng(0).random((1, 8, 8)))
     z[0, 5] = 300.0
     prob = Problem(A=op, z=z, x0=np.zeros((1, 8, 8)), kl=KlParams(mu=3.0, n0=100.0))
@@ -212,7 +211,7 @@ def test_nonfinite_guard_cadence(rng, solver, T, at):
 
     z = rng.standard_normal((2, 6, 6))
     z[1, 2, 3] = np.nan
-    A, x0 = identity_op(z.shape), np.zeros_like(z)
+    A, x0 = IdentityOp(z.shape), np.zeros_like(z)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
         if solver == "pdhg":
             solve_problem(Problem(A=A, z=z, x0=x0), 0.1, T)
@@ -228,9 +227,9 @@ def test_complex_weight_field_rejected(rng, solver):
     lam = constant_map(0.1, z.shape) * (1.0 + 0.5j)
     with pytest.raises(ValueError, match="real"):
         if solver == "pdhg":
-            solve_problem(Problem(A=identity_op(z.shape), z=z, x0=z), lam, 3)
+            solve_problem(Problem(A=IdentityOp(z.shape), z=z, x0=z), lam, 3)
         else:
-            solve_problem(Problem(A=identity_op(z.shape), z=z, x0=z,
+            solve_problem(Problem(A=IdentityOp(z.shape), z=z, x0=z,
                                   kl=KlParams(mu=1.0, n0=50.0)), lam, 3)
 
 
@@ -239,7 +238,7 @@ def test_reference_solve_pdhg_nonfinite_guard():
 
     z = np.full((1, 4, 4), np.inf)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as exc:
-        solve_problem(Problem(A=identity_op(z.shape), z=z), 0.1, 20000, tol=1e-10)
+        solve_problem(Problem(A=IdentityOp(z.shape), z=z), 0.1, 20000, tol=1e-10)
     assert exc.value.iteration == CHECK_EVERY
 
 
@@ -262,7 +261,7 @@ def test_reference_solve_runs_the_fixed_T_iteration(rng, fidelity):
     # tol = 0 never stops early: T_max steps of the one iteration both share
     if fidelity == "l2":
         z = rng.standard_normal((2, 6, 6))
-        prob = Problem(A=identity_op(z.shape), z=z)
+        prob = Problem(A=IdentityOp(z.shape), z=z)
         n = 120
     else:
         op, x_true, z, kl = small_ct(rng)
@@ -278,7 +277,7 @@ def test_reference_solve_runs_the_fixed_T_iteration(rng, fidelity):
 def test_reference_solve_pd3o_nonfinite_guard():
     from tvmap.errors import NumericalError
 
-    op = RadonOp(8, equispaced_angles(12), 13, side=1.0)
+    op = RadonOp(8, 12, 13, side=1.0)
     prob = Problem(A=op, z=np.full(op.codomain_shape, -1e6), x0=np.zeros((1, 8, 8)),
                    kl=KlParams(mu=3.0, n0=1e6))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
@@ -303,7 +302,7 @@ def test_grid_search_single_point():
 def test_grid_search_tie_breaks_to_smaller():
     # constant truth with z = x_true: every weight reproduces z exactly,
     # all scores tie at +inf and the smallest candidate must win
-    A = identity_op((1, 4, 4))
+    A = IdentityOp((1, 4, 4))
     z = np.full((1, 4, 4), 2.0)
     prob = Problem(A=A, z=z, x_true=z.copy(), x0=z)
     best, scores = grid_search_scalar([prob], SharingMode.XYT, [0.9, 0.1, 0.5], T=20)
@@ -325,7 +324,7 @@ def test_grid_search_xy_t_on_time_constant_video(rng):
     frame = rng.standard_normal((1, 6, 6))
     z = np.repeat(frame, 4, axis=0)
     truth = np.repeat(rng.standard_normal((1, 6, 6)), 4, axis=0)
-    A = identity_op(z.shape)
+    A = IdentityOp(z.shape)
     prob = Problem(A=A, z=z, x_true=truth, x0=z)
     grid = [0.05, 0.15, 0.45]
     best_xyt, _ = grid_search_scalar([prob], SharingMode.XYT, grid, T=300)
@@ -353,13 +352,13 @@ def test_non_finite_weight_field_rejected(rng, bad):
     lam = constant_map(0.1, shape)
     lam[0, 1, 3, 4] = bad
     with pytest.raises(ValueError):
-        solve_problem(Problem(A=identity_op(shape), z=z, x0=z), lam, T=10)
+        solve_problem(Problem(A=IdentityOp(shape), z=z, x0=z), lam, T=10)
     with pytest.raises(ValueError):
-        solve_problem(Problem(A=identity_op(shape), z=z, x0=z), bad, T=10)
+        solve_problem(Problem(A=IdentityOp(shape), z=z, x0=z), bad, T=10)
 
 
 def test_grid_search_workers_schedule_independent(rng):
-    A = identity_op((2, 6, 6))
+    A = IdentityOp((2, 6, 6))
     z = rng.standard_normal((2, 6, 6))
     truth = rng.standard_normal((2, 6, 6))
     prob = Problem(A=A, z=z, x_true=truth, x0=z)
@@ -378,7 +377,7 @@ def test_solve_problem_dispatches_kl(rng):
 
 
 def test_weighted_tv_consistency_with_report(rng):
-    A = identity_op((1, 5, 5))
+    A = IdentityOp((1, 5, 5))
     z = rng.standard_normal((1, 5, 5))
     lam = 0.25
     rep = solve_problem(Problem(A=A, z=z, x0=z.copy()), lam, T=10, record=True)
@@ -414,7 +413,7 @@ def _caller_problem(kind, rng):
     if kind in ("identity", "identity_kl"):
         z = np.abs(rng.standard_normal((3, 6, 5))) + 0.5
         kl = KlParams(mu=1.0, n0=50.0) if kind == "identity_kl" else None
-        return identity_op(z.shape), z, z, kl
+        return IdentityOp(z.shape), z, z, kl
     if kind == "mri":
         enc = MriEncoder(synth_coil_maps(8, 8, 2), make_cartesian_mask(8, 8, 2, 2.0, seed=4))
         z = (rng.standard_normal(enc.codomain_shape)
@@ -451,7 +450,7 @@ def test_pdhg_step_allocates_no_temporaries(rng):
     # after a warm-up, steps without a trail run in the iteration's own buffers
     shape = (8, 64, 64)
     z = rng.standard_normal(shape)
-    it = _Pdhg(identity_op(shape), z, 0.1, z)
+    it = _Pdhg(IdentityOp(shape), z, 0.1, z)
     for _ in range(3):
         it.step()
     tracemalloc.start()
@@ -470,8 +469,8 @@ def test_iterations_clip_against_minus_lam(rng):
     shape = (3, 8, 8)
     z = rng.random(shape)
     lam = rng.random((3,) + shape) + 0.01
-    for it in (_Pdhg(identity_op(shape), z, lam, z),
-               ZeroHPd3o(identity_op(shape), z, lam, KlParams(mu=1.0, n0=1.0), z, (0.1, 0.1))):
+    for it in (_Pdhg(IdentityOp(shape), z, lam, z),
+               ZeroHPd3o(IdentityOp(shape), z, lam, KlParams(mu=1.0, n0=1.0), z, (0.1, 0.1))):
         for _ in range(3):
             it.step()
         assert np.array_equal(it.bound, it.lam / it.sigma)
