@@ -8,7 +8,9 @@ line printed here.
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 Every command writes a manifest next to its outputs: the config that ran,
 with the options that set a config key applied, and the other options
-under ``[manifest]``, so the command reruns from it.
+under ``[manifest]``, so the command reruns from it.  ``train`` writes
+its manifest into the checkpoint directory, beside the weights, and
+``eval`` reads the network from it.
 
 ``train``, ``eval`` and ``gridsearch`` map their items over processes at
 :func:`tvmap.parallel.pmap`'s default count, which only the command's CPU

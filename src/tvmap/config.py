@@ -139,16 +139,21 @@ class ExperimentConfig:
         if self.task == "qmri" and not all(b > a for a, b in zip((0.0, *self.times), self.times)):
             raise ValueError("task = qmri needs positive, strictly increasing inversion "
                              f"times, got times = {format_value(self.times)}")
-        for key in ("seed", "train_count", "val_count", "test_count", "t_solve", "t_test"):
+        for key in ("seed", "train_count", "val_count", "test_count", "t_solve", "t_test",
+                    "epochs"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
-        for key in ("nx", "ny", "nt", "disks", "angles", "bins"):
+        for key in ("nx", "ny", "nt", "disks", "angles", "bins", "t_train", "batch",
+                    "validate_every", "stages", "filters", "convs_per_stage"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.side > 0:
             raise ValueError(f"side must be > 0, got {self.side}")
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        for key in ("lr", "weight_decay"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         self.mode = SharingMode(self.mode or ("xy_t" if self.image_shape[0] > 1 else "xyt"))
         self.mode.check_image(self.image_shape)
 

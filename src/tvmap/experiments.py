@@ -9,27 +9,23 @@ Every command derives all randomness from the config seed (see
 :mod:`tvmap.config` for the derivation), so a command sequence is exactly
 reproducible from the config alone; the data files written by ``gen`` are
 exported artifacts, and downstream commands rebuild the same data in memory.
+
+A checkpoint is the trained network's per-layer TNSR1 tensors plus the
+manifest of the ``train`` run that wrote them, so the config that trained a
+network is its only description: :func:`load_checkpoint` reads it with
+:meth:`ExperimentConfig.load` and builds the network with :func:`net_config`.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from . import fileio
-from .config import (
-    SEED_MASKS,
-    SEED_NOISE,
-    SEED_PHANTOM,
-    ExperimentConfig,
-    parse_sections,
-    render_sections,
-    write_manifest,
-)
-from .fileio import named, parse_list, parse_value
+from .config import SEED_MASKS, SEED_NOISE, SEED_PHANTOM, ExperimentConfig, write_manifest
+from .fileio import named, parse_list
 from .metrics import nrmse, psnr, ssim
 from .network import NetWeights, UNetConfig, init_weights
 from .operators import (
@@ -49,14 +45,6 @@ from .tensors import SharingMode
 from .training import TrainConfig, evaluate, train
 
 SPLIT_OFFSETS = {"train": 0, "val": 100000, "test": 200000}
-
-# The run's training settings: config key -> TrainConfig field, in the
-# order checkpoint.txt lists them.
-TRAIN_SETTINGS = {
-    "mode": "mode", "seed": "seed", "t_train": "t_train", "t_test": "t_test",
-    "lr": "lr", "weight_decay": "weight_decay", "epochs": "epochs",
-    "batch": "batch_size", "validate_every": "validate_every",
-}
 
 # Radon system matrices are immutable and expensive to assemble; share them
 # across items with the same geometry.
@@ -216,6 +204,9 @@ def cmd_gridsearch(args) -> str:
     if mode is SharingMode.XYT and grid_t is not None:
         raise ValueError("--grid-t applies only to mode xy_t; mode xyt takes one "
                          "weight per candidate, from --grid")
+    for option, values in (("--grid", grid), ("--grid-t", grid_t or [])):
+        for lam in values:
+            _apply(cfg, option, "lam", lam)
     problems = build_split(cfg, args.split)
     if mode is SharingMode.XYT:
         spec = grid
@@ -233,56 +224,32 @@ def cmd_gridsearch(args) -> str:
     return f"best weight: {best!r}"
 
 
-def save_checkpoint(
-    ckpt_dir: Path,
-    weights: NetWeights,
-    net_cfg: UNetConfig,
-    cfg: ExperimentConfig,
-    val_loss: float,
-) -> None:
-    """Write each layer's kernel and bias, and ``checkpoint.txt``: every
-    :class:`UNetConfig` field, then the run's training settings."""
+def save_checkpoint(ckpt_dir: Path, weights: NetWeights, cfg: ExperimentConfig,
+                    val_loss: float) -> None:
+    """Write each layer's kernel and bias, and ``manifest.txt``: the config
+    ``cfg`` that trained them, with ``val_loss`` as ``best_val_loss`` under
+    ``[manifest]``."""
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     for i, (k, b) in enumerate(zip(weights.kernels, weights.biases)):
         fileio.write_tensor(ckpt_dir / f"w{i:02d}_kernel.tnsr", k)
         fileio.write_tensor(ckpt_dir / f"w{i:02d}_bias.tnsr", b)
-    pairs = {f.name: getattr(net_cfg, f.name) for f in fields(UNetConfig)}
-    pairs.update({key: getattr(cfg, key) for key in TRAIN_SETTINGS})
-    pairs.update(val_loss=val_loss, n_layers=len(weights.kernels))
-    (ckpt_dir / "checkpoint.txt").write_text(render_sections({"checkpoint": pairs}))
+    write_manifest(ckpt_dir / "manifest.txt", cfg, "train", {"best_val_loss": val_loss})
 
 
 def load_checkpoint(ckpt_dir) -> tuple[NetWeights, UNetConfig, SharingMode]:
-    """Read a checkpoint; ``checkpoint.txt`` must hold every key it is read
-    by, its ``mode`` must have ``out_channels`` channels, and the layer count
-    and every kernel and bias shape must match the convolutions of the
-    network's :meth:`UNetConfig.layer_plan`."""
+    """Read a checkpoint: the network of its ``manifest.txt``, a config that
+    :meth:`ExperimentConfig.load` checks, and that config's sharing mode.
+    Every kernel and bias shape must match the convolutions of the network's
+    :meth:`UNetConfig.layer_plan`."""
     ckpt_dir = Path(ckpt_dir)
-    path = ckpt_dir / "checkpoint.txt"
-    with named(path):
-        info = parse_sections(path.read_text()).get("checkpoint")
-        if info is None:
-            raise ValueError("no [checkpoint] section")
-        kinds = get_type_hints(UNetConfig) | {"n_layers": int}
-        missing = [key for key in [*kinds, "mode"] if key not in info]
-        if missing:
-            raise ValueError(f"missing key(s) {', '.join(missing)}")
-        values = {key: parse_value(kind, key, info[key]) for key, kind in kinds.items()}
-        n_layers = values.pop("n_layers")
-        net_cfg = UNetConfig(**values)
-        convs = net_cfg.convs()
-        if n_layers != len(convs):
-            raise ValueError(f"n_layers = {n_layers}, the network has {len(convs)} layers")
-        mode = SharingMode(info["mode"])
-        if mode.channels != net_cfg.out_channels:
-            raise ValueError(f"mode = {mode} needs out_channels = {mode.channels}, "
-                             f"got {net_cfg.out_channels}")
+    cfg = ExperimentConfig.load(ckpt_dir / "manifest.txt")
+    net_cfg = net_config(cfg)
     kernels, biases = [], []
-    for i, (_, c_in, c_out, k) in enumerate(convs):
+    for i, (_, c_in, c_out, k) in enumerate(net_cfg.convs()):
         kernels.append(_read_shaped(ckpt_dir / f"w{i:02d}_kernel.tnsr",
                                     (c_out, c_in) + (k,) * net_cfg.rank))
         biases.append(_read_shaped(ckpt_dir / f"w{i:02d}_bias.tnsr", (c_out,)))
-    return NetWeights(kernels, biases), net_cfg, mode
+    return NetWeights(kernels, biases), net_cfg, cfg.mode
 
 
 def _read_shaped(path: Path, shape: tuple) -> np.ndarray:
@@ -293,31 +260,31 @@ def _read_shaped(path: Path, shape: tuple) -> np.ndarray:
 
 
 def cmd_train(args) -> str:
-    """Train the parameter-map network; writes checkpoint plus history CSV."""
+    """Train the parameter-map network; writes the checkpoint, whose manifest
+    is the config that ran, plus the history CSV."""
     cfg = ExperimentConfig.load(args.config)
     net_cfg = net_config(cfg)
     with named(args.config):
         net_cfg.check_pooling(cfg.image_shape)
-    settings = {name: getattr(cfg, key) for key, name in TRAIN_SETTINGS.items()}
-    tcfg = TrainConfig(**settings)
+    tcfg = TrainConfig(t_train=cfg.t_train, t_test=cfg.t_test, lr=cfg.lr,
+                       weight_decay=cfg.weight_decay, epochs=cfg.epochs,
+                       batch_size=cfg.batch, validate_every=cfg.validate_every,
+                       seed=cfg.seed, mode=cfg.mode)
     train_items = build_split(cfg, "train")
     val_items = build_split(cfg, "val")
     w0 = init_weights(net_cfg, seed=cfg.seed)
     best, history = train(train_items, val_items, w0, net_cfg, tcfg)
     out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
     best_val = min(v for _, _, v in history if not np.isnan(v))
-    save_checkpoint(out / "checkpoint", best, net_cfg, cfg, best_val)
+    save_checkpoint(out / "checkpoint", best, cfg, best_val)
     fileio.write_csv(out / "history.csv", ["epoch", "train_loss", "val_loss"],
                      [(float(e), t, v) for e, t, v in history])
-    write_manifest(out / "train_manifest.txt", cfg, "train", {"best_val_loss": best_val})
     return f"checkpoint at {out / 'checkpoint'}"
 
 
-def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, cfg: ExperimentConfig,
-                           image: np.ndarray) -> None:
+def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, cfg: ExperimentConfig) -> None:
     """Raise, naming the checkpoint, if its network does not fit the config's
-    test images (equal ``out_channels`` mean equal sharing modes)."""
+    images (equal ``out_channels`` mean equal sharing modes)."""
     want = net_config(cfg)
     for name in ("rank", "in_channels", "out_channels"):
         have, need = getattr(net_cfg, name), getattr(want, name)
@@ -325,7 +292,7 @@ def _check_checkpoint_fits(ckpt_dir, net_cfg: UNetConfig, cfg: ExperimentConfig,
             raise ValueError(f"checkpoint {ckpt_dir}: {name} = {have}, "
                              f"the {cfg.task} config needs {need}")
     with named(f"checkpoint {ckpt_dir}"):
-        net_cfg.check_pooling(image.shape)
+        net_cfg.check_pooling(cfg.image_shape)
 
 
 def cmd_eval(args) -> str:
@@ -333,12 +300,14 @@ def cmd_eval(args) -> str:
     (default: the config's ``t_test``)."""
     cfg = ExperimentConfig.load(args.config)
     t_list = [cfg.t_test] if args.t_test is None else _numbers(int, "--t-test", args.t_test)
+    for T in t_list:
+        _apply(cfg, "--t-test", "t_test", T)
+    if not cfg.test_count:
+        raise ValueError(f"{args.config}: eval needs test items, the config has test_count = 0")
     ckpt_dir = args.checkpoint
     weights, net_cfg, mode = load_checkpoint(ckpt_dir)
+    _check_checkpoint_fits(ckpt_dir, net_cfg, cfg)
     items = build_split(cfg, "test")
-    if not items:
-        raise ValueError("eval needs test items, the config has test_count = 0")
-    _check_checkpoint_fits(ckpt_dir, net_cfg, cfg, items[0].init_image())
     rows = []
     mean_rows = []
     for T in t_list:

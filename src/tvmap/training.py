@@ -59,9 +59,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.t_train < 1:
             raise ValueError("t_train must be >= 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.weight_decay < 0:
+        if not self.lr >= 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")

@@ -89,13 +89,15 @@ def test_solve_rejects_item_outside_test_split(tmp_path, capsys, item):
     assert main(["solve", "--config", str(path), "--item", "1", "--T", "2"]) == 0
 
 
-def test_eval_rejects_empty_test_split(tmp_path, capsys):
+def test_eval_rejects_empty_test_split(tmp_path, capsys, monkeypatch):
     _, path = tiny_config(tmp_path, epochs=1)
     assert main(["train", "--config", str(path)]) == 0
     _, empty = tiny_config(tmp_path, test_count=0)
+    monkeypatch.setattr(experiments, "build_split", None)  # not reached
     assert main(["eval", "--config", str(empty), "--checkpoint",
                  str(tmp_path / "run" / "checkpoint"), "--t-test", "4"]) == 2
-    assert "test_count = 0" in capsys.readouterr().err
+    assert (f"config error: {empty}: eval needs test items, the config has test_count = 0\n"
+            == capsys.readouterr().err)
     assert not (tmp_path / "run" / "eval").exists()
 
 
@@ -148,7 +150,8 @@ def test_train_eval_pipeline(tmp_path):
     cfg, path = tiny_config(tmp_path)
     assert main(["train", "--config", str(path)]) == 0
     ckpt = tmp_path / "run" / "checkpoint"
-    assert (ckpt / "checkpoint.txt").exists()
+    assert ExperimentConfig.load(ckpt / "manifest.txt") == cfg
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["checkpoint", "history.csv"]
     hist = (tmp_path / "run" / "history.csv").read_text().splitlines()
     assert hist[0] == "epoch,train_loss,val_loss"
     assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
@@ -195,13 +198,15 @@ def test_eval_t_test_defaults_to_config(tmp_path):
     (dict(nt=1), "out_channels = 2, the denoise config needs 1"),  # resolves mode xyt
     (dict(nt=3), "stages = 2 needs image sizes divisible by 2"),
 ])
-def test_eval_rejects_checkpoint_for_other_config(tmp_path, capsys, overrides, words):
+def test_eval_rejects_checkpoint_for_other_config(tmp_path, capsys, monkeypatch, overrides,
+                                                  words):
     _, path = tiny_config(tmp_path, epochs=1)  # denoise, 4 frames, mode xy_t
     assert main(["train", "--config", str(path)]) == 0
     ckpt = str(tmp_path / "run" / "checkpoint")
     other = tmp_path / "other"
     other.mkdir()
     _, other_path = tiny_config(other, **overrides)
+    monkeypatch.setattr(experiments, "build_split", None)  # not reached
     assert main(["eval", "--config", str(other_path), "--checkpoint", ckpt]) == 2
     err = capsys.readouterr().err
     assert ckpt in err and words in err
@@ -217,45 +222,55 @@ def _eval_edited_checkpoint(tmp_path, edit) -> int:
 
 
 def test_eval_rejects_checkpoint_layer_count(tmp_path, capsys):
-    def drop_layer(ckpt):
-        info = ckpt / "checkpoint.txt"
-        info.write_text(info.read_text().replace("n_layers = 4", "n_layers = 3"))
+    def add_stage(ckpt):
+        info = ckpt / "manifest.txt"
+        info.write_text(info.read_text().replace("stages = 2", "stages = 3"))
 
-    assert _eval_edited_checkpoint(tmp_path, drop_layer) == 2
-    err = capsys.readouterr().err
-    assert "checkpoint.txt" in err and "n_layers = 3" in err
+    assert _eval_edited_checkpoint(tmp_path, add_stage) == 2
+    kernel = tmp_path / "run" / "checkpoint" / "w02_kernel.tnsr"
+    assert (f"config error: {kernel}: shape (2, 6, 3, 3, 3), the layer plan needs "
+            "(8, 4, 3, 3, 3)\n" == capsys.readouterr().err)
+
+
+def test_eval_rejects_checkpoint_without_its_manifest(tmp_path, capsys):
+    # the text file of an older checkpoint, checkpoint.txt, is not read
+    def old_format(ckpt):
+        (ckpt / "manifest.txt").rename(ckpt / "checkpoint.txt")
+
+    assert _eval_edited_checkpoint(tmp_path, old_format) == 2
+    manifest = tmp_path / "run" / "checkpoint" / "manifest.txt"
+    assert f"No such file or directory: '{manifest}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("rank = 3\n", "", "missing key(s) rank"),
-    ("[checkpoint]", "[weights]", "no [checkpoint] section"),
+    ("seed = 77\n", "", "missing mandatory key 'seed' in [run]"),
+    ("[train]", "[weights]", "unknown section [weights]"),
 ], ids=["key", "section"])
 def test_eval_rejects_checkpoint_without_a_key(tmp_path, capsys, old, new, message):
     def edit_info(ckpt):
-        info = ckpt / "checkpoint.txt"
+        info = ckpt / "manifest.txt"
         assert old in info.read_text()
         info.write_text(info.read_text().replace(old, new))
 
     assert _eval_edited_checkpoint(tmp_path, edit_info) == 2
-    err = capsys.readouterr().err
-    assert "checkpoint.txt" in err and message in err
+    info = tmp_path / "run" / "checkpoint" / "manifest.txt"
+    assert f"config error: {info}: {message}\n" == capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("n_layers = 4", "n_layers = four", "cannot parse n_layers = 'four'"),
+    ("filters = 2", "filters = two", "cannot parse filters = 'two'"),
     ("mode = xy_t", "mode = foo", "'foo' is not a valid SharingMode"),
-    ("mode = xy_t", "mode = xyt", "mode = xyt needs out_channels = 1, got 2"),
-    ("rank = 3", "rank = 5", "rank must be 2 or 3"),
-    ("[checkpoint]\n", "[checkpoint]\nno pair here\n", "line 2: expected 'key = value'"),
-], ids=["n_layers", "mode", "mode_channels", "rank", "line"])
+    ("stages = 2", "stages = 0", "stages must be >= 1, got 0"),
+    ("[run]\n", "[run]\nno pair here\n", "line 2: expected 'key = value'"),
+], ids=["value", "mode", "stages", "line"])
 def test_eval_checkpoint_error_names_the_file(tmp_path, capsys, old, new, message):
     def edit_info(ckpt):
-        info = ckpt / "checkpoint.txt"
+        info = ckpt / "manifest.txt"
         assert old in info.read_text()
         info.write_text(info.read_text().replace(old, new))
 
     assert _eval_edited_checkpoint(tmp_path, edit_info) == 2
-    info = tmp_path / "run" / "checkpoint" / "checkpoint.txt"
+    info = tmp_path / "run" / "checkpoint" / "manifest.txt"
     assert f"config error: {info}: {message}" in capsys.readouterr().err
 
 
@@ -327,8 +342,8 @@ def test_train_eval_outputs_identical_for_any_worker_count(tmp_path, monkeypatch
         shutil.rmtree(run)
     assert trees[0] == trees[1]
     assert {"manifest.txt", "data/train_004_z.tnsr", "gridsearch/scores_xy_t.csv",
-            "gridsearch/manifest.txt", "history.csv", "train_manifest.txt",
-            "checkpoint/checkpoint.txt", "eval/metrics.csv", "eval/manifest.txt"} <= set(trees[0])
+            "gridsearch/manifest.txt", "history.csv", "checkpoint/manifest.txt",
+            "eval/metrics.csv", "eval/manifest.txt"} <= set(trees[0])
     assert not any(b"workers" in data for data in trees[0].values())
 
 
@@ -362,19 +377,6 @@ def test_readme_configs_load():
     assert configs
     for text in configs:
         ExperimentConfig.from_text(text)
-
-
-@pytest.mark.parametrize(
-    "key, value, expected",
-    [("validate_every", 0, "validate_every"), ("batch", 0, "batch_size"), ("epochs", -1, "epochs"),
-     # the Adam step applies only a positive decay, so -0.5 would train undecayed
-     ("weight_decay", -0.5, "weight_decay must be >= 0, got -0.5")],
-)
-def test_train_rejects_bad_loop_settings(tmp_path, capsys, key, value, expected):
-    _, path = tiny_config(tmp_path, **{key: value})
-    assert main(["train", "--config", str(path)]) == 2
-    assert expected in capsys.readouterr().err
-    assert not (tmp_path / "run" / "checkpoint").exists()
 
 
 def test_full_pipeline_deterministic(tmp_path):
@@ -478,7 +480,7 @@ def test_eval_numerical_failure_writes_nothing(tmp_path, capsys):
     weights = init_weights(net_cfg, seed=1)
     weights.biases[-1][:] = -1e4
     ckpt = tmp_path / "ckpt"
-    experiments.save_checkpoint(ckpt, weights, net_cfg, cfg, 0.0)
+    experiments.save_checkpoint(ckpt, weights, cfg, 0.0)
     assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
     assert "not finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -512,7 +514,7 @@ def test_ct_config_without_mode_runs_every_command(tmp_path):
                  ["train"], ["eval", "--checkpoint", ckpt, "--t-test", "4"]):
         assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
     for written in ("manifest.txt", "solve/manifest.txt", "gridsearch/manifest.txt",
-                    "train_manifest.txt", "checkpoint/checkpoint.txt", "eval/manifest.txt"):
+                    "checkpoint/manifest.txt", "eval/manifest.txt"):
         assert "mode = xyt\n" in (tmp_path / "run" / written).read_text()
 
 
@@ -549,19 +551,21 @@ def _rerun_argv(manifest: Path) -> list[str]:
     ({"mode": "x_y_t"}, ["gridsearch", "--mode", "xyt", "--grid", "0.05,0.2", "--T", "4"]),
     ({}, ["gridsearch", "--mode", "xy_t", "--grid", "0.05,0.2", "--grid-t", "0.1",
           "--split", "val"]),
-], ids=["solve-lambda", "solve-map", "gridsearch-xyt-on-x_y_t", "gridsearch-xy_t"])
+    ({}, ["train"]),  # its manifest is checkpoint/manifest.txt
+], ids=["solve-lambda", "solve-map", "gridsearch-xyt-on-x_y_t", "gridsearch-xy_t", "train"])
 def test_rerun_from_manifest_reproduces_every_file(tmp_path, overrides, argv):
     _, path = tiny_config(tmp_path, **overrides)
     write_tensor(tmp_path / "lam.tnsr", np.full((3, 4, 8, 8), 0.15))
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
-    out = tmp_path / "run" / argv[0]
-    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    run = tmp_path / "run"
+    first = _tree_bytes(run)
+    (written,) = run.rglob("manifest.txt")
     manifest = tmp_path / "manifest.cfg"
-    shutil.copy(out / "manifest.txt", manifest)
-    shutil.rmtree(out)
+    shutil.copy(written, manifest)
+    shutil.rmtree(run)
     assert main(_rerun_argv(manifest)) == 0
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    assert _tree_bytes(run) == first
 
 
 def test_manifest_holds_the_options_in_the_config_sections(tmp_path):
@@ -604,10 +608,16 @@ def test_gridsearch_temporal_mode_option_on_ct_config_exits_before_building(tmp_
     (["solve", "--lambda", "-1"], "--lambda: lam must be finite and > 0, got -1.0"),
     (["solve", "--lambda", "nan"], "--lambda: lam must be finite and > 0, got nan"),
     (["gridsearch", "--grid", "0.1", "--T", "-2"], "--T: t_solve must be >= 0, got -2"),
-], ids=["solve-T", "solve-lambda", "solve-lambda-nan", "gridsearch-T"])
-def test_option_that_sets_a_config_key_is_checked_by_the_config(tmp_path, capsys, argv,
-                                                                 message):
+    (["gridsearch", "--grid", "0.1,-0.2"], "--grid: lam must be finite and > 0, got -0.2"),
+    (["gridsearch", "--mode", "xy_t", "--grid", "0.1", "--grid-t", "0.2,0"],
+     "--grid-t: lam must be finite and > 0, got 0.0"),
+    (["eval", "--checkpoint", "unread", "--t-test=4,-1"], "--t-test: t_test must be >= 0, got -1"),
+], ids=["solve-T", "solve-lambda", "solve-lambda-nan", "gridsearch-T", "gridsearch-grid",
+        "gridsearch-grid-t", "eval-t-test"])
+def test_option_that_sets_a_config_key_is_checked_by_the_config(tmp_path, capsys, monkeypatch,
+                                                                 argv, message):
     _, path = tiny_config(tmp_path)
+    monkeypatch.setattr(experiments, "build_split", None)  # not reached
     assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
     assert f"config error: {message}\n" == capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -617,7 +627,19 @@ def test_option_that_sets_a_config_key_is_checked_by_the_config(tmp_path, capsys
     ("t_solve = 8", "t_solve = -1", "t_solve must be >= 0, got -1"),
     ("t_test = 8", "t_test = -1", "t_test must be >= 0, got -1"),
     ("lam = 0.1", "lam = 0", "lam must be finite and > 0, got 0.0"),
-], ids=["t_solve", "t_test", "lam"])
+    ("t_train = 4", "t_train = 0", "t_train must be >= 1, got 0"),
+    ("epochs = 2", "epochs = -1", "epochs must be >= 0, got -1"),
+    ("batch = 2", "batch = 0", "batch must be >= 1, got 0"),
+    ("validate_every = 1", "validate_every = 0", "validate_every must be >= 1, got 0"),
+    ("stages = 2", "stages = 0", "stages must be >= 1, got 0"),
+    ("filters = 2", "filters = 0", "filters must be >= 1, got 0"),
+    ("convs_per_stage = 1", "convs_per_stage = 0", "convs_per_stage must be >= 1, got 0"),
+    ("lr = 0.01", "lr = nan", "lr must be finite and >= 0, got nan"),
+    # the Adam step applies only a positive decay, so either would train undecayed
+    ("weight_decay = 0.0", "weight_decay = -0.5", "weight_decay must be finite and >= 0, got -0.5"),
+    ("weight_decay = 0.0", "weight_decay = nan", "weight_decay must be finite and >= 0, got nan"),
+], ids=["t_solve", "t_test", "lam", "t_train", "epochs", "batch", "validate_every", "stages",
+        "filters", "convs_per_stage", "lr-nan", "weight_decay", "weight_decay-nan"])
 @pytest.mark.parametrize("command", ["gen", "solve", "gridsearch", "train", "eval"])
 def test_bad_solver_setting_exits_at_load(tmp_path, capsys, command, old, new, message):
     _, path = tiny_config(tmp_path)

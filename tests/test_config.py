@@ -3,8 +3,10 @@ import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tvmap.config import ExperimentConfig, parse_sections, render_sections, write_manifest
+from tvmap.config import TASKS, ExperimentConfig, parse_sections, render_sections, write_manifest
 from tvmap.tensors import SharingMode
 
 MINIMAL = """
@@ -201,3 +203,72 @@ def test_sections_list_every_field_once_in_order():
     # a field missing here could not be loaded and would be left out of manifests
     listed = [key for keys in ExperimentConfig._SECTIONS.values() for key in keys]
     assert listed == [f.name for f in fields(ExperimentConfig)]
+
+
+# fuzzed config text: any text, or a [run] header or none, then known keys in
+# their sections with plausible or any values, then a last line that may be
+# malformed or unknown
+_PAIRS = [(sec, key) for sec, keys in ExperimentConfig._SECTIONS.items() for key in keys]
+_PAIR_LINES = st.builds(
+    "[{0[0]}]\n{0[1]} = {1}".format, st.sampled_from(_PAIRS),
+    st.integers(-2, 9).map(str) | st.floats().map(repr) | st.text(max_size=8)
+    | st.sampled_from(["", "1,2", "0.2,0.1", "xyt", "xy_t", "x_y_t", *TASKS]))
+_TEXTS = st.text() | st.builds(
+    "{}\n{}\n{}".format,
+    st.sampled_from(["", *(f"[run]\ntask = {t}\nseed = 1" for t in TASKS)]),
+    st.lists(_PAIR_LINES, max_size=8).map("\n".join),
+    st.just("") | st.sampled_from(["# note", "no pair here", "[manifest]", "[nosuch]", "[]",
+                                   "what = 1"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_TEXTS)
+def test_load_returns_a_config_or_an_error_naming_the_file(tmp_path_factory, text):
+    # every config, manifest and checkpoint is read by this one loader
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text)
+    try:
+        cfg = ExperimentConfig.load(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert isinstance(cfg, ExperimentConfig)
+
+
+_COUNT, _SIZE = st.integers(0, 2**40), st.integers(1, 64)
+# each optional key, drawn within the range the config accepts
+_VALID = {
+    **dict.fromkeys(("train_count", "val_count", "test_count", "coils", "cg_iters",
+                     "t_solve", "t_test", "epochs"), _COUNT),
+    **dict.fromkeys(("nx", "ny", "nt", "disks", "angles", "bins", "t_train", "batch",
+                     "validate_every", "stages", "filters", "convs_per_stage"), _SIZE),
+    **dict.fromkeys(("sigma", "accel", "center_fraction", "mu", "n0"),
+                    st.floats(allow_nan=False, allow_infinity=False)),
+    **dict.fromkeys(("side", "lam"), st.floats(0, exclude_min=True, allow_infinity=False)),
+    **dict.fromkeys(("lr", "weight_decay"), st.floats(0, allow_infinity=False)),
+    "outdir": st.text("abc/_.-019", max_size=12),
+    "mode": st.sampled_from(["", *(m.value for m in SharingMode)]),
+    "times": st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12, unique=True)
+                .map(sorted).map(tuple),
+}
+
+
+@st.composite
+def _valid_configs(draw):
+    values = draw(st.fixed_dictionaries({"task": st.sampled_from(TASKS), "seed": _COUNT},
+                                        optional=_VALID))
+    if values["task"] in ("ct", "qmri"):
+        values["ny"] = values.get("nx", 32)
+    if ExperimentConfig(**values | {"mode": "xyt"}).image_shape[0] == 1:
+        values["mode"] = "xyt"  # the only mode of a single frame
+    return ExperimentConfig(**values)
+
+
+def test_valid_config_draws_cover_every_key():
+    assert {"task", "seed", *_VALID} == {f.name for f in fields(ExperimentConfig)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_valid_configs())
+def test_valid_config_round_trips_through_text(cfg):
+    assert ExperimentConfig.from_text(render_sections(cfg.to_sections())) == cfg

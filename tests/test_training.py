@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,13 @@ from oracles import (
     taped_reconstruct_reference,
     zero_weights,
 )
+
+
+@pytest.mark.parametrize("key", ["lr", "weight_decay"])
+def test_train_config_rejects_nan_rates(key):
+    # the benchmark and the scripts build TrainConfig without a config file
+    with pytest.raises(ValueError, match=f"^{key} must be >= 0, got nan$"):
+        TrainConfig(**{key: math.nan})
 
 
 def denoise_problem(rng, shape=(4, 8, 8), sigma=0.2):
