@@ -139,21 +139,24 @@ class ExperimentConfig:
         if self.task == "qmri" and not all(b > a for a, b in zip((0.0, *self.times), self.times)):
             raise ValueError("task = qmri needs positive, strictly increasing inversion "
                              f"times, got times = {format_value(self.times)}")
-        for key in ("seed", "train_count", "val_count", "test_count", "t_solve", "t_test",
-                    "epochs"):
+        for key in ("seed", "train_count", "val_count", "test_count", "cg_iters", "t_solve",
+                    "t_test", "epochs"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
-        for key in ("nx", "ny", "nt", "disks", "angles", "bins", "t_train", "batch",
+        for key in ("nx", "ny", "nt", "disks", "coils", "angles", "bins", "t_train", "batch",
                     "validate_every", "stages", "filters", "convs_per_stage"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.side > 0:
             raise ValueError(f"side must be > 0, got {self.side}")
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        for key in ("lr", "weight_decay"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if not 0 <= self.center_fraction <= 1:
+            raise ValueError(f"center_fraction must be in [0, 1], got {self.center_fraction}")
+        for key in ("lam", "mu", "n0"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        for key, low in (("sigma", 0), ("accel", 1), ("lr", 0), ("weight_decay", 0)):
+            if not low <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and >= {low}, got {getattr(self, key)}")
         self.mode = SharingMode(self.mode or ("xy_t" if self.image_shape[0] > 1 else "xyt"))
         self.mode.check_image(self.image_shape)
 

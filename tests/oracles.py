@@ -17,7 +17,8 @@ the reference for the PDHG step's update of its dual held divided by sigma,
 and ``np_clip_box`` the box projection written with ``np.clip``.
 ``radon_matrix_summed`` keeps the Radon system matrix's earlier assembly,
 one full-size block per angle summed pairwise, as the reference for the
-stacked one.  ``estimate_weight_field`` is the plain network-to-field map,
+operator's action, which stores one angle per symmetry orbit.
+``estimate_weight_field`` is the plain network-to-field map,
 and ``weight_field_taped`` records it with the channel expansion as a node
 of its own, the reference for training's one node from the channels to the
 reconstruction.

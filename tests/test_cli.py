@@ -461,7 +461,7 @@ def test_qmri_config_without_times_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("task, old, new, words", [
     ("denoise", "seed = 77", "seed = -3", "seed must be >= 0"),
     ("qmri", None, "times = 0.5,0.1,0.2", "times = 0.5,0.1,0.2"),
-    ("mri", "accel = 4.0", "accel = 0.5", "acceleration R must be >= 1"),
+    ("mri", "accel = 4.0", "accel = 0.5", "accel must be finite and >= 1"),
 ])
 def test_gen_error_leaves_no_directory(tmp_path, capsys, task, old, new, words):
     _, path = tiny_config(tmp_path, task=task, coils=2)

@@ -181,6 +181,27 @@ def test_sizes_and_geometry_that_build_no_image_rejected(key, value, rule):
         ExperimentConfig.from_text(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("task, key, value, rule", [
+    ("mri", "sigma", math.nan, "finite and >= 0"), ("mri", "sigma", -1.0, "finite and >= 0"),
+    ("mri", "sigma", math.inf, "finite and >= 0"),
+    ("mri", "accel", 0.5, "finite and >= 1"), ("mri", "accel", math.inf, "finite and >= 1"),
+    ("mri", "coils", 0, ">= 1"), ("mri", "cg_iters", -1, ">= 0"),
+    ("mri", "center_fraction", 2.0, "in [0, 1]"), ("mri", "center_fraction", -0.1, "in [0, 1]"),
+    ("mri", "center_fraction", math.nan, "in [0, 1]"),
+    ("ct", "mu", -1.0, "finite and > 0"), ("ct", "mu", math.inf, "finite and > 0"),
+    ("ct", "n0", 0.0, "finite and > 0"), ("ct", "n0", math.nan, "finite and > 0"),
+])
+def test_noise_and_operator_keys_checked_at_load(tmp_path, task, key, value, rule):
+    # they reached the noise draw, the masks, the coil maps, CG or the
+    # Poisson counts, which failed later or not at all
+    section = next(sec for sec, keys in ExperimentConfig._SECTIONS.items() if key in keys)
+    path = tmp_path / "bad.cfg"
+    path.write_text(MINIMAL.replace("denoise", task) + f"\n[{section}]\n{key} = {value}\n")
+    message = f"{path}: {key} must be {rule}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.load(path)
+
+
 def test_unparsable_times_name_the_key():
     with pytest.raises(ValueError, match=r"^cannot parse times = '0.1,abc'$"):
         ExperimentConfig.from_text(MINIMAL + "\n[qmri]\ntimes = 0.1,abc\n")
@@ -238,14 +259,15 @@ def test_load_returns_a_config_or_an_error_naming_the_file(tmp_path_factory, tex
 _COUNT, _SIZE = st.integers(0, 2**40), st.integers(1, 64)
 # each optional key, drawn within the range the config accepts
 _VALID = {
-    **dict.fromkeys(("train_count", "val_count", "test_count", "coils", "cg_iters",
-                     "t_solve", "t_test", "epochs"), _COUNT),
-    **dict.fromkeys(("nx", "ny", "nt", "disks", "angles", "bins", "t_train", "batch",
+    **dict.fromkeys(("train_count", "val_count", "test_count", "cg_iters", "t_solve",
+                     "t_test", "epochs"), _COUNT),
+    **dict.fromkeys(("nx", "ny", "nt", "disks", "coils", "angles", "bins", "t_train", "batch",
                      "validate_every", "stages", "filters", "convs_per_stage"), _SIZE),
-    **dict.fromkeys(("sigma", "accel", "center_fraction", "mu", "n0"),
-                    st.floats(allow_nan=False, allow_infinity=False)),
-    **dict.fromkeys(("side", "lam"), st.floats(0, exclude_min=True, allow_infinity=False)),
-    **dict.fromkeys(("lr", "weight_decay"), st.floats(0, allow_infinity=False)),
+    **dict.fromkeys(("side", "lam", "mu", "n0"),
+                    st.floats(0, exclude_min=True, allow_infinity=False)),
+    **dict.fromkeys(("sigma", "lr", "weight_decay"), st.floats(0, allow_infinity=False)),
+    "accel": st.floats(1, allow_infinity=False),
+    "center_fraction": st.floats(0, 1),
     "outdir": st.text("abc/_.-019", max_size=12),
     "mode": st.sampled_from(["", *(m.value for m in SharingMode)]),
     "times": st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12, unique=True)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tvmap import operators
 from tvmap.errors import ConvergenceError
@@ -104,15 +105,21 @@ def test_adjoint_contract_mri_r4(rng):
     assert_adjoint_contract(enc, rng, complex_domain=True)
 
 
+# odd and even angle counts, with orbits of one, two and four angles
+ORBIT_ANGLE_COUNTS = (1, 2, 3, 4, 7, 10, 12)
+
+
 def test_adjoint_contract_radon(rng):
-    op = RadonOp(12, 10, 18, side=1.0)
-    for _ in range(100):
-        x = rng.standard_normal(op.domain_shape)
-        y = rng.standard_normal(op.codomain_shape)
-        lhs = np.sum(op.forward(x) * y)
-        rhs = np.sum(x * op.adjoint(y))
-        scale = np.linalg.norm(x.ravel()) * np.linalg.norm(y.ravel())
-        assert abs(lhs - rhs) <= 1e-10 * scale
+    ops = [RadonOp(12, 10, 18, side=1.0)]
+    ops += [RadonOp(9, n_angles, 11, side=1.0) for n_angles in ORBIT_ANGLE_COUNTS]
+    for op in ops:
+        for _ in range(100):
+            x = rng.standard_normal(op.domain_shape)
+            y = rng.standard_normal(op.codomain_shape)
+            lhs = np.sum(op.forward(x) * y)
+            rhs = np.sum(x * op.adjoint(y))
+            scale = np.linalg.norm(x.ravel()) * np.linalg.norm(y.ravel())
+            assert abs(lhs - rhs) <= 1e-10 * scale
 
 
 def test_mri_unitary_when_fully_sampled(rng):
@@ -214,17 +221,37 @@ def test_radon_disk_profiles_match_under_grid_symmetry():
     assert dev <= 1e-6 * max(np.max(np.abs(sino)), 1e-300)
 
 
-def _csr_arrays(m):
-    return [(a.dtype.str, a.tobytes()) for a in (m.data, m.indices, m.indptr)] + [m.shape]
+def _held_bytes(op):
+    """Bytes of every array the operator holds: sparse matrices, index maps."""
+    arrays = []
+    for value in vars(op).values():
+        if sparse.issparse(value):
+            arrays += [value.data, value.indices, value.indptr]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, list):
+            arrays += [a for entry in value for a in entry]
+    return sum(a.nbytes for a in arrays)
 
 
-@pytest.mark.parametrize("n, n_angles, n_bins", [(9, 7, 9), (12, 10, 17), (16, 2, 23)])
+@pytest.mark.parametrize("n, n_angles, n_bins", [
+    (9, 7, 9), (12, 10, 17), (16, 2, 23), *((9, k, 11) for k in ORBIT_ANGLE_COUNTS)])
 def test_radon_matrix_matches_summed_assembly(n, n_angles, n_bins):
-    # odd n, bins != n, and two angles; byte equality of both stored matrices
+    # the dense action, forward on every unit image, against the full matrix;
+    # the stored rows of one angle per orbit move at round-off only
     op = RadonOp(n, n_angles, n_bins)
-    want = radon_matrix_summed(op)
-    assert _csr_arrays(op._matrix) == _csr_arrays(want)
-    assert _csr_arrays(op._matrix_t) == _csr_arrays(want.T.tocsr())
+    want = radon_matrix_summed(op).toarray()
+    units = np.eye(n * n).reshape((n * n,) + op.domain_shape)
+    got = np.stack([op.forward(e).ravel() for e in units], axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_radon_holds_a_quarter_of_the_full_matrix_pair():
+    # desk geometry: 23 of 90 angles are stored, with their transpose
+    op = RadonOp(64, 90, 95, side=0.26)
+    full = radon_matrix_summed(op)
+    pair = sum(a.nbytes for m in (full, full.T.tocsr()) for a in (m.data, m.indices, m.indptr))
+    assert _held_bytes(op) <= 0.3 * pair
 
 
 def test_radon_assembly_peak_memory_near_held_matrices():
@@ -234,9 +261,7 @@ def test_radon_assembly_peak_memory_near_held_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = sum(a.nbytes for m in (op._matrix, op._matrix_t)
-               for a in (m.data, m.indices, m.indptr))
-    assert peak <= 1.5 * held
+    assert peak <= 1.5 * _held_bytes(op)
 
 
 def test_fbp_zero_sinogram():
