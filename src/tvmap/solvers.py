@@ -185,7 +185,7 @@ class _PrimalDual:
     is q' = clip(q + sigma grad xbar) divided by sigma.  :func:`_run` hands
     ``r`` over as ``dual_q``, multiplied by sigma in place.  A subclass adds
     its fidelity: its steps (PDHG updates its data dual s = p / sigma in
-    place), its ``_fidelity`` value and its own ``_STEP_ONLY`` buffers."""
+    place), ``_image_forward``, ``_fidelity`` and its ``_STEP_ONLY`` buffers."""
 
     _STEP_ONLY = ("prev", "xbar", "u", "bound", "neg_bound")
 
@@ -215,7 +215,7 @@ class _PrimalDual:
     def measure(self) -> tuple[float, float]:
         """Objective (fidelity plus weighted TV) and data residual |Ax - z|
         at the current iterate."""
-        ax = self.A.forward(self.image)
+        ax = self._image_forward()
         r = ax - self.z
         obj = self._fidelity(ax, r) + weighted_tv(self.image, self.lam)
         return obj, float(np.linalg.norm(r.ravel()))
@@ -304,6 +304,9 @@ class _Pdhg(_PrimalDual):
             gp *= s
         return tv.glam
 
+    def _image_forward(self) -> np.ndarray:
+        return self.A.forward(self.image)  # the step formed A xbar only
+
     def _fidelity(self, ax, r) -> float:
         return 0.5 * float(np.sum(np.abs(r) ** 2))
 
@@ -316,7 +319,7 @@ class _Pd3o(_PrimalDual):
     curvature for :meth:`reverse`.
     """
 
-    _STEP_ONLY = _PrimalDual._STEP_ONLY + ("tau_gh", "gh")
+    _STEP_ONLY = _PrimalDual._STEP_ONLY + ("tau_gh", "gh", "ax")
 
     def __init__(self, A, z, lam, kl, xbar0, step=None, trail=None):
         grad_norm = grad_norm_exact(xbar0.shape)
@@ -331,8 +334,9 @@ class _Pd3o(_PrimalDual):
     def _grad_h(self, p: np.ndarray, curvature: bool = False):
         """The KL gradient at ``p`` and, if ``curvature``, the clamped
         exp(-mu A p) the gradient took, zero where the clamp engaged, which
-        its derivative A^T diag(mu^2 n0 exp(-mu A p)) A needs; else None."""
-        ax = self.A.forward(p)
+        its derivative A^T diag(mu^2 n0 exp(-mu A p)) A needs; else None.
+        A p is kept as ``ax``, which :meth:`measure` reads."""
+        ax = self.ax = self.A.forward(p)
         factor, exp_m_ax = kl_grad_sino(ax, self.exp_mz, self.kl, self.diag)
         gh = self.A.adjoint(factor)
         if not curvature:
@@ -385,6 +389,9 @@ class _Pd3o(_PrimalDual):
             ggh *= tau
             tv.back(code, gw, gxbar)
         return tv.glam
+
+    def _image_forward(self) -> np.ndarray:
+        return self.ax  # A p' of the step's gradient, p' being the image
 
     def _fidelity(self, ax, r) -> float:
         return kl_value(ax, self.exp_mz, self.kl, self.diag)

@@ -17,7 +17,10 @@ the reference for the PDHG step's update of its dual held divided by sigma,
 and ``np_clip_box`` the box projection written with ``np.clip``.
 ``radon_matrix_summed`` keeps the Radon system matrix's earlier assembly,
 one full-size block per angle summed pairwise, as the reference for the
-operator's action, which stores one angle per symmetry orbit.
+operator's action, which stores one angle per symmetry orbit, and
+``radon_forward_per_map`` and ``radon_adjoint_per_map`` apply its image maps
+one at a time, one CSR matvec each, the reference for the bytes of its
+one product per direction.
 ``estimate_weight_field`` is the plain network-to-field map,
 and ``weight_field_taped`` records it with the channel expansion as a node
 of its own, the reference for training's one node from the channels to the
@@ -117,6 +120,29 @@ def radon_matrix_summed(op) -> sparse.csr_matrix:
     mat = sparse.csr_matrix(sum(blocks))
     mat.sum_duplicates()
     return mat
+
+
+def radon_forward_per_map(op, x: np.ndarray) -> np.ndarray:
+    """``op.forward(x)`` as one CSR matvec per image map: map k's column of
+    the operator's gather and target arrays, the unplaced rows into a spare
+    last slot."""
+    rows = op._rows_t.T.tocsr()
+    x = x.ravel()
+    s = np.empty(op.angles.size * op.n_bins + 1)
+    for gather, target in zip(op._gather.T, op._target.T):
+        s[target] = rows @ x[gather]
+    return s[:-1].reshape(op.codomain_shape)
+
+
+def radon_adjoint_per_map(op, s: np.ndarray) -> np.ndarray:
+    """``op.adjoint(s)`` as one matvec with the CSR transpose per image map,
+    each gathered back by the inverse of its pixel gather and summed in map
+    order."""
+    rows_t = op._rows.T.tocsr()
+    s = np.append(s.ravel(), 0.0)  # unplaced rows read a zero
+    x = sum((rows_t @ s[target])[np.argsort(gather)]
+            for gather, target in zip(op._gather.T, op._target.T))
+    return x.reshape(op.domain_shape)
 
 
 def _difference_rows(shape):

@@ -548,9 +548,10 @@ class _CountingOp(LinearOperator):
 @pytest.mark.parametrize("kind", ["identity", "mri", "radon_kl"])
 def test_step_applies_each_operator_once(rng, monkeypatch, kind, record):
     """A step applies A, A^T, grad and grad^T once each: the counts behind
-    the benchmark's ``*_calls_per_recon``.  A recorded step applies A once
-    more, to x for the objective.  That extra forward is still open: the
-    step has A xbar only, so ``record=True`` costs one matvec per step."""
+    the benchmark's ``*_calls_per_recon``.  A recorded PD3O step reuses its
+    gradient's A p' for the objective, p' being the new iterate.  A recorded
+    PDHG step applies A once more, to x: the step has A xbar only, so there
+    ``record=True`` costs one matvec per step."""
     A, z, x0, kl = _caller_problem(kind, rng)
     calls = Counter()
     A = _CountingOp(A, calls)
@@ -564,5 +565,5 @@ def test_step_applies_each_operator_once(rng, monkeypatch, kind, record):
     calls.clear()
     T = 3
     _run(it, T, None, record)
-    assert calls == {"A.forward": (2 if record else 1) * T, "A.adjoint": T,
+    assert calls == {"A.forward": (2 if record and kl is None else 1) * T, "A.adjoint": T,
                      "grad": T, "grad_adjoint": T}
