@@ -7,19 +7,23 @@ elementwise nodes in ``tests/oracles.py``).  The network records a conv
 and a leaky ReLU per ``conv`` step of its layer plan
 (:meth:`tvmap.network.UNetConfig.layer_plan`), a pooling per ``pool``, an
 upsampling and a concatenation per ``join``, a conv for the ``head``, then
-the softplus and the scale.  Every recorded node stores its
-forward value and a vector-Jacobian closure; ``Tape.backward`` walks the
-nodes in strict reverse creation order, so gradient accumulation is
-deterministic.  One node is recorded by training instead: the expansion
-of the network's channels into the weight field
-(:func:`tvmap.tensors.expand_map`) and the ``T`` unrolled iterations with
-it, one :func:`tvmap.solvers.solve_problem` given a trail, whose VJP is the
-iteration's hand-written reverse sweep followed by the expansion's adjoint
-(see :func:`tvmap.training.reconstruct_taped`).  The
-network's input channels are one constant node, since nothing
-differentiates the image.  Values enter a tape as leaves, whose gradients
-``Tape.backward`` returns, or as constants, which no gradient reaches; the
-weights are leaves also on the plain forward's tape, where none runs.
+the softplus and the scale.  A recorded node is one :class:`Var`, the
+handle the primitives pass around, holding its forward value, its parents'
+tape indices and a vector-Jacobian closure; every primitive adds it with
+:meth:`Tape.record`.  ``Tape.backward`` walks the nodes in strict reverse
+creation order, so gradient accumulation is deterministic.  A node refers
+to its tape, a reference cycle: callers that make many tapes empty
+``Tape.nodes`` after use, else the memory waits for a cyclic collection.
+One node is recorded by training instead: the expansion of the network's
+channels into the weight field (:func:`tvmap.tensors.expand_map`) and the
+``T`` unrolled iterations with it, one :func:`tvmap.solvers.solve_problem`
+given a trail, whose VJP is the iteration's hand-written reverse sweep
+followed by the expansion's adjoint (see
+:func:`tvmap.training.reconstruct_taped`).  The network's input channels
+are one constant node, since nothing differentiates the image.  Values
+enter a tape as leaves, whose gradients ``Tape.backward`` returns, or as
+constants, which no gradient reaches; the weights are leaves also on the
+plain forward's tape, where none runs.
 
 Complex values are treated as pairs of reals: the gradient ``g`` of a scalar
 loss with respect to a complex array ``v`` is the complex array with
@@ -42,56 +46,43 @@ import itertools
 import numpy as np
 
 
-class Node:
-    __slots__ = ("value", "parents", "vjp", "requires_grad")
-
-    def __init__(self, value, parents, vjp, requires_grad):
-        self.value = value
-        self.parents = parents
-        self.vjp = vjp
-        self.requires_grad = requires_grad
-
-
 class Var:
-    """Handle to one recorded node."""
+    """One recorded node, also the handle the primitives pass around."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "value", "parents", "vjp", "requires_grad")
 
-    def __init__(self, tape: "Tape", idx: int):
+    def __init__(self, tape: "Tape", idx: int, value, parents, vjp):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def value(self):
-        return self.tape.nodes[self.idx].value
-
-    @property
-    def requires_grad(self) -> bool:
-        return self.tape.nodes[self.idx].requires_grad
+        self.value = value
+        self.parents = tuple(p.idx for p in parents)
+        self.vjp = vjp
+        self.requires_grad = any(p.requires_grad for p in parents)
 
 
 class Tape:
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[Var] = []
 
-    def _emit(self, value, parents=(), vjp=None, requires_grad=False) -> Var:
-        self.nodes.append(Node(value, tuple(parents), vjp, requires_grad))
-        return Var(self, len(self.nodes) - 1)
+    def record(self, value, parents=(), vjp=None) -> Var:
+        """Append the node computed from the ``Var``s ``parents``, which must
+        all live on this tape; it requires a gradient if any parent does."""
+        if any(p.tape is not self for p in parents):
+            raise ValueError("operands live on different tapes")
+        var = Var(self, len(self.nodes), value, parents, vjp)
+        self.nodes.append(var)
+        return var
 
     def leaf(self, value) -> Var:
-        return self._emit(value, requires_grad=True)
+        var = self.record(value)
+        var.requires_grad = True
+        return var
 
     def constant(self, value) -> Var:
-        return self._emit(value, requires_grad=False)
+        return self.record(value)
 
     def nbytes(self) -> int:
-        total = 0
-        for node in self.nodes:
-            if isinstance(node.value, np.ndarray):
-                total += node.value.nbytes
-            else:
-                total += 8
-        return total
+        return sum(n.value.nbytes if isinstance(n.value, np.ndarray) else 8 for n in self.nodes)
 
     def backward(self, loss: Var) -> dict[int, np.ndarray]:
         """Gradients of a scalar ``loss`` for every requires-grad leaf,
@@ -111,19 +102,13 @@ class Tape:
         for idx in range(loss.idx, -1, -1):
             g = grads[idx]
             node = self.nodes[idx]
-            if g is None or node.vjp is None:
-                continue
-            if not node.requires_grad:
+            if g is None or node.vjp is None or not node.requires_grad:
                 continue
             grads[idx] = None
-            parent_grads = node.vjp(g)
-            for pid, pg in zip(node.parents, parent_grads):
+            for pid, pg in zip(node.parents, node.vjp(g)):
                 if pg is None or not self.nodes[pid].requires_grad:
                     continue
-                if grads[pid] is None:
-                    grads[pid] = pg
-                else:
-                    grads[pid] = grads[pid] + pg
+                grads[pid] = pg if grads[pid] is None else grads[pid] + pg
         return {
             i: grads[i]
             for i, node in enumerate(self.nodes)
@@ -134,21 +119,9 @@ class Tape:
         }
 
 
-def _same_tape(*vars_) -> Tape:
-    tape = vars_[0].tape
-    for v in vars_[1:]:
-        if v.tape is not tape:
-            raise ValueError("operands live on different tapes")
-    return tape
-
-
-def _needs(*vars_) -> bool:
-    return any(v.requires_grad for v in vars_)
-
-
 def scale(a: Var, c: float) -> Var:
     c = float(c)
-    return a.tape._emit(c * a.value, (a.idx,), lambda u: (c * u,), a.requires_grad)
+    return a.tape.record(c * a.value, (a,), lambda u: (c * u,))
 
 
 def leaky_relu(x: Var, alpha: float) -> Var:
@@ -158,19 +131,18 @@ def leaky_relu(x: Var, alpha: float) -> Var:
     def vjp(u):
         return (np.where(xv > 0, u, alpha * u),)
 
-    return x.tape._emit(value, (x.idx,), vjp, x.requires_grad)
+    return x.tape.record(value, (x,), vjp)
 
 
 def softplus(x: Var) -> Var:
     xv = x.value
     value = np.logaddexp(0.0, xv)
     sig = 0.5 * (1.0 + np.tanh(0.5 * xv))
-    return x.tape._emit(value, (x.idx,), lambda u: (sig * u,), x.requires_grad)
+    return x.tape.record(value, (x,), lambda u: (sig * u,))
 
 
 def mse(a: Var, b: Var) -> Var:
     """Mean squared difference; complex differences contribute |.|^2."""
-    tape = _same_tape(a, b)
     diff = a.value - b.value
     n = diff.size
     value = float(np.mean(np.abs(diff) ** 2))
@@ -179,16 +151,13 @@ def mse(a: Var, b: Var) -> Var:
         g = (2.0 / n) * diff * u
         return g, -g
 
-    return tape._emit(value, (a.idx, b.idx), vjp, _needs(a, b))
+    return a.tape.record(value, (a, b), vjp)
 
 
 def concat_channels(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
     na = a.value.shape[0]
     value = np.concatenate([a.value, b.value], axis=0)
-    return tape._emit(
-        value, (a.idx, b.idx), lambda u: (u[:na], u[na:]), _needs(a, b)
-    )
+    return a.tape.record(value, (a, b), lambda u: (u[:na], u[na:]))
 
 
 def conv(x: Var, w: Var, b: Var) -> Var:
@@ -208,7 +177,6 @@ def conv(x: Var, w: Var, b: Var) -> Var:
     gradient only if ``x`` requires one.  The closure holds only the padded
     input and the kernel.
     """
-    tape = _same_tape(x, w, b)
     xv, wv, bv = x.value, w.value, b.value
     c_out, c_in = wv.shape[0], wv.shape[1]
     kernel = wv.shape[2:]
@@ -262,7 +230,7 @@ def conv(x: Var, w: Var, b: Var) -> Var:
         gb = u.reshape(c_out, -1).sum(axis=1)
         return gx, np.moveaxis(gw, 0, 2).reshape(wv.shape), gb
 
-    return tape._emit(y, (x.idx, w.idx, b.idx), vjp, _needs(x, w, b))
+    return x.tape.record(y, (x, w, b), vjp)
 
 
 def avg_pool2(x: Var) -> Var:
@@ -286,7 +254,7 @@ def avg_pool2(x: Var) -> Var:
             g = np.repeat(g, 2, axis=ax)
         return (g,)
 
-    return x.tape._emit(value, (x.idx,), vjp, x.requires_grad)
+    return x.tape.record(value, (x,), vjp)
 
 
 def upsample_nearest2(x: Var) -> Var:
@@ -305,5 +273,5 @@ def upsample_nearest2(x: Var) -> Var:
             g = g.reshape(new).sum(axis=ax + 1)
         return (g,)
 
-    return x.tape._emit(value, (x.idx,), vjp, x.requires_grad)
+    return x.tape.record(value, (x,), vjp)
 

@@ -333,6 +333,8 @@ def cmd_certify(args) -> str:
 
     if not (args.rate or args.lipschitz):
         raise ValueError("pass --rate and/or --lipschitz")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     cert = desk_rate_certificate(rng) if args.rate else None
     lines = [] if cert is None else [
@@ -362,8 +364,12 @@ def cmd_fit_t1(args) -> str:
         raise ValueError(f"{args.series}: fit-t1 needs an (n_times, nx, ny) series, one "
                          f"image per --times value ({len(times)}); the file holds shape "
                          f"{images.shape}")
-    series = InversionSeries(times=np.asarray(times, dtype=float), images=images)
-    result = fit_t1(series, t1_bounds=(args.t1_lo, args.t1_hi))
+    with named(f"--times {args.times}"):
+        series = InversionSeries(times=np.asarray(times, dtype=float), images=images)
+        if len(times) < 3:  # fit_t1's first check, here to name the option
+            raise ValueError("need at least three inversion times")
+    with named(f"--t1-lo {args.t1_lo!r}, --t1-hi {args.t1_hi!r}"):
+        result = fit_t1(series, t1_bounds=(args.t1_lo, args.t1_hi))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_tensor(out / "t1.tnsr", result.t1)
@@ -378,9 +384,9 @@ def cmd_preview(args) -> str:
     """One 8-bit PGM per frame of a 2-D image, a 3-D image stack or a 4-D
     field stack (one frame per component and time)."""
     arr = fileio.read_tensor(args.tensor)
-    if not 2 <= arr.ndim <= 4:
-        raise ValueError(f"{args.tensor}: preview needs a 2-, 3- or 4-D tensor, "
-                         f"the file holds shape {arr.shape}")
+    if not 2 <= arr.ndim <= 4 or arr.size == 0:
+        raise ValueError(f"{args.tensor}: preview needs a 2-, 3- or 4-D tensor with "
+                         f"entries, the file holds shape {arr.shape}")
     if arr.ndim == 4:
         arr = arr.reshape((-1,) + arr.shape[2:])
     prefix = args.out or args.tensor.rsplit(".", 1)[0]

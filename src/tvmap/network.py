@@ -160,9 +160,7 @@ def net_forward_taped(tape: ad.Tape, x0: np.ndarray, weight_vars, cfg: UNetConfi
                 h = ad.leaky_relu(h, LEAK)
     out = ad.scale(ad.softplus(h), OUTPUT_SCALE)
     if cfg.rank == 2:
-        out = tape._emit(
-            out.value[:, None], (out.idx,), lambda u: (u[:, 0],), out.requires_grad
-        )
+        out = tape.record(out.value[:, None], (out,), lambda u: (u[:, 0],))
     return out
 
 
@@ -174,4 +172,6 @@ def net_forward(x0: np.ndarray, weights: NetWeights, cfg: UNetConfig) -> np.ndar
     """Plain evaluation of the channel maps, recorded on a throwaway tape
     that no backward sweep reads."""
     tape = ad.Tape()
-    return net_forward_taped(tape, x0, weight_leaves(tape, weights), cfg).value
+    out = net_forward_taped(tape, x0, weight_leaves(tape, weights), cfg).value
+    tape.nodes.clear()  # its nodes refer to it: free them now, not at a cyclic gc
+    return out

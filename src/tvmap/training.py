@@ -115,9 +115,8 @@ def reconstruct_taped(
     chans = net_forward_taped(tape, x0, weight_vars, net_cfg)
     rep = solve_problem(Problem(A=A, z=z, x0=x0, kl=kl),
                         _checked_field(expand_map(chans.value, mode)), T, trail=[])
-    return tape._emit(rep.image, (chans.idx,),
-                      lambda u: (expand_map_adjoint(rep.reverse(u), mode),),
-                      chans.requires_grad)
+    return tape.record(rep.image, (chans,),
+                       lambda u: (expand_map_adjoint(rep.reverse(u), mode),))
 
 
 def loss_taped(
@@ -170,6 +169,7 @@ def batch_gradient(
         wv = weight_leaves(tape, weights)
         item = loss_taped(tape, prob, wv, net_cfg, cfg)
         grads = tape.backward(item)
+        tape.nodes.clear()  # as in net_forward
         flat = np.concatenate([grads[v.idx].ravel() for pair in wv for v in pair])
         return float(item.value), flat
 

@@ -7,7 +7,9 @@ reference at the end: the elementwise nodes the tests build scalar losses
 from (``add``, ``mul``, ``reduce_sum``), the solver primitives as tape nodes, the
 unrolled solvers recorded node by node from them (the reference for the
 solvers' hand-written reverse sweeps), and the finite-difference check of
-taped gradients.  ``GradOp`` wraps the difference stack as an operator for
+taped gradients.  Each taped node is added through the engine's one
+recording call, ``Tape.record(value, parents, vjp)``, as the library's own
+primitives are.  ``GradOp`` wraps the difference stack as an operator for
 the operator tests, ``ZeroHPd3o`` is the PD3O iteration with its smooth
 term set to zero, which reduces it to PDHG with a nonnegativity prox, and
 ``zero_weights`` gives the all-zero network, whose weight map is the
@@ -33,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from tvmap import autodiff as ad
-from tvmap.autodiff import Tape, Var, _needs, _same_tape
+from tvmap.autodiff import Tape, Var
 from tvmap.network import NetWeights, UNetConfig, init_weights, net_forward, net_forward_taped
 from tvmap.operators import LinearOperator
 from tvmap.prox import EXP_CLAMP
@@ -248,22 +250,15 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def add(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    return tape._emit(
-        a.value + b.value, (a.idx, b.idx), lambda u: (u, u), _needs(a, b)
-    )
+    return a.tape.record(a.value + b.value, (a, b), lambda u: (u, u))
 
 
 def sub(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    return tape._emit(
-        a.value - b.value, (a.idx, b.idx), lambda u: (u, -u), _needs(a, b)
-    )
+    return a.tape.record(a.value - b.value, (a, b), lambda u: (u, -u))
 
 
 def mul(a: Var, b: Var) -> Var:
     """Elementwise product; complex factors backpropagate conjugated."""
-    tape = _same_tape(a, b)
     av, bv = a.value, b.value
 
     def vjp(u):
@@ -271,92 +266,64 @@ def mul(a: Var, b: Var) -> Var:
         gb = np.conj(av) * u if np.iscomplexobj(av) else av * u
         return ga, gb
 
-    return tape._emit(av * bv, (a.idx, b.idx), vjp, _needs(a, b))
+    return a.tape.record(av * bv, (a, b), vjp)
 
 
 def reduce_sum(x: Var) -> Var:
     xv = x.value
     if np.iscomplexobj(xv):
         raise ValueError("reduce_sum is defined for real values only")
-    return x.tape._emit(
-        float(np.sum(xv)), (x.idx,), lambda u: (u * np.ones_like(xv),), x.requires_grad
-    )
+    return x.tape.record(float(np.sum(xv)), (x,), lambda u: (u * np.ones_like(xv),))
 
 
 def add_scaled(a: Var, c: float, b: Var) -> Var:
     """a + c * b in one node (the dual pre-step of the solvers)."""
-    tape = _same_tape(a, b)
     c = float(c)
-    return tape._emit(
-        a.value + c * b.value, (a.idx, b.idx), lambda u: (u, c * u), _needs(a, b)
-    )
+    return a.tape.record(a.value + c * b.value, (a, b), lambda u: (u, c * u))
 
 
 def add_scaled2(a: Var, c1: float, b1: Var, c2: float, b2: Var) -> Var:
     """a + c1 * b1 + c2 * b2 in one node (the primal descent step)."""
-    tape = _same_tape(a, b1, b2)
     c1, c2 = float(c1), float(c2)
     value = a.value + c1 * b1.value + c2 * b2.value
-    return tape._emit(
-        value, (a.idx, b1.idx, b2.idx), lambda u: (u, c1 * u, c2 * u), _needs(a, b1, b2)
-    )
+    return a.tape.record(value, (a, b1, b2), lambda u: (u, c1 * u, c2 * u))
 
 
 def extrapolate(x_new: Var, x_old: Var, theta: float) -> Var:
     """x_new + theta (x_new - x_old), the over-relaxation step."""
-    tape = _same_tape(x_new, x_old)
     theta = float(theta)
     value = x_new.value + theta * (x_new.value - x_old.value)
-    return tape._emit(
-        value,
-        (x_new.idx, x_old.idx),
-        lambda u: ((1.0 + theta) * u, -theta * u),
-        _needs(x_new, x_old),
-    )
+    return x_new.tape.record(value, (x_new, x_old), lambda u: ((1.0 + theta) * u, -theta * u))
 
 
 def pd3o_combine(p_new: Var, p_old: Var, gh_old: Var, gh_new: Var, tau: float) -> Var:
     """2 p_new - p_old + tau gh_old - tau gh_new, the three-operator update."""
-    tape = _same_tape(p_new, p_old, gh_old, gh_new)
     tau = float(tau)
     value = 2.0 * p_new.value - p_old.value + tau * gh_old.value - tau * gh_new.value
-    return tape._emit(
-        value,
-        (p_new.idx, p_old.idx, gh_old.idx, gh_new.idx),
-        lambda u: (2.0 * u, -u, tau * u, -tau * u),
-        _needs(p_new, p_old, gh_old, gh_new),
-    )
+    return p_new.tape.record(value, (p_new, p_old, gh_old, gh_new),
+                             lambda u: (2.0 * u, -u, tau * u, -tau * u))
 
 
 def apply_forward(A, x: Var) -> Var:
     """Record y = A x; the backward rule is the registered adjoint."""
-    return x.tape._emit(
-        A.forward(x.value), (x.idx,), lambda u: (A.adjoint(u),), x.requires_grad
-    )
+    return x.tape.record(A.forward(x.value), (x,), lambda u: (A.adjoint(u),))
 
 
 def apply_adjoint(A, y: Var) -> Var:
-    return y.tape._emit(
-        A.adjoint(y.value), (y.idx,), lambda u: (A.forward(u),), y.requires_grad
-    )
+    return y.tape.record(A.adjoint(y.value), (y,), lambda u: (A.forward(u),))
 
 
 def grad_field(x: Var) -> Var:
-    return x.tape._emit(
-        grad_field_fn(x.value), (x.idx,), lambda u: (grad_adjoint_fn(u),), x.requires_grad
-    )
+    return x.tape.record(grad_field_fn(x.value), (x,), lambda u: (grad_adjoint_fn(u),))
 
 
 def grad_field_adjoint(q: Var) -> Var:
-    return q.tape._emit(
-        grad_adjoint_fn(q.value), (q.idx,), lambda u: (grad_field_fn(u),), q.requires_grad
-    )
+    return q.tape.record(grad_adjoint_fn(q.value), (q,), lambda u: (grad_field_fn(u),))
 
 
 def box_clip_ad(q: Var, lam: Var) -> Var:
     """Projection onto [-lam, lam]; boundary entries count as interior for q
     and contribute sign(q) to the bound's gradient only outside the box."""
-    tape = _same_tape(q, lam)
     qv, lv = q.value, lam.value
 
     if np.iscomplexobj(qv):
@@ -382,13 +349,13 @@ def box_clip_ad(q: Var, lam: Var) -> Var:
             gl = np.where(inside, 0.0, np.sign(qv) * u)
             return gq, gl
 
-    return tape._emit(value, (q.idx, lam.idx), vjp, _needs(q, lam))
+    return q.tape.record(value, (q, lam), vjp)
 
 
 def div_const(a: Var, c: float) -> Var:
     """a / c for a constant c (the clip box lam / sigma of the scaled dual)."""
     c = float(c)
-    return a.tape._emit(a.value / c, (a.idx,), lambda u: (u / c,), a.requires_grad)
+    return a.tape.record(a.value / c, (a,), lambda u: (u / c,))
 
 
 def l2_conjugate_prox(p: np.ndarray, ax: np.ndarray, z: np.ndarray, sigma: float,
@@ -423,21 +390,17 @@ def np_clip_box(u: np.ndarray, lam) -> np.ndarray:
 def l2_dual_step_scaled(s: Var, ax: Var, z: np.ndarray, sigma: float) -> Var:
     """(s + ax - z) * (1 / (1 + sigma)), the PDHG step's update of the scaled
     data dual s = p / sigma; z is data, not differentiated."""
-    tape = _same_tape(s, ax)
     c = 1.0 / (1.0 + float(sigma))
     value = (s.value + ax.value - z) * c
-    return tape._emit(value, (s.idx, ax.idx), lambda u: (c * u, c * u), _needs(s, ax))
+    return s.tape.record(value, (s, ax), lambda u: (c * u, c * u))
 
 
 def l2_conj_step(p: Var, ax: Var, z: np.ndarray, sigma: float) -> Var:
     """(p + sigma (ax - z)) / (1 + sigma); z is data, not differentiated."""
-    tape = _same_tape(p, ax)
     sigma = float(sigma)
     value = (p.value + sigma * (ax.value - z)) / (1.0 + sigma)
     s = 1.0 / (1.0 + sigma)
-    return tape._emit(
-        value, (p.idx, ax.idx), lambda u: (s * u, sigma * s * u), _needs(p, ax)
-    )
+    return p.tape.record(value, (p, ax), lambda u: (s * u, sigma * s * u))
 
 
 def exp_clamped_ad(x: Var) -> Var:
@@ -446,14 +409,12 @@ def exp_clamped_ad(x: Var) -> Var:
     clipped = np.clip(xv, -EXP_CLAMP, EXP_CLAMP)
     value = np.exp(clipped)
     inside = np.abs(xv) <= EXP_CLAMP
-    return x.tape._emit(
-        value, (x.idx,), lambda u: (np.where(inside, value * u, 0.0),), x.requires_grad
-    )
+    return x.tape.record(value, (x,), lambda u: (np.where(inside, value * u, 0.0),))
 
 
 def rsub_const(c, x: Var) -> Var:
     """c - x for a constant c."""
-    return x.tape._emit(c - x.value, (x.idx,), lambda u: (-u,), x.requires_grad)
+    return x.tape.record(c - x.value, (x,), lambda u: (-u,))
 
 
 def finite_diff_check(build, leaves, eps: float = 1e-6, trials: int = 20, seed: int = 0):
@@ -522,8 +483,8 @@ def weight_field_taped(
     """Record :func:`estimate_weight_field` on ``tape``, before its check:
     the network node by node and the channel expansion as one node."""
     chans = net_forward_taped(tape, x0, weight_vars, net_cfg)
-    return tape._emit(expand_map(chans.value, mode), (chans.idx,),
-                      lambda u: (expand_map_adjoint(u, mode),), chans.requires_grad)
+    return tape.record(expand_map(chans.value, mode), (chans,),
+                       lambda u: (expand_map_adjoint(u, mode),))
 
 
 def taped_reconstruct_reference(tape, x0, z, A, weight_vars, net_cfg, mode, T, kl=None):

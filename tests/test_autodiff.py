@@ -335,6 +335,37 @@ def test_loss_from_other_tape_rejected(rng):
         t1.backward(loss)
 
 
+@pytest.mark.parametrize("op", ["mse", "concat_channels", "conv"])
+def test_operands_on_two_tapes_rejected_before_recording(rng, op):
+    t1, t2 = ad.Tape(), ad.Tape()
+    x = t1.leaf(rng.standard_normal((2, 4, 4)))
+    if op == "conv":
+        args = (x, t2.leaf(rng.standard_normal((3, 2, 3, 3))), t1.leaf(np.zeros(3)))
+    else:
+        args = (x, t2.constant(rng.standard_normal((2, 4, 4))))
+    counts = (len(t1.nodes), len(t2.nodes))
+    with pytest.raises(ValueError, match="operands live on different tapes"):
+        getattr(ad, op)(*args)
+    assert (len(t1.nodes), len(t2.nodes)) == counts
+
+
+def test_requires_grad_is_set_by_the_parents(rng):
+    tape = ad.Tape()
+    w = tape.leaf(rng.standard_normal((1, 1, 3, 3)))
+    c = tape.constant(rng.standard_normal((1, 4, 4)))
+    from_constants = ad.conv(c, tape.constant(np.ones((1, 1, 3, 3))), tape.constant(np.zeros(1)))
+    assert not from_constants.requires_grad
+    assert ad.scale(w, 2.0).requires_grad
+    reached = []
+    vjp = from_constants.vjp
+    from_constants.vjp = lambda u: reached.append(u) or vjp(u)
+    loss = ad.mse(ad.conv(from_constants, w, tape.constant(np.zeros(1))), c)
+    assert loss.requires_grad
+    grads = tape.backward(loss)
+    assert list(grads) == [w.idx] and reached == []
+    assert tape.nodes[from_constants.idx] is from_constants
+
+
 def _taped_pdhg_denoise(tape, z, lam_var, x0, T, sigma, tau, theta=1.0):
     A = IdentityOp(x0.shape)
     vz = z

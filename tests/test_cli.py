@@ -672,6 +672,13 @@ def test_certify_cli(tmp_path):
     assert main(["certify", "--out", str(out)]) == 2  # needs a mode flag
 
 
+def test_certify_rejects_negative_seed_naming_it(tmp_path, capsys):
+    out = tmp_path / "certify"
+    assert main(["certify", "--rate", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_fit_t1_cli(tmp_path):
     from tvmap.qmri import PAPER_INVERSION_TIMES, concentric_region_labels, synth_qmri_series
 
@@ -699,6 +706,26 @@ def test_fit_t1_rejects_series_that_is_not_one_image_per_time(tmp_path, capsys, 
     assert str(shape) in err and not out.exists()
 
 
+@pytest.mark.parametrize("series_shape, argv, message", [
+    ((3, 4, 4), ["--times", "0.1,0.2,0.3", "--t1-lo", "5", "--t1-hi", "1"],
+     "--t1-lo 5.0, --t1-hi 1.0: invalid T1 bounds"),
+    ((3, 4, 4), ["--times", "0.1,0.2,0.3", "--t1-lo", "0"],
+     "--t1-lo 0.0, --t1-hi 6.0: invalid T1 bounds"),
+    ((3, 4, 4), ["--times", "0.1,0.2,0.3", "--t1-lo", "nan"],
+     "--t1-lo nan, --t1-hi 6.0: invalid T1 bounds"),
+    ((3, 4, 4), ["--times", "0.3,0.2,0.1"],
+     "--times 0.3,0.2,0.1: inversion times must be positive and increasing"),
+    ((2, 4, 4), ["--times", "0.1,0.2"], "--times 0.1,0.2: need at least three inversion times"),
+], ids=["lo-above-hi", "lo-zero", "lo-nan", "times-decreasing", "two-times"])
+def test_fit_t1_error_names_the_option(tmp_path, capsys, series_shape, argv, message):
+    path = tmp_path / "series.tnsr"
+    write_tensor(path, np.ones(series_shape))
+    out = tmp_path / "maps"
+    assert main(["fit-t1", "--series", str(path), "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_preview_cli(tmp_path, rng):
     arr = rng.random((2, 6, 5))
     path = tmp_path / "img.tnsr"
@@ -723,6 +750,16 @@ def test_preview_rejects_tensor_that_is_not_an_image(tmp_path, capsys, shape):
     assert main(["preview", str(path)]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "2-, 3- or 4-D" in err
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 3), (0, 4, 4)])
+def test_preview_rejects_tensor_without_entries(tmp_path, capsys, shape):
+    path = tmp_path / "t.tnsr"
+    write_tensor(path, np.ones(shape))
+    assert main(["preview", str(path), "--out", str(tmp_path / "prev" / "p")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and str(shape) in err
     assert sorted(tmp_path.iterdir()) == [path]
 
 

@@ -124,7 +124,7 @@ def test_layer_plan_channels():
 
 
 @pytest.mark.parametrize("key", ["stages", "convs_per_stage", "base_filters"])
-def test_config_needs_one_of_each(key):
+def test_config_requires_one_of_each(key):
     # zero convs per stage would leave a head-only network, zero filters empty convs
     with pytest.raises(ValueError, match=f"{key} must be >= 1, got 0"):
         UNetConfig(**{key: 0})

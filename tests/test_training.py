@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from tvmap import autodiff as ad
 from tvmap import parallel
 from tvmap.errors import NumericalError
-from tvmap.network import OUTPUT_SCALE, UNetConfig, init_weights, weight_leaves
+from tvmap.network import OUTPUT_SCALE, UNetConfig, init_weights, net_forward, weight_leaves
 from tvmap.operators import IdentityOp, RadonOp
 from tvmap.prox import KlParams
 from tvmap.solvers import Problem, solve_problem
@@ -432,6 +433,28 @@ def test_item_tape_holds_input_once_and_ends_at_mse(rng, case, n_nodes):
     assert [i for i in range(first + 1, last + 1) if not tape.nodes[i].parents] == [last - 1]
     assert loss.idx == last and tape.nodes[last].parents == (last - 2, last - 1)
     assert len(tape.nodes) == n_nodes
+
+
+def test_plain_forward_and_item_gradient_free_their_tapes(rng):
+    # a node refers to its tape, so a tape that still held its nodes would
+    # wait for a cyclic collection: every item of a run would keep its memory
+    prob = denoise_problem(rng)
+    cfg = small_cfg()
+    w = init_weights(cfg, seed=4)
+
+    def live_tapes() -> int:
+        return sum(isinstance(o, ad.Tape) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_tapes()
+        net_forward(prob.x0, w, cfg)
+        batch_gradient([prob], w, cfg, TrainConfig(t_train=2, mode=SharingMode.XY_T))
+        after = live_tapes()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 def test_taped_solve_is_one_node_and_trail_is_linear_in_T(rng):
